@@ -43,9 +43,8 @@ print(f"  extensions spent: {step.extensions_built} "
 
 # Those extensions reverse every critical pair that touches the removed
 # set, which is what lets the set leave the poset.
-qset = set(step.removed)
-touching = [c for c in critical_pairs(bp.poset)
-            if c.x in qset or c.y in qset]
+q_mask = sum(1 << a for a in step.removed)
+touching = critical_pairs(bp.poset, touching=q_mask)
 pos = [e.positions() for e in step.extensions]
 covered = sum(1 for c in touching if any(p[c.y] < p[c.x] for p in pos))
 print(f"  critical pairs touching Q: {covered}/{len(touching)} reversed")

@@ -102,10 +102,10 @@ def _cmd_dim(args) -> int:
     p = _underlying(obj)
     if args.verify:
         data = json.loads(Path(args.verify).read_text())
-        if "certificate" in data:  # CLI wrapper around a certificate
-            data = data["certificate"]
-        if "realizer" in data:  # a peel certificate wraps its realizer
-            data = data["realizer"]
+        # a CLI wrapper holds a certificate, and a certificate its realizer
+        for key in ("certificate", "realizer"):
+            if isinstance(data, dict) and key in data:
+                data = data[key]
         n, realizer, _ = realizer_from_json_dict(data)
         if n != p.n:
             raise VerificationFailed(
@@ -113,6 +113,8 @@ def _cmd_dim(args) -> int:
             )
         ok, unreversed = is_realizer(p, realizer.extensions)
         if not ok:
+            if not realizer.extensions:
+                raise VerificationFailed("the realizer family is empty", pair=None)
             raise VerificationFailed(
                 f"{len(unreversed)} critical pairs unreversed, first "
                 f"{tuple(unreversed[0])}",

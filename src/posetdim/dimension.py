@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from .core import Poset, iter_bits
 from .errors import (
     BudgetExceeded,
@@ -127,21 +125,26 @@ class _Closure:
         return tuple(order)
 
 
-def critical_pairs(p: Poset) -> list[CriticalPair]:
-    """All critical pairs (x, y): incomparable, D(x) within D(y), U(y)
-    within U(x).  Reversing exactly these characterizes realizers.
-    Lexicographic order."""
-    out = []
+def critical_pairs(p: Poset, touching: int | None = None) -> list[CriticalPair]:
+    """Critical pairs (x, y): incomparable, D(x) within D(y), U(y) within
+    U(x).  Reversing exactly these characterizes realizers.
+
+    With a bitmask touching, only pairs with x or y in the mask are
+    listed, at O(|mask| * n) cost for the rows outside it.
+    Lexicographic order.
+    """
+    n = p.n
     up = p._up
     down = p._down
-    for x in range(p.n):
+    everyone = (1 << n) - 1
+    if touching is None:
+        touching = everyone
+    out = []
+    for x in range(n):
         ux, dx = up[x], down[x]
-        for y in range(p.n):
-            if x == y or (ux >> y) & 1 or (dx >> y) & 1:
-                continue
-            if dx & ~down[y]:
-                continue
-            if up[y] & ~ux:
+        ys = everyone if (touching >> x) & 1 else touching
+        for y in iter_bits(ys & ~(ux | dx | (1 << x))):
+            if dx & ~down[y] or up[y] & ~ux:
                 continue
             out.append(CriticalPair(x, y))
     return out
@@ -153,16 +156,21 @@ def reverses(ext: LinearExtension, pair: tuple[int, int]) -> bool:
     return pos[pair[1]] < pos[pair[0]]
 
 
+def _is_permutation(order: Sequence[int], n: int) -> bool:
+    return len(order) == n and set(order) == set(range(n))
+
+
 def check_extension(p: Poset, ext: LinearExtension) -> None:
     """Raise NotAnExtension unless ext is a linear extension of p."""
     order = ext.order
-    if len(order) != p.n or len(set(order)) != p.n:
+    if not _is_permutation(order, p.n):
         raise NotAnExtension(
             f"order of length {len(order)} is not a permutation of 0..{p.n - 1}"
         )
+    down = p._down
     emitted = 0
     for v in order:
-        missing = p.downset_mask(v) & ~emitted
+        missing = down[v] & ~emitted
         if missing:
             w = next(iter_bits(missing))
             raise NotAnExtension(
@@ -172,41 +180,39 @@ def check_extension(p: Poset, ext: LinearExtension) -> None:
 
 
 def is_realizer(
-    p: Poset,
-    extensions: Sequence[LinearExtension],
-    cps: Sequence[CriticalPair] | None = None,
+    p: Poset, extensions: Sequence[LinearExtension]
 ) -> tuple[bool, list[CriticalPair]]:
-    """Check a family of extensions against every critical pair.
+    """Does the family realize p, i.e. is p the intersection of its orders?
 
-    Returns (ok, unreversed critical pairs).  Raises NotAnExtension if a
+    Walks each distinct member top-down once, intersecting the sets of
+    elements listed above every x; the family realizes p exactly when
+    those intersections are p's up-sets.  Returns (ok, unreversed
+    critical pairs in lexicographic order).  Raises NotAnExtension if a
     member is not a linear extension of p.
     """
+    n = p.n
+    inter = [(1 << n) - 1] * n  # above x in every member seen so far
+    seen: set[tuple[int, ...]] = set()
+    for ext in extensions:
+        order = ext.order
+        if order in seen:
+            continue
+        if not _is_permutation(order, n):
+            break
+        seen.add(order)
+        above = 0
+        for v in reversed(order):
+            inter[v] &= above
+            above |= 1 << v
+    else:
+        if inter == list(p._up):
+            return True, []
     for ext in extensions:
         check_extension(p, ext)
-    if cps is None:
-        cps = critical_pairs(p)
-    if not extensions:
-        return (p.n == 0, list(cps))
-    if not cps:
-        return True, []
-    m = len(cps)
-    if m * len(extensions) <= 50_000:
-        pos_rows = [ext.positions() for ext in extensions]
-        unreversed = [
-            c for c in cps
-            if not any(pr[c.y] < pr[c.x] for pr in pos_rows)
-        ]
-        return (not unreversed, unreversed)
-    # bulk path: position matrix, chunked over extensions
-    posm = np.array([ext.positions() for ext in extensions], dtype=np.int32)
-    xs = np.fromiter((c.x for c in cps), dtype=np.int64, count=m)
-    ys = np.fromiter((c.y for c in cps), dtype=np.int64, count=m)
-    rev = np.zeros(m, dtype=bool)
-    for i in range(0, posm.shape[0], 128):
-        block = posm[i:i + 128]
-        rev |= (block[:, ys] < block[:, xs]).any(axis=0)
-    unreversed = [cps[i] for i in np.nonzero(~rev)[0]]
-    return (not unreversed, unreversed)
+    # every member is an extension, so (x, y) is reversed in some member
+    # exactly when y dropped out of inter[x]
+    unreversed = [c for c in critical_pairs(p) if (inter[c.x] >> c.y) & 1]
+    return False, unreversed
 
 
 def is_reversible(
@@ -481,9 +487,27 @@ def realizer_to_json_dict(n: int, realizer: Realizer, optimal: bool) -> dict:
     }
 
 
-def realizer_from_json_dict(data: dict) -> tuple[int, Realizer, bool]:
-    exts = tuple(LinearExtension(tuple(row)) for row in data["extensions"])
-    return int(data["n"]), Realizer(exts), bool(data["optimal"])
+def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
+    """Parse a realizer dict; ValueError if it is not shaped like one."""
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"realizer JSON must be an object, got {type(data).__name__}"
+        )
+    for key in ("n", "extensions", "optimal"):
+        if key not in data:
+            raise ValueError(f"realizer JSON lacks the {key!r} key")
+    n, rows = data["n"], data["extensions"]
+    if type(n) is not int or n < 0:
+        raise ValueError(
+            f"realizer 'n' must be a non-negative integer, got {n!r}"
+        )
+    # type() is exact, so bools and floats are refused along with strings
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and set(map(type, row)) <= {int} for row in rows
+    ):
+        raise ValueError("realizer 'extensions' must be a list of integer lists")
+    exts = tuple(LinearExtension(tuple(row)) for row in rows)
+    return n, Realizer(exts), bool(data["optimal"])
 
 
 def realizer_to_json(n: int, realizer: Realizer, optimal: bool) -> str:

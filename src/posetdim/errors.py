@@ -82,14 +82,15 @@ class AcquisitionFailed(PosetDimError):
 
 
 class VerificationFailed(PosetDimError):
-    """A constructed family missed a pair it must reverse; .pair has it."""
+    """A constructed family missed a pair it must reverse; .pair has it
+    (null in the payload when no single pair is to blame)."""
 
     def __init__(self, message, pair=None):
         super().__init__(message)
         self.pair = pair
 
     def payload(self):
-        return {"pair": list(self.pair)} if self.pair is not None else {}
+        return {"pair": list(self.pair) if self.pair is not None else None}
 
 
 class NoMonochromaticSet(PosetDimError):

@@ -487,10 +487,7 @@ def peel_step(bp: BipartitePoset, k: int, q: int, seed: int) -> PeelStep:
     q_mask = 0
     for a in q_elems:
         q_mask |= 1 << a
-    touching = [
-        c for c in critical_pairs(p)
-        if (q_mask >> c.x) & 1 or (q_mask >> c.y) & 1
-    ]
+    touching = critical_pairs(p, touching=q_mask)
     pos_rows = [ext.positions() for ext in exts]
     residue = [
         c for c in touching

@@ -99,6 +99,30 @@ def test_verify_rejects_wrong_realizer(tmp_path, capsys):
     assert json.loads(err)["error"] == "VerificationFailed"
 
 
+@pytest.mark.parametrize("realizer, error, fragment", [
+    ({"n": 3, "optimal": False}, "ArgumentError", "'extensions'"),
+    ({"extensions": [[0, 1, 2]], "optimal": False}, "ArgumentError", "'n'"),
+    ([[0, 1, 2]], "ArgumentError", "object"),
+    ({"n": 3, "optimal": False, "extensions": [["0", "1", "2"]]},
+     "ArgumentError", "integer"),
+    ({"n": 3, "optimal": False, "extensions": []},
+     "VerificationFailed", "empty"),
+])
+def test_verify_reports_malformed_realizers(tmp_path, capsys, realizer,
+                                             error, fragment):
+    # a 3-chain has no critical pairs, so only the family itself is wrong
+    f = tmp_path / "chain.poset"
+    f.write_text("poset 3\nrel 0 1\nrel 1 2\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(realizer))
+    code, _, err = run(capsys, "dim", str(f), "--verify", str(bad))
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"] == error and fragment in payload["message"]
+    if error == "VerificationFailed":
+        assert payload["pair"] is None
+
+
 # -- prob-lemma / experiment -----------------------------------------------------------
 
 

@@ -60,6 +60,17 @@ def test_every_cross_incomparable_pair_is_critical_in_bipartite():
                     assert (a, b) in crit
 
 
+@settings(max_examples=60)
+@given(st.integers(0, 10_000), st.integers(1, 9), st.integers(0, 2**9 - 1))
+def test_critical_pairs_touching_mask_filters_full_list(seed, n, mask):
+    p = random_poset(n, 0.3, seed)
+    mask &= (1 << n) - 1
+    got = [(c.x, c.y) for c in critical_pairs(p, touching=mask)]
+    want = [(x, y) for x, y in naive_critical_pairs(p)
+            if (mask >> x) & 1 or (mask >> y) & 1]
+    assert got == want
+
+
 def test_chain_has_no_critical_pairs():
     chain = Poset.from_relations(5, [(i, i + 1) for i in range(4)])
     assert critical_pairs(chain) == []
@@ -79,6 +90,8 @@ def test_check_extension_and_reverses():
     assert exc.value.pair in {(0, 2), (1, 2)}
     with pytest.raises(NotAnExtension):
         check_extension(p, LinearExtension((0, 1)))  # wrong ground set
+    with pytest.raises(NotAnExtension):
+        check_extension(p, LinearExtension((0, 1, 7)))  # id outside 0..n-1
 
 
 @settings(max_examples=40)
@@ -128,7 +141,7 @@ def test_is_realizer_basics():
 
 
 def test_is_realizer_vectorized_path_matches_plain():
-    # enough pairs x extensions to cross the vectorization threshold
+    # a large family with many repeated members, as peeling produces
     bp = random_bipartite(40, 40, 0.15, seed=9)
     p = bp.poset
     cps = critical_pairs(p)
@@ -143,6 +156,43 @@ def test_is_realizer_vectorized_path_matches_plain():
     missed = [c for c in cps if not reverses(exts[0], c)]
     assert [(c.x, c.y) for c in unrev2] == [(c.x, c.y) for c in missed]
     assert not ok2 and missed
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.data())
+def test_is_realizer_agrees_with_naive_check(seed, n, data):
+    p = random_poset(n, 0.3, seed)
+    full = [e.order for e in greedy_reversing_extensions(p, critical_pairs(p))]
+    full = full or [exact_dimension(p).witness.extensions[0].order]
+    orders = list(full)
+    if data.draw(st.booleans(), label="drop a member"):
+        del orders[data.draw(st.integers(0, len(orders) - 1))]
+    for _ in range(data.draw(st.integers(0, 3), label="duplicates")):
+        orders.insert(data.draw(st.integers(0, len(orders))),
+                      data.draw(st.sampled_from(full)))
+    relations = list(p.pairs())
+    if relations and data.draw(st.booleans(), label="break a member"):
+        x, y = data.draw(st.sampled_from(relations))
+        order = list(data.draw(st.sampled_from(full)))
+        i, j = order.index(x), order.index(y)
+        order[i], order[j] = y, x  # y now precedes x although x < y
+        orders.insert(data.draw(st.integers(0, len(orders))), tuple(order))
+    family = [LinearExtension(o) for o in orders]
+    bad = next((o for o in orders if not naive_is_extension(p, o)), None)
+    if bad is not None:
+        with pytest.raises(NotAnExtension) as expected:
+            check_extension(p, LinearExtension(bad))
+        with pytest.raises(NotAnExtension) as got:
+            is_realizer(p, family)
+        assert got.value.pair == expected.value.pair
+        return
+    # naive: a pair is reversed when some member lists y before x
+    pos_rows = [{v: i for i, v in enumerate(o)} for o in orders]
+    unreversed = [(x, y) for x, y in naive_critical_pairs(p)
+                  if not any(pos[y] < pos[x] for pos in pos_rows)]
+    ok, unrev = is_realizer(p, family)
+    assert ok == (bool(orders) and not unreversed)
+    assert [(c.x, c.y) for c in unrev] == unreversed
 
 
 def test_realizer_json_round_trip():
