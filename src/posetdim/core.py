@@ -169,20 +169,30 @@ class Poset:
         return True
 
     def restrict(self, keep: Iterable[int]) -> Poset:
-        """Induced subposet on the given elements, reindexed in list order."""
+        """Induced subposet on the given elements, reindexed in list order.
+
+        Walks only the relations that stay inside keep.
+        """
         keep = list(keep)
         index = {v: i for i, v in enumerate(keep)}
         if len(index) != len(keep):
             raise ValueError("duplicate elements in restriction")
+        keep_mask = 0
+        for v in keep:
+            if not 0 <= v < self.n:
+                raise IndexError(f"element {v} out of range for n={self.n}")
+            keep_mask |= 1 << v
         m = len(keep)
         up = [0] * m
         down = [0] * m
         for i, v in enumerate(keep):
-            row = self._up[v]
-            for w, j in index.items():
-                if (row >> w) & 1:
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
+            bit_i = 1 << i
+            row = 0
+            for w in iter_bits(self._up[v] & keep_mask):
+                j = index[w]
+                row |= 1 << j
+                down[j] |= bit_i
+            up[i] = row
         return Poset(m, up, down)
 
     def check(self) -> None:
@@ -207,11 +217,6 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n}, relations={self.relation_count()})"
-
-
-def poset_from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
-    """Alias for Poset.from_relations."""
-    return Poset.from_relations(n, pairs)
 
 
 def standard_example(m: int) -> Poset:
@@ -271,12 +276,17 @@ class BipartitePoset:
     linear order on each side; several constructions depend on it.
     """
 
-    __slots__ = ("poset", "a_order", "b_order", "a_mask", "b_mask")
+    __slots__ = ("poset", "a_order", "b_order", "a_mask", "b_mask", "a_pos")
 
     def __init__(self, poset: Poset, a_order: Iterable[int], b_order: Iterable[int]):
         self.poset = poset
         self.a_order = tuple(a_order)
         self.b_order = tuple(b_order)
+        n = poset.n
+        for side, order in (("A", self.a_order), ("B", self.b_order)):
+            for x in order:
+                if not 0 <= x < n:
+                    raise ValueError(f"{side}-side id {x} is outside 0..{n - 1}")
         a_mask = 0
         for x in self.a_order:
             a_mask |= 1 << x
@@ -285,6 +295,8 @@ class BipartitePoset:
             b_mask |= 1 << x
         self.a_mask = a_mask
         self.b_mask = b_mask
+        # position of each A-side element in a_order
+        self.a_pos = {x: i for i, x in enumerate(self.a_order)}
         self._validate()
 
     def _validate(self) -> None:
@@ -303,7 +315,11 @@ class BipartitePoset:
                 raise ValueError(f"B-side element {y} has something above it")
 
     def a_position(self, x: int) -> int:
-        return self.a_order.index(x)
+        """Index of x in a_order; ValueError if x is not on the A side."""
+        try:
+            return self.a_pos[x]
+        except KeyError:
+            raise ValueError(f"{x} is not on the A side") from None
 
     def dual(self) -> BipartitePoset:
         """Swap the two sides and reverse the order relation."""
@@ -552,8 +568,7 @@ def poset_from_text(text: str) -> Poset | BipartitePoset:
     """Parse POSET v1 text; returns a BipartitePoset when side lines appear."""
     n = None
     pairs: list[tuple[int, int]] = []
-    a_order: list[int] | None = None
-    b_order: list[int] | None = None
+    sides: dict[str, list[int]] = {}  # "A:" / "B:" -> listed ids
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -573,19 +588,17 @@ def poset_from_text(text: str) -> Poset | BipartitePoset:
                 raise ValueError(f"line {lineno}: malformed rel line")
             pairs.append((int(parts[1]), int(parts[2])))
         elif head in ("A:", "B:"):
-            vals = [int(v) for v in parts[1:]]
-            if head == "A:":
-                a_order = vals
-            else:
-                b_order = vals
+            if head in sides:
+                raise ValueError(f"line {lineno}: duplicate {head} line")
+            sides[head] = [int(v) for v in parts[1:]]
         else:
             raise ValueError(f"line {lineno}: unknown directive {head!r}")
     if n is None:
         raise ValueError("missing poset header")
     p = Poset.from_relations(n, pairs)
-    if a_order is None and b_order is None:
+    if not sides:
         return p
-    return BipartitePoset(p, a_order or [], b_order or [])
+    return BipartitePoset(p, sides.get("A:", []), sides.get("B:", []))
 
 
 def load_poset(path) -> Poset | BipartitePoset:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -36,14 +37,16 @@ class LinearExtension:
     def __post_init__(self):
         object.__setattr__(self, "order", tuple(self.order))
 
-    def positions(self) -> list[int]:
+    def positions(self) -> tuple[int, ...]:
+        """pos[v] is v's index in the order; computed once per object."""
+        return self._positions
+
+    @cached_property
+    def _positions(self) -> tuple[int, ...]:
         pos = [0] * len(self.order)
         for i, v in enumerate(self.order):
             pos[v] = i
-        return pos
-
-    def reversed_copy(self) -> LinearExtension:
-        return LinearExtension(tuple(reversed(self.order)))
+        return tuple(pos)
 
     def __len__(self) -> int:
         return len(self.order)
@@ -269,6 +272,35 @@ class _OutOfBudget(Exception):
     pass
 
 
+def _conflict_masks(p: Poset, cps: Sequence[CriticalPair]) -> list[int]:
+    """Pairwise-conflict graph of critical pairs, one bitmask row each.
+
+    Pairs i and j clash iff the only possible cycle through both
+    reversal edges exists: x_i <= y_j and x_j <= y_i.  Row i is the AND
+    of "pairs whose y is at or above x_i" and "pairs whose x is at or
+    below y_i", each gathered per element from the pairs sitting on it.
+    """
+    n = p.n
+    on_y = [0] * n  # pairs whose y is this element
+    on_x = [0] * n
+    for j, (x, y) in enumerate(cps):
+        on_y[y] |= 1 << j
+        on_x[x] |= 1 << j
+
+    def gather(rows: Sequence[int], on: list[int]) -> list[int]:
+        out = []
+        for u in range(n):
+            acc = on[u]
+            for v in iter_bits(rows[u]):
+                acc |= on[v]
+            out.append(acc)
+        return out
+
+    y_above = gather(p._up, on_y)
+    x_below = gather(p._down, on_x)
+    return [y_above[x] & x_below[y] for x, y in cps]
+
+
 def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
     """Exact order dimension with a realizer witness.
 
@@ -288,21 +320,12 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
         return DimensionResult(1, Realizer((ext,)), True)
 
     m = len(cps)
-    leq = p.leq
     have_conflicts = m <= _CONFLICT_PAIR_CAP
-    conf: list[int] = [0] * m
     if have_conflicts:
-        # pairs i, j clash iff the only possible cycle through both
-        # reversal edges exists: x_i <= y_j and x_j <= y_i
-        for i in range(m):
-            xi, yi = cps[i]
-            for j in range(i + 1, m):
-                xj, yj = cps[j]
-                if leq(xi, yj) and leq(xj, yi):
-                    conf[i] |= 1 << j
-                    conf[j] |= 1 << i
+        conf = _conflict_masks(p, cps)
         order = sorted(range(m), key=lambda i: -conf[i].bit_count())
     else:
+        conf = [0] * m
         order = list(range(m))
 
     # greedy first-fit: upper bound plus fallback witness

@@ -30,7 +30,6 @@ from .core import (
 from .dimension import (
     LinearExtension,
     Realizer,
-    check_extension,
     critical_pairs,
     exact_dimension,
     greedy_reversing_extensions,
@@ -154,6 +153,13 @@ def acquire_event_matrix(
 # -- mates and the upset-based coloring ---------------------------------------
 
 
+def _check_subset(bp: BipartitePoset, subset: Sequence[int]) -> None:
+    # strictly increasing positions: distinct A-side elements in a_order
+    positions = [bp.a_pos.get(a, -1) for a in subset]
+    if -1 in positions or any(i >= j for i, j in zip(positions, positions[1:])):
+        raise ValueError("subset must be distinct A-side elements sorted by a_order")
+
+
 def mates(bp: BipartitePoset, subset: Sequence[int], i: int) -> frozenset[int]:
     """B-side mates of position i (1-based) in a subset of A.
 
@@ -163,17 +169,8 @@ def mates(bp: BipartitePoset, subset: Sequence[int], i: int) -> frozenset[int]:
     k = len(subset)
     if not (1 <= i <= k):
         raise ValueError(f"position {i} out of range 1..{k}")
-    positions = [bp.a_order.index(a) for a in subset]
-    if sorted(positions) != positions or len(set(positions)) != k:
-        raise ValueError("subset must be distinct and sorted by a_order")
-    up = bp.poset._up
-    mask = bp.b_mask
-    for j, a in enumerate(subset, start=1):
-        if j == i:
-            mask &= ~up[a]
-        else:
-            mask &= up[a]
-    return frozenset(iter_bits(mask))
+    _check_subset(bp, subset)
+    return frozenset(iter_bits(_mate_masks(bp, subset)[i - 1]))
 
 
 def _mate_masks(bp: BipartitePoset, elems: Sequence[int]) -> list[int]:
@@ -196,9 +193,7 @@ def valid_colors(bp: BipartitePoset, subset: Sequence[int]) -> frozenset[int]:
     one mate per position), so NoValidColor carries that witness.
     """
     elems = list(subset)
-    positions = [bp.a_order.index(a) for a in elems]
-    if sorted(positions) != positions or len(set(positions)) != len(elems):
-        raise ValueError("subset must be distinct and sorted by a_order")
+    _check_subset(bp, elems)
     masks = _mate_masks(bp, elems)
     good = frozenset(i + 1 for i, m in enumerate(masks) if not m)
     if not good:
@@ -358,9 +353,7 @@ def extension_from_sigma(
     for a, residual in reversed(blocks):
         bottom_up.append(a)
         bottom_up.extend(iter_bits(residual))
-    ext = LinearExtension(tuple(bottom_up))
-    check_extension(p, ext)
-    return ext
+    return LinearExtension(tuple(bottom_up))
 
 
 def build_reversing_extensions(
@@ -375,8 +368,9 @@ def build_reversing_extensions(
     Q must be monochromatic of the given color under the upset-based
     k-subset coloring.  A matrix with the isolating-row property at
     t = max(color-1, k-color) supplies 2r extensions, two per row, via
-    the two row traversals.  The postcondition is checked pair by pair;
-    a miss raises VerificationFailed with a mate-count diagnosis.
+    the two row traversals; rows that induce the same traversal share
+    one LinearExtension object.  The postcondition is checked pair by
+    pair; a miss raises VerificationFailed with a mate-count diagnosis.
     """
     q = len(q_elems)
     if q < 2:
@@ -388,15 +382,18 @@ def build_reversing_extensions(
     r = math.ceil(k * (2 ** k) * math.log(q))
     mat = acquire_event_matrix(t_eff, q, r, seed)
     exts: list[LinearExtension] = []
+    built: dict[tuple[int, ...], LinearExtension] = {}  # sigma -> extension
     for row in mat.bits:
-        s1, s2 = sigma_permutations(row)
-        exts.append(extension_from_sigma(bp, q_elems, s1))
-        exts.append(extension_from_sigma(bp, q_elems, s2))
+        for sigma in sigma_permutations(row):
+            ext = built.get(sigma)
+            if ext is None:
+                ext = built[sigma] = extension_from_sigma(bp, q_elems, sigma)
+            exts.append(ext)
 
     # every incomparable (a in Q, b in B) pair is critical here and must
     # now be reversed by some member
     p = bp.poset
-    pos_rows = [ext.positions() for ext in exts]
+    pos_rows = [ext.positions() for ext in built.values()]
     down = p._down
     for i, a in enumerate(q_elems, start=1):
         cand = bp.b_mask & ~p.upset_mask(a)
@@ -442,9 +439,6 @@ class PeelStep:
         return len(self.extensions)
 
 
-_EAGER_COLORING_CAP = 3000
-
-
 def peel_step(bp: BipartitePoset, k: int, q: int, seed: int) -> PeelStep:
     """Remove one monochromatic q-set worth of dimension from bp.
 
@@ -459,11 +453,7 @@ def peel_step(bp: BipartitePoset, k: int, q: int, seed: int) -> PeelStep:
         raise ValueError(f"need q >= 2, got {q}")
     if na < q:
         raise NoMonochromaticSet(f"|A| = {na} < q = {q}")
-    if math.comb(na, k) <= _EAGER_COLORING_CAP:
-        coloring = ub_coloring(bp, k)
-    else:
-        coloring = _LazyColoring(bp, k)
-    found = find_monochromatic(bp, coloring, q)
+    found = find_monochromatic(bp, _LazyColoring(bp, k), q)
     if found is None:
         raise NoMonochromaticSet(
             f"no monochromatic {q}-set among {na} A-side elements"
@@ -480,7 +470,6 @@ def peel_step(bp: BipartitePoset, k: int, q: int, seed: int) -> PeelStep:
     bottom += [x for x in iter_bits(minimal_mask & bp.b_mask)]
     above = [x for x in iter_bits(bp.b_mask & ~minimal_mask)]
     min_ext = LinearExtension(tuple(bottom + above))
-    check_extension(p, min_ext)
     exts = exts + [min_ext]
 
     # cleanup: critical pairs with either end in Q not reversed yet
@@ -488,7 +477,7 @@ def peel_step(bp: BipartitePoset, k: int, q: int, seed: int) -> PeelStep:
     for a in q_elems:
         q_mask |= 1 << a
     touching = critical_pairs(p, touching=q_mask)
-    pos_rows = [ext.positions() for ext in exts]
+    pos_rows = [ext.positions() for ext in dict.fromkeys(exts)]
     residue = [
         c for c in touching
         if not any(pr[c.y] < pr[c.x] for pr in pos_rows)
@@ -560,13 +549,15 @@ def peel_realizer(
     """Iterated peeling down to a small base, then an exact base realizer.
 
     Peels the side with more elements (the dual is peeled when |A| < |B|
-    and every extension is flipped at the end).  Extensions from deeper
-    levels are lifted by stacking each removed set at the very bottom,
-    descending a_order.  Stops peeling when the ground set is at most
-    base_threshold or no monochromatic set exists; the remainder goes to
-    the exact solver (its budget overrun downgrades base_optimal rather
-    than failing, since any base realizer keeps the certificate sound).
-    The assembled realizer is verified against the input before return.
+    and every extension is flipped as it is lifted).  Extensions from
+    deeper levels are lifted by stacking each removed set at the very
+    bottom, descending a_order; a member repeated within one step is
+    lifted once and the realizer repeats that object.  Stops peeling
+    when the ground set is at most base_threshold or no monochromatic
+    set exists; the remainder goes to the exact solver (its budget
+    overrun downgrades base_optimal rather than failing, since any base
+    realizer keeps the certificate sound).  The assembled realizer is
+    verified against the input before return.
     """
     if base_threshold < 1:
         raise ValueError("base_threshold must be >= 1")
@@ -576,18 +567,26 @@ def peel_realizer(
     cur = work
     cur_ids = tuple(range(work.poset.n))
     lift_prefix: list[int] = []  # grows bottom-up as peels stack
-    collected: list[tuple[int, ...]] = []
+    collected: list[LinearExtension] = []
     records: list[PeelStepRecord] = []
+
+    def lift(order: tuple[int, ...]) -> LinearExtension:
+        # an order of the current host, as an order of the input
+        full = tuple(lift_prefix) + tuple(cur_ids[v] for v in order)
+        return LinearExtension(full[::-1] if dualized else full)
 
     while cur.poset.n > base_threshold and len(cur.a_order) >= q:
         try:
             step = peel_step(cur, k, q, derive_seed(seed, len(records)))
         except NoMonochromaticSet:
             break
+        # repeated members are lifted once and share one object
+        lifted: dict[tuple[int, ...], LinearExtension] = {}
         for ext in step.extensions:
-            collected.append(
-                tuple(lift_prefix) + tuple(cur_ids[v] for v in ext.order)
-            )
+            got = lifted.get(ext.order)
+            if got is None:
+                got = lifted[ext.order] = lift(ext.order)
+            collected.append(got)
         removed_orig = tuple(cur_ids[v] for v in step.removed)
         records.append(
             PeelStepRecord(
@@ -612,15 +611,8 @@ def peel_realizer(
     except BudgetExceeded as exc:
         base = exc.best
         base_optimal = False
-    for ext in base.witness.extensions:
-        collected.append(
-            tuple(lift_prefix) + tuple(cur_ids[v] for v in ext.order)
-        )
-
-    exts = [LinearExtension(order) for order in collected]
-    if dualized:
-        exts = [ext.reversed_copy() for ext in exts]
-    realizer = Realizer(tuple(exts))
+    collected.extend(lift(ext.order) for ext in base.witness.extensions)
+    realizer = Realizer(tuple(collected))
     ok, unreversed = is_realizer(bp.poset, realizer.extensions)
     if not ok:
         raise VerificationFailed(

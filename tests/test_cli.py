@@ -165,6 +165,23 @@ def test_missing_file_is_a_domain_error(capsys):
     assert json.loads(err)["error"] == "IOError"
 
 
+@pytest.mark.parametrize("text, fragment", [
+    ("poset 2\nrel 0 1\nA: 1\nA: 0\nB: 1\n", "line 4: duplicate A: line"),
+    ("poset 2\nrel 0 1\nA: 0\nB: 1\nB: 1\n", "line 5: duplicate B: line"),
+    ("poset 2\nrel 0 1\nA: 0\nB: 5\n", "B-side id 5"),
+    ("poset 2\nrel 0 1\nA: -1\nB: 1\n", "A-side id -1"),
+])
+def test_malformed_side_lines_are_argument_errors(tmp_path, capsys, text,
+                                                  fragment):
+    f = tmp_path / "bad.poset"
+    f.write_text(text)
+    code, out, err = run(capsys, "dim", str(f))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ArgumentError"
+    assert fragment in payload["message"]
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dim"])  # missing FILE

@@ -95,6 +95,24 @@ def test_restrict_induces_and_reindexes():
     assert q.n == 3
     assert q.lt(0, 1)  # 0 < 2 survives transitively
     assert q.incomparable(0, 2) and q.incomparable(1, 2)
+    with pytest.raises(ValueError):
+        p.restrict([0, 0])
+    with pytest.raises(IndexError):
+        p.restrict([0, 5])
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32), st.integers(0, 14), st.floats(0.0, 0.6),
+       st.randoms(use_true_random=False))
+def test_restrict_matches_naive_restriction(seed, n, edge_prob, rnd):
+    p = random_poset(n, edge_prob, seed)
+    keep = rnd.sample(range(n), rnd.randint(0, n))  # any order, unsorted too
+    q = p.restrict(keep)
+    assert q.n == len(keep)
+    for i, v in enumerate(keep):
+        for j, w in enumerate(keep):
+            assert q.lt(i, j) == p.lt(v, w), (keep, i, j)
+    q.check()
 
 
 @settings(max_examples=60)
@@ -166,6 +184,12 @@ def test_bipartite_validation():
     chain3 = Poset.from_relations(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         BipartitePoset(chain3, (0,), (1, 2))  # height 3
+    with pytest.raises(ValueError):
+        bp.a_position(2)  # a B-side element
+    for a_side, b_side, bad in (((0, 1), (2, 4), "B-side id 4"),
+                                ((0, -1), (2, 3), "A-side id -1")):
+        with pytest.raises(ValueError, match=bad):
+            BipartitePoset(s2, a_side, b_side)
 
 
 def test_bipartite_dual_and_remove():
@@ -285,3 +309,7 @@ def test_text_parsing_details():
         poset_from_text("poset x\n")
     with pytest.raises(ValueError):
         poset_from_text("rel 0 1\n")
+    with pytest.raises(ValueError, match="line 4: duplicate A: line"):
+        poset_from_text("poset 2\nrel 0 1\nA: 1\nA: 0\nB: 1\n")
+    with pytest.raises(ValueError, match="line 4: duplicate B: line"):
+        poset_from_text("poset 2\nA: 0\nB: 1\nB: 1\n")

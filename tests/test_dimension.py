@@ -23,7 +23,11 @@ from posetdim import (
     reverses,
     standard_example,
 )
-from posetdim.dimension import realizer_from_json, realizer_to_json
+from posetdim.dimension import (
+    _conflict_masks,
+    realizer_from_json,
+    realizer_to_json,
+)
 from posetdim.errors import (
     BudgetExceeded,
     ComparablePairError,
@@ -42,6 +46,19 @@ def test_critical_pairs_frozen_standard_example():
     assert [(c.x, c.y) for c in critical_pairs(s3)] == [(0, 3), (1, 4), (2, 5)]
     s2 = standard_example(2)
     assert [(c.x, c.y) for c in critical_pairs(s2)] == [(0, 2), (1, 3)]
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32), st.integers(2, 16), st.floats(0.0, 0.5))
+def test_conflict_masks_match_pairwise_rule(seed, n, edge_prob):
+    p = random_poset(n, edge_prob, seed)
+    cps = critical_pairs(p)
+    want = [0] * len(cps)
+    for i, (xi, yi) in enumerate(cps):
+        for j, (xj, yj) in enumerate(cps):
+            if i != j and p.leq(xi, yj) and p.leq(xj, yi):
+                want[i] |= 1 << j
+    assert _conflict_masks(p, cps) == want
 
 
 def test_critical_pairs_agree_with_definition():

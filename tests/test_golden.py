@@ -1,0 +1,98 @@
+"""Golden outputs: SHA-256 of seeded results that refactors must not move.
+
+Each hash was computed before the growth-path speedups (bitwise
+conflict graph, per-step extension reuse, sparse restrict) and must stay
+identical after them.  A mismatch means an output changed byte for byte,
+so a change that is meant to keep outputs fixed has broken that promise.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from posetdim import (
+    certificate_to_json,
+    exact_dimension,
+    find_standard_example,
+    general_upper_bound,
+    growth_records_to_csv,
+    peel_realizer,
+    random_poset,
+    random_skfree_bipartite,
+    realizer_to_json,
+    run_growth_experiment,
+)
+from posetdim.errors import BudgetExceeded
+from posetdim.skfree import certificate_to_json_dict
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+GROWTH = {
+    1: "df4189df35e735b0aa2aeef42f4dc3e00e47b482b618ce0fdd2929ca31a64416",
+    401: "f929c93a417a189925a348fe1059d6af1ae8e571a6d3cbfd288c39fc1509cb2b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GROWTH))
+def test_growth_csv_is_pinned(seed):
+    records = run_growth_experiment(3, [40, 80, 160, 320], 1, 3, None, seed)
+    assert sha(growth_records_to_csv(records)) == GROWTH[seed]
+
+
+PEEL_320 = "abcfa75991efc3981d80afcc6502add7b6d460e7a2ac23ae27389092e3ee577c"
+
+
+def test_peel_certificate_n320_is_pinned():
+    bp = random_skfree_bipartite(160, 160, 1.5 / 160, 3, 7)
+    cert = peel_realizer(bp, 3, 3, 12, 7)
+    assert sha(certificate_to_json(cert)) == PEEL_320
+
+
+# the four smallest seeds of random_poset(40, 0.06, seed) that are S_3-free
+GENERAL = {
+    12: "3b5deba2062fb48979467af7f02bf6bf802604d83e51ad79394774dc1aaee917",
+    37: "973417ce30f4a1b09081a7cb0a245c2c83bc49fa0da4e3165866ef8e4f7dd9c2",
+    41: "56b468ee9569a5d34895da5d34e10d665ce55430a6b99ff16b02187320baf094",
+    46: "3f7322f83350cd012782ecd94bedf49ff14df6881d8b339b53ed5c53f41dd91b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GENERAL))
+def test_general_upper_bound_is_pinned(seed):
+    p = random_poset(40, 0.06, seed)
+    assert find_standard_example(p, 3) is None
+    res = general_upper_bound(p, 3, 3, 12, seed)
+    text = json.dumps({
+        "bound": res.bound,
+        "cleanup": res.cleanup_count,
+        "certificate": certificate_to_json_dict(res.certificate),
+        "realizer_for_p": [list(e.order) for e in res.realizer_for_p.extensions],
+    }, sort_keys=True)
+    assert sha(text) == GENERAL[seed]
+
+
+# seed 0 settles within the budget; seeds 1-4 exhaust it and pin .best
+EXACT = {
+    0: "730a2df870ec16941552783c91ffd192ed524ad70feaf15b2fc0942ab12436c2",
+    1: "881aa2ca82ab31809d018fc294c0b8ebec85686bd9c1c0b9a7bfc01ea72e5a8a",
+    2: "d9192ae2e799da366a8a8e346d2ded676d15418dced34b105367cd0e27ee4425",
+    3: "dc72bc0d285e2480dbe0b16d64e3c2d7547362a519d10e488268f175dcd50c8e",
+    4: "1d016bee505e3b5b2ffc0f5ffe1e479a69b0c5d5139615f63e5ee7bb38a8668c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXACT))
+def test_exact_dimension_witness_is_pinned(seed):
+    p = random_poset(52, 0.10, seed)
+    try:
+        res = exact_dimension(p, budget=20_000)
+        kind = "settled"
+    except BudgetExceeded as exc:
+        res = exc.best
+        kind = "budget"
+    text = kind + "\n" + realizer_to_json(p.n, res.witness, res.optimal)
+    assert sha(text) == EXACT[seed]

@@ -279,6 +279,28 @@ def test_build_reversing_extensions_postcondition():
     assert hits >= 10
 
 
+def test_build_reversing_extensions_shares_repeated_members():
+    # repeated matrix rows repeat a traversal; each distinct one is built
+    # once, and every member is still a linear extension
+    checked = 0
+    for i in range(20):
+        bp = random_skfree_bipartite(10, 10, 0.25, 3, seed=derive_seed(29, i))
+        coloring = ub_coloring(bp, 3)
+        for q in (2, 3, 4):
+            got = find_monochromatic(bp, coloring, q)
+            if got is None:
+                continue
+            checked += 1
+            q_elems, color = got
+            exts, mat = build_reversing_extensions(bp, 3, q_elems, color, seed=i)
+            assert len(exts) == 2 * mat.r
+            assert len({e.order for e in exts}) <= 2 * q + 2
+            assert len({id(e) for e in exts}) == len({e.order for e in exts})
+            for e in exts:
+                check_extension(bp.poset, e)
+    assert checked >= 20
+
+
 def test_step_extension_cap_frozen():
     assert step_extension_cap(3, 2) == 49   # floor(72 ln 2)
     assert step_extension_cap(3, 3) == 79   # floor(72 ln 3)
@@ -322,6 +344,17 @@ def test_peel_realizer_verifies_and_accounts():
         cap = step_extension_cap(3, 2)
         assert all(s.extensions_built <= cap for s in cert.steps)
         assert cert.base_optimal
+
+
+def test_certificate_counts_duplicate_extensions():
+    # the paper's accounting: every member counts, repeats included
+    bp = random_skfree_bipartite(20, 20, 1.5 / 20, 3, seed=7)
+    cert = peel_realizer(bp, 3, 3, base_threshold=12, seed=7)
+    assert cert.steps
+    for s in cert.steps:
+        assert s.extensions_built == 2 * s.matrix_rows + 1 + s.cleanup_count
+    distinct = len({e.order for e in cert.realizer.extensions})
+    assert distinct < cert.total_size == len(cert.realizer.extensions)
 
 
 def test_peel_realizer_dualizes_when_b_is_larger():
