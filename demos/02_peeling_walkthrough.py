@@ -35,7 +35,7 @@ print(f"\nmonochromatic q-set {q_elems} with color {color}")
 
 # The peel step builds the reversing extensions from a random 0/1
 # matrix, adds a minimal-elements extension, and cleans up the rest.
-step = peel_step(bp, 3, 3, seed=7)
+step, exts = peel_step(bp, 3, 3, seed=7)
 print(f"peel step: removed {step.removed} (color {step.color})")
 print(f"  matrix: {step.matrix.r} rows x {step.matrix.q} cols")
 print(f"  extensions spent: {step.extensions_built} "
@@ -45,7 +45,7 @@ print(f"  extensions spent: {step.extensions_built} "
 # set, which is what lets the set leave the poset.
 q_mask = sum(1 << a for a in step.removed)
 touching = critical_pairs(bp.poset, touching=q_mask)
-pos = [e.positions() for e in step.extensions]
+pos = [e.positions() for e in exts]
 covered = sum(1 for c in touching if any(p[c.y] < p[c.x] for p in pos))
 print(f"  critical pairs touching Q: {covered}/{len(touching)} reversed")
 

@@ -122,7 +122,7 @@ def _cmd_dim(args) -> int:
             )
         print(f"verified {len(realizer.extensions)} extensions realize the poset")
         return 0
-    budget = None if args.exact else (args.budget or _DEFAULT_DIM_BUDGET)
+    budget = None if args.exact else args.budget
     try:
         res = exact_dimension(p, budget=budget)
     except BudgetExceeded as exc:
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = d.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true",
                        help="search without a node budget")
-    group.add_argument("--budget", type=int,
+    group.add_argument("--budget", type=int, default=_DEFAULT_DIM_BUDGET,
                        help=f"search node budget (default "
                             f"{_DEFAULT_DIM_BUDGET})")
     d.add_argument("--verify", metavar="REALIZER_JSON",

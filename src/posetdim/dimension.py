@@ -111,21 +111,27 @@ class _Closure:
 
     def extension(self) -> tuple[int, ...]:
         """Topological order, lowest available index first."""
-        n = self.n
-        down = self.down
-        emitted = 0
-        order = []
-        todo = list(range(n))
-        while todo:
-            for k, v in enumerate(todo):
-                if not (down[v] & ~emitted):
-                    order.append(v)
-                    emitted |= 1 << v
-                    del todo[k]
-                    break
-            else:
-                raise AssertionError("cycle in closure")
-        return tuple(order)
+        return ranked_topological_order(self.down, range(self.n))
+
+
+def ranked_topological_order(
+    down: Sequence[int], ranked: Iterable[int]
+) -> tuple[int, ...]:
+    """Topological order that always emits the earliest element of the
+    ranked list whose down-set (bitmask rows in down) is all emitted."""
+    emitted = 0
+    order = []
+    todo = list(ranked)
+    while todo:
+        for k, v in enumerate(todo):
+            if not (down[v] & ~emitted):
+                order.append(v)
+                emitted |= 1 << v
+                del todo[k]
+                break
+        else:
+            raise AssertionError("cycle in the relation")
+    return tuple(order)
 
 
 def critical_pairs(p: Poset, touching: int | None = None) -> list[CriticalPair]:
@@ -311,8 +317,11 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
 
     budget caps the number of search node expansions; when it runs out
     before optimality is settled, BudgetExceeded is raised carrying the
-    best known (valid, possibly non-optimal) result in .best.
+    best known (valid, possibly non-optimal) result in .best.  A
+    negative budget is a ValueError.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     cps = critical_pairs(p)
     if not cps:
         cl = _Closure(p)

@@ -19,7 +19,7 @@ from .core import (
 )
 from .dimension import exact_dimension
 from .errors import BudgetExceeded, GenerationExhausted
-from .skfree import BinaryMatrix, event_E_holds, event_probability_bound, peel_realizer
+from .skfree import event_E_holds, event_probability_bound, fair_matrix, peel_realizer
 
 _EXACT_GATE = 14  # largest ground size that still gets an exact cross-check
 _EXACT_BUDGET = 500_000
@@ -32,9 +32,7 @@ def run_prob_lemma_trials(
     """Monte Carlo estimate of the isolating-row event on fair matrices.
 
     Returns (empirical frequency over `trials` fair-coin r x q matrices,
-    analytic union bound).  Sampling: one matrix per trial, rows drawn
-    top to bottom, row bits from a single getrandbits(q) word with
-    column j on bit j.
+    analytic union bound).  Sampling: one fair_matrix per trial.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -43,11 +41,7 @@ def run_prob_lemma_trials(
     rng = random.Random(seed)
     hits = 0
     for _ in range(trials):
-        rows = tuple(
-            tuple((w >> j) & 1 for j in range(q))
-            for w in (rng.getrandbits(q) for _ in range(r))
-        )
-        if event_E_holds(BinaryMatrix(rows), t):
+        if event_E_holds(fair_matrix(r, q, rng), t):
             hits += 1
     return hits / trials, event_probability_bound(t, q, r)
 
@@ -89,6 +83,8 @@ def run_growth_experiment(
     """
     if sorted(sizes) != list(sizes):
         raise ValueError("sizes must be ascending")
+    if any(n < 2 for n in sizes):
+        raise ValueError(f"sizes must be at least 2, got {list(sizes)}")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     records: list[GrowthRecord] = []

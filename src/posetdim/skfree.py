@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     BipartitePoset,
@@ -34,6 +34,7 @@ from .dimension import (
     exact_dimension,
     greedy_reversing_extensions,
     is_realizer,
+    ranked_topological_order,
     realizer_from_json_dict,
     realizer_to_json_dict,
 )
@@ -114,6 +115,15 @@ def event_probability_bound(t: int, q: int, r: int) -> float:
     return 1.0 - t * math.comb(q, t) * (1.0 - 2.0 ** (-t)) ** r
 
 
+def fair_matrix(r: int, q: int, rng: random.Random) -> BinaryMatrix:
+    """A fair-coin r x q matrix: rows drawn top to bottom, each from one
+    getrandbits(q) word with column j on bit j."""
+    return BinaryMatrix(tuple(
+        tuple((w >> j) & 1 for j in range(q))
+        for w in (rng.getrandbits(q) for _ in range(r))
+    ))
+
+
 def acquire_event_matrix(
     t: int, q: int, r: int, seed: int, max_tries: int = 1000
 ) -> BinaryMatrix:
@@ -135,11 +145,7 @@ def acquire_event_matrix(
         return BinaryMatrix(rows)
     rng = random.Random(seed)
     for _ in range(max_tries):
-        rows = tuple(
-            tuple((w >> j) & 1 for j in range(q))
-            for w in (rng.getrandbits(q) for _ in range(r))
-        )
-        mat = BinaryMatrix(rows)
+        mat = fair_matrix(r, q, rng)
         if event_E_holds(mat, t):
             return mat
     bound = event_probability_bound(t, q, r)
@@ -210,61 +216,50 @@ def subset_color(bp: BipartitePoset, subset: Sequence[int]) -> int:
     return min(valid_colors(bp, subset))
 
 
-@dataclass
 class UBColoring:
-    """Upset-based coloring of all k-subsets of the A side.
+    """Upset-based coloring of the k-subsets of the A side.
 
-    colors maps each sorted tuple of positions into a_order to the
-    smallest position (1-based) that has no mate in that subset.
+    color_of maps a sorted tuple of positions into a_order to the
+    smallest position (1-based) that has no mate in that subset.  Colors
+    are computed on demand and memoized in .colors, so peeling pays only
+    for the subsets the monochromatic search reads.
     """
 
-    k: int
-    colors: dict[tuple[int, ...], int]
+    __slots__ = ("bp", "k", "colors")
+
+    def __init__(self, bp: BipartitePoset, k: int):
+        if k < 2:
+            raise ValueError(f"need k >= 2, got {k}")
+        self.bp = bp
+        self.k = k
+        self.colors: dict[tuple[int, ...], int] = {}
 
     def color_of(self, positions: tuple[int, ...]) -> int:
-        return self.colors[positions]
+        got = self.colors.get(positions)
+        if got is None:
+            elems = tuple(self.bp.a_order[c] for c in positions)
+            got = self.colors[positions] = subset_color(self.bp, elems)
+        return got
 
-    def check(self, bp: BipartitePoset) -> None:
+    def check(self) -> None:
         """Re-verify the no-mate invariant for every stored color."""
+        bp = self.bp
         for positions, color in self.colors.items():
             elems = tuple(bp.a_order[c] for c in positions)
             assert not mates(bp, elems, color), (positions, color)
             assert color == subset_color(bp, elems)
 
 
-class _LazyColoring:
-    """Same color rule as UBColoring, computed on demand and memoized."""
-
-    __slots__ = ("k", "bp", "_cache")
-
-    def __init__(self, bp: BipartitePoset, k: int):
-        self.k = k
-        self.bp = bp
-        self._cache: dict[tuple[int, ...], int] = {}
-
-    def color_of(self, positions: tuple[int, ...]) -> int:
-        got = self._cache.get(positions)
-        if got is None:
-            elems = tuple(self.bp.a_order[c] for c in positions)
-            got = subset_color(self.bp, elems)
-            self._cache[positions] = got
-        return got
-
-
 def ub_coloring(bp: BipartitePoset, k: int) -> UBColoring:
-    """Materialize the upset-based coloring of every k-subset of A.
+    """Color every k-subset of A, in lexicographic order of positions.
 
     Raises NoValidColor (with an embedded standard example) exactly when
     the poset is not free of them.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    colors: dict[tuple[int, ...], int] = {}
-    na = len(bp.a_order)
-    for positions in combinations(range(na), k):
-        elems = tuple(bp.a_order[c] for c in positions)
-        colors[positions] = subset_color(bp, elems)
-    return UBColoring(k, colors)
+    coloring = UBColoring(bp, k)
+    for positions in combinations(range(len(bp.a_order)), k):
+        coloring.color_of(positions)
+    return coloring
 
 
 def find_monochromatic(
@@ -419,27 +414,29 @@ def step_extension_cap(k: int, q: int) -> int:
     return math.floor(3 * k * (2 ** k) * math.log(q))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PeelStep:
-    """One peel: the removed monochromatic set and what paid for it."""
+    """One peel: the removed monochromatic set and what paid for it.
+
+    extensions_built counts every member the step spent, repeats
+    included; cleanup_count of them are greedy cleanup extensions.
+    """
 
     removed: tuple[int, ...]
     q: int
     color: int
     matrix: BinaryMatrix
-    extensions: tuple[LinearExtension, ...]
+    extensions_built: int
     cleanup_count: int
 
     @property
     def matrix_rows(self) -> int:
         return self.matrix.r
 
-    @property
-    def extensions_built(self) -> int:
-        return len(self.extensions)
 
-
-def peel_step(bp: BipartitePoset, k: int, q: int, seed: int) -> PeelStep:
+def peel_step(
+    bp: BipartitePoset, k: int, q: int, seed: int
+) -> tuple[PeelStep, tuple[LinearExtension, ...]]:
     """Remove one monochromatic q-set worth of dimension from bp.
 
     Finds Q, builds the matrix-driven reversing extensions, adds the
@@ -447,13 +444,14 @@ def peel_step(bp: BipartitePoset, k: int, q: int, seed: int) -> PeelStep:
     descending a_order), and finishes with greedy cleanup extensions for
     any critical pair touching Q that is still unreversed.  The step
     must fit in floor(3k * 2^k * ln q) extensions, else BoundExceeded.
+    Returns the step, in bp's element ids, and the extensions it spent.
     """
     na = len(bp.a_order)
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
     if na < q:
         raise NoMonochromaticSet(f"|A| = {na} < q = {q}")
-    found = find_monochromatic(bp, _LazyColoring(bp, k), q)
+    found = find_monochromatic(bp, UBColoring(bp, k), q)
     if found is None:
         raise NoMonochromaticSet(
             f"no monochromatic {q}-set among {na} A-side elements"
@@ -495,25 +493,9 @@ def peel_step(bp: BipartitePoset, k: int, q: int, seed: int) -> PeelStep:
         q=len(q_elems),
         color=color,
         matrix=mat,
-        extensions=all_exts,
+        extensions_built=len(all_exts),
         cleanup_count=len(cleanup),
-    )
-
-
-@dataclass(frozen=True)
-class PeelStepRecord:
-    """Certificate row for one peel, in original element ids."""
-
-    removed: tuple[int, ...]
-    q: int
-    color: int
-    matrix: BinaryMatrix
-    extensions_built: int
-    cleanup_count: int
-
-    @property
-    def matrix_rows(self) -> int:
-        return self.matrix.r
+    ), all_exts
 
 
 @dataclass
@@ -525,7 +507,7 @@ class PeelCertificate:
     many extensions.
     """
 
-    steps: tuple[PeelStepRecord, ...]
+    steps: tuple[PeelStep, ...]
     base_size: int
     base_dimension: int
     base_optimal: bool
@@ -536,6 +518,22 @@ class PeelCertificate:
         spent = sum(s.extensions_built for s in self.steps)
         assert self.total_size == self.base_dimension + spent
         assert self.total_size == len(self.realizer.extensions)
+
+
+def _map_distinct(
+    fn: Callable[[LinearExtension], LinearExtension],
+    exts: Iterable[LinearExtension],
+) -> list[LinearExtension]:
+    """fn of every member, computed once per distinct order; members
+    that repeat an order share one result object."""
+    done: dict[tuple[int, ...], LinearExtension] = {}
+    out = []
+    for ext in exts:
+        got = done.get(ext.order)
+        if got is None:
+            got = done[ext.order] = fn(ext)
+        out.append(got)
+    return out
 
 
 def peel_realizer(
@@ -559,6 +557,8 @@ def peel_realizer(
     realizer keeps the certificate sound).  The assembled realizer is
     verified against the input before return.
     """
+    if k < 2 or q < 2:
+        raise ValueError(f"need k >= 2 and q >= 2, got k={k}, q={q}")
     if base_threshold < 1:
         raise ValueError("base_threshold must be >= 1")
     dualized = len(bp.a_order) < len(bp.b_order)
@@ -568,36 +568,21 @@ def peel_realizer(
     cur_ids = tuple(range(work.poset.n))
     lift_prefix: list[int] = []  # grows bottom-up as peels stack
     collected: list[LinearExtension] = []
-    records: list[PeelStepRecord] = []
+    records: list[PeelStep] = []
 
-    def lift(order: tuple[int, ...]) -> LinearExtension:
-        # an order of the current host, as an order of the input
-        full = tuple(lift_prefix) + tuple(cur_ids[v] for v in order)
+    def lift(ext: LinearExtension) -> LinearExtension:
+        # an extension of the current host, as one of the input
+        full = tuple(lift_prefix) + tuple(cur_ids[v] for v in ext.order)
         return LinearExtension(full[::-1] if dualized else full)
 
     while cur.poset.n > base_threshold and len(cur.a_order) >= q:
         try:
-            step = peel_step(cur, k, q, derive_seed(seed, len(records)))
+            step, exts = peel_step(cur, k, q, derive_seed(seed, len(records)))
         except NoMonochromaticSet:
             break
-        # repeated members are lifted once and share one object
-        lifted: dict[tuple[int, ...], LinearExtension] = {}
-        for ext in step.extensions:
-            got = lifted.get(ext.order)
-            if got is None:
-                got = lifted[ext.order] = lift(ext.order)
-            collected.append(got)
+        collected.extend(_map_distinct(lift, exts))
         removed_orig = tuple(cur_ids[v] for v in step.removed)
-        records.append(
-            PeelStepRecord(
-                removed=removed_orig,
-                q=step.q,
-                color=step.color,
-                matrix=step.matrix,
-                extensions_built=step.extensions_built,
-                cleanup_count=step.cleanup_count,
-            )
-        )
+        records.append(replace(step, removed=removed_orig))
         # removed sets stack under everything peeled later, each block
         # in descending a_order of its host
         lift_prefix.extend(reversed(removed_orig))
@@ -611,7 +596,7 @@ def peel_realizer(
     except BudgetExceeded as exc:
         base = exc.best
         base_optimal = False
-    collected.extend(lift(ext.order) for ext in base.witness.extensions)
+    collected.extend(map(lift, base.witness.extensions))
     realizer = Realizer(tuple(collected))
     ok, unreversed = is_realizer(bp.poset, realizer.extensions)
     if not ok:
@@ -650,21 +635,8 @@ def _project_split_extension(p: Poset, ext: LinearExtension) -> LinearExtension:
     available element whose maximal copy sits lowest."""
     n = p.n
     pos = ext.positions()
-    priority = [pos[n + x] for x in range(n)]
-    emitted = 0
-    order: list[int] = []
-    todo = list(range(n))
-    while todo:
-        best = -1
-        for v in todo:
-            if p.downset_mask(v) & ~emitted:
-                continue
-            if best < 0 or priority[v] < priority[best]:
-                best = v
-        order.append(best)
-        todo.remove(best)
-        emitted |= 1 << best
-    return LinearExtension(tuple(order))
+    ranked = sorted(range(n), key=lambda x: pos[n + x])
+    return LinearExtension(ranked_topological_order(p._down, ranked))
 
 
 def general_upper_bound(
@@ -694,7 +666,9 @@ def general_upper_bound(
     assert bp is not None, "splits always have height at most 2"
     cert = peel_realizer(bp, k, q, base_threshold, derive_seed(seed, 0), base_budget)
 
-    family = [_project_split_extension(p, ext) for ext in cert.realizer.extensions]
+    family = _map_distinct(
+        lambda ext: _project_split_extension(p, ext), cert.realizer.extensions
+    )
     ok, unreversed = is_realizer(p, family)
     cleanup: list[LinearExtension] = []
     if not ok:
@@ -742,7 +716,7 @@ def certificate_to_json_dict(cert: PeelCertificate) -> dict:
 
 def certificate_from_json_dict(data: dict) -> PeelCertificate:
     steps = tuple(
-        PeelStepRecord(
+        PeelStep(
             removed=tuple(rec["removed"]),
             q=int(rec["q"]),
             color=int(rec["color"]),

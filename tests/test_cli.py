@@ -47,6 +47,16 @@ def test_detect_reports_none(tmp_path, capsys):
     assert code == 0 and out.strip() == "none"
 
 
+def test_dim_budget_zero_is_a_budget(tmp_path, capsys):
+    f = str(tmp_path / "r.poset")
+    run(capsys, "gen", "--type", "random:52,0.10", "--seed", "1", "-o", f)
+    code, out, _ = run(capsys, "dim", f, "--budget", "0")
+    assert code == 0 and "optimal false" in out
+    code, out, err = run(capsys, "dim", f, "--budget", "-5")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ArgumentError"
+
+
 # -- peel / verify / split -----------------------------------------------------------
 
 
@@ -64,6 +74,17 @@ def test_peel_certificate_reverifies(tmp_path, capsys):
     assert payload["certificate"]["total_size"] >= 1
     code, out, _ = run(capsys, "dim", f, "--verify", cert)
     assert code == 0 and "verified" in out
+
+
+@pytest.mark.parametrize("k, q", [("1", "2"), ("0", "2"), ("-1", "2"),
+                                  ("3", "1")])
+def test_peel_rejects_small_k_and_q(tmp_path, capsys, k, q):
+    f = str(tmp_path / "free.poset")
+    run(capsys, "gen", "--type", "skfree:4,4,0.25,3", "--seed", "7", "-o", f)
+    code, out, err = run(capsys, "peel", f, "--k", k, "--q", q,
+                         "--threshold", "4", "--seed", "5")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ArgumentError"
 
 
 def test_peel_requires_sides(tmp_path, capsys):
@@ -154,6 +175,14 @@ def test_experiment_growth_reproducible(tmp_path, capsys):
     assert payload["tool_version"] == __version__
     assert payload["parameters"]["sizes"] == [12, 16]
     assert len(payload["records"]) == 2
+
+
+def test_experiment_growth_rejects_tiny_sizes(capsys):
+    code, out, err = run(capsys, "experiment", "growth", "--k", "3",
+                         "--sizes", "1", "--samples", "1", "--q", "3",
+                         "--seed", "1")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ArgumentError"
 
 
 # -- exit codes -------------------------------------------------------------------------

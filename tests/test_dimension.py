@@ -278,6 +278,16 @@ def test_budget_exhaustion_still_returns_a_realizer():
     assert best.d == len(best.witness.extensions)
 
 
+def test_budget_must_not_be_negative():
+    # a negative budget used to mean an unlimited search
+    p = random_poset(52, 0.10, seed=1)
+    with pytest.raises(ValueError):
+        exact_dimension(p, budget=-5)
+    with pytest.raises(BudgetExceeded) as exc:
+        exact_dimension(p, budget=0)
+    assert not exc.value.best.optimal
+
+
 def test_node_budget_path():
     # an instance where the greedy family is not known optimal, so the
     # deepening search must run and can be starved

@@ -65,6 +65,9 @@ def test_growth_rejects_bad_parameters():
         run_growth_experiment(3, [16, 12], 2, 2, 0.3, seed=5)
     with pytest.raises(ValueError):
         run_growth_experiment(3, [12], 0, 2, 0.3, seed=5)
+    for sizes in ([1], [0, 12], [-4]):
+        with pytest.raises(ValueError):  # n // 2 would be 0 A-side elements
+            run_growth_experiment(3, sizes, 1, 3, None, seed=1)
 
 
 def test_growth_propagates_total_generation_failure():

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from posetdim import (
     BinaryMatrix,
+    LinearExtension,
     Poset,
+    UBColoring,
     acquire_event_matrix,
     build_reversing_extensions,
     certificate_from_json,
@@ -39,7 +41,7 @@ from posetdim import (
     ub_coloring,
     valid_colors,
 )
-from posetdim.skfree import _LazyColoring
+from posetdim.skfree import _project_split_extension
 from posetdim.errors import (
     AcquisitionFailed,
     BoundExceeded,
@@ -159,11 +161,14 @@ def test_colors_on_free_posets():
 def test_ub_coloring_eager_matches_lazy():
     bp = random_skfree_bipartite(9, 9, 0.3, 3, seed=77)
     eager = ub_coloring(bp, 3)
-    eager.check(bp)
-    lazy = _LazyColoring(bp, 3)
+    eager.check()
+    lazy = UBColoring(bp, 3)
     for positions, color in eager.colors.items():
         assert lazy.color_of(positions) == color
     assert len(eager.colors) == math.comb(9, 3)
+    assert lazy.colors == eager.colors  # memoized as read
+    with pytest.raises(ValueError):
+        UBColoring(bp, 1)
 
 
 def test_find_monochromatic_small_cases():
@@ -312,15 +317,16 @@ def test_step_extension_cap_frozen():
 def test_peel_step_covers_all_pairs_touching_q():
     for i in range(20):
         bp = random_skfree_bipartite(10, 10, 0.3, 3, seed=derive_seed(41, i))
-        step = peel_step(bp, 3, 2, seed=i)
+        step, exts = peel_step(bp, 3, 2, seed=i)
         assert step.q == 2 and len(step.removed) == 2
+        assert step.extensions_built == len(exts)
         assert step.extensions_built <= step_extension_cap(3, 2)
         qset = set(step.removed)
-        pos = [e.positions() for e in step.extensions]
+        pos = [e.positions() for e in exts]
         for c in critical_pairs(bp.poset):
             if c.x in qset or c.y in qset:
                 assert any(pr[c.y] < pr[c.x] for pr in pos), (i, c)
-        for e in step.extensions:
+        for e in exts:
             check_extension(bp.poset, e)
 
 
@@ -355,6 +361,15 @@ def test_certificate_counts_duplicate_extensions():
         assert s.extensions_built == 2 * s.matrix_rows + 1 + s.cleanup_count
     distinct = len({e.order for e in cert.realizer.extensions})
     assert distinct < cert.total_size == len(cert.realizer.extensions)
+
+
+def test_peel_realizer_rejects_small_k_and_q():
+    bp = random_skfree_bipartite(6, 6, 0.3, 3, seed=9)
+    # the base threshold of 100 would skip peeling altogether
+    for threshold in (4, 100):
+        for k, q in ((1, 3), (0, 3), (-1, 3), (3, 1), (3, 0)):
+            with pytest.raises(ValueError):
+                peel_realizer(bp, k, q, base_threshold=threshold, seed=1)
 
 
 def test_peel_realizer_dualizes_when_b_is_larger():
@@ -410,6 +425,47 @@ def test_general_upper_bound_on_random_free_posets():
         assert exact_dimension(p).d <= res.bound
         assert res.bound == res.certificate.total_size
     assert checked >= 10
+
+
+def test_repeated_members_are_lifted_and_projected_once():
+    p = random_poset(40, 0.06, seed=12)  # free of the 6-element example
+    res = general_upper_bound(p, 3, 3, base_threshold=12, seed=12)
+    members = res.certificate.realizer.extensions
+    assert len({e.order for e in members}) < len(members)
+    # within one peel a repeated order is lifted once, to one object
+    start = 0
+    for step in res.certificate.steps:
+        chunk = members[start:start + step.extensions_built]
+        assert len({id(e) for e in chunk}) == len({e.order for e in chunk})
+        start += step.extensions_built
+    # each distinct order of the split's realizer is projected once
+    projected = res.realizer_for_p.extensions[:len(members)]
+    assert len({id(e) for e in projected}) == len({e.order for e in members})
+
+
+def _min_priority_projection(p, order):
+    # the rule as specified: among the elements whose down-set is all
+    # placed, emit the one whose maximal copy n + x sits lowest in order
+    n = p.n
+    pos = {v: i for i, v in enumerate(order)}
+    placed: set[int] = set()
+    out = []
+    while len(out) < n:
+        ready = [x for x in range(n) if x not in placed and p.downset(x) <= placed]
+        best = min(ready, key=lambda x: pos[n + x])
+        out.append(best)
+        placed.add(best)
+    return tuple(out)
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2**32), st.integers(1, 12), st.floats(0.0, 0.6), st.data())
+def test_split_projection_matches_min_priority_rule(seed, n, edge_prob, data):
+    p = random_poset(n, edge_prob, seed)
+    order = data.draw(st.permutations(range(2 * n)))
+    got = _project_split_extension(p, LinearExtension(tuple(order)))
+    assert got.order == _min_priority_projection(p, order)
+    check_extension(p, got)
 
 
 def test_general_upper_bound_on_chain():
