@@ -8,7 +8,6 @@ critical pairs and reversibility of pair sets.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -87,27 +86,44 @@ class _Closure:
         c.down = self.down[:]
         return c
 
-    def add_below(self, lo: int, hi: int) -> bool:
-        """Add lo < hi; False (and no change) if that closes a cycle."""
-        if (self.up[hi] >> lo) & 1:
-            return False
-        if (self.up[lo] >> hi) & 1:
-            return True
-        up_hi = self.up[hi] | (1 << hi)
-        down_lo = self.down[lo] | (1 << lo)
+    def add_below(self, los: int, hi: int) -> int:
+        """Add lo < hi for every lo in the bitmask los that is neither hi
+        nor above it, and return the mask of those lows; the others
+        would close a cycle and are left out.
+
+        Writes only the rows that gain bits (Italiano's incremental
+        closure): an up-row below some lo that does not yet reach hi,
+        and a down-row above hi that is not yet above every lo.  Both
+        masks are taken before the first write.
+        """
         up = self.up
         down = self.down
-        rest = down_lo
+        hi_bit = 1 << hi
+        los &= ~(up[hi] | hi_bit)
+        if not los:
+            return 0
+        up_hi = up[hi] | hi_bit
+        down_los = 0
+        above_all = -1  # at or above every lo
+        rest = los
+        while rest:
+            low = rest & -rest
+            lo = low.bit_length() - 1
+            down_los |= down[lo] | low
+            above_all &= up[lo] | low
+            rest ^= low
+        grow_down = up_hi & ~above_all
+        rest = down_los & ~(down[hi] | hi_bit)
         while rest:
             low = rest & -rest
             up[low.bit_length() - 1] |= up_hi
             rest ^= low
-        rest = up_hi
+        rest = grow_down
         while rest:
             low = rest & -rest
-            down[low.bit_length() - 1] |= down_lo
+            down[low.bit_length() - 1] |= down_los
             rest ^= low
-        return True
+        return los
 
     def extension(self) -> tuple[int, ...]:
         """Topological order, lowest available index first."""
@@ -224,6 +240,33 @@ def is_realizer(
     return False, unreversed
 
 
+def _checked_pairs(
+    p: Poset, pairs: Iterable[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The pairs as a list; ValueError naming an id outside 0..n-1,
+    ComparablePairError for a comparable or equal pair."""
+    out = []
+    for x, y in pairs:
+        for v in (x, y):
+            if not 0 <= v < p.n:
+                raise ValueError(f"element id {v} is outside 0..{p.n - 1}")
+        if not p.incomparable(x, y):
+            raise ComparablePairError(f"pair ({x}, {y}) is comparable")
+        out.append((x, y))
+    return out
+
+
+def _x_runs(pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Consecutive pairs grouped by x, as [x, bitmask of their ys]."""
+    runs: list[list[int]] = []
+    for x, y in pairs:
+        if runs and runs[-1][0] == x:
+            runs[-1][1] |= 1 << y
+        else:
+            runs.append([x, 1 << y])
+    return runs
+
+
 def is_reversible(
     p: Poset, pairs: Iterable[tuple[int, int]]
 ) -> tuple[bool, LinearExtension | None]:
@@ -232,17 +275,36 @@ def is_reversible(
     True exactly when the poset plus all reversal edges stays acyclic;
     the witness is the lowest-index-first topological order of that
     augmented relation.  Raises ComparablePairError if some pair is
-    comparable (reversing it is meaningless).
+    comparable (reversing it is meaningless) and ValueError for an id
+    outside 0..n-1.
     """
-    pairs = list(pairs)
-    for x, y in pairs:
-        if not p.incomparable(x, y):
-            raise ComparablePairError(f"pair ({x}, {y}) is comparable")
+    pairs = _checked_pairs(p, pairs)
     cl = _Closure(p)
     for x, y in pairs:
-        if not cl.add_below(y, x):
+        if not cl.add_below(1 << y, x):
             return False, None
     return True, LinearExtension(cl.extension())
+
+
+def _first_fit(p: Poset, pairs: Iterable[tuple[int, int]]) -> list[_Closure]:
+    """Incomparable pairs packed first-fit into reversible classes.
+
+    Each pair (x, y) joins the first class that can take y < x, else
+    opens a new one.  Taking some y < x never changes a class's up[x],
+    so a run of pairs sharing x is decided per class by one mask and
+    added in one closure update.
+    """
+    classes: list[_Closure] = []
+    for x, ys in _x_runs(pairs):
+        for cl in classes:
+            ys &= ~cl.add_below(ys, x)
+            if not ys:
+                break
+        else:
+            cl = _Closure(p)
+            cl.add_below(ys, x)
+            classes.append(cl)
+    return classes
 
 
 def greedy_reversing_extensions(
@@ -252,14 +314,15 @@ def greedy_reversing_extensions(
 
     Each round packs a maximal reversible subset (first come first
     served) into one extension and drops everything that extension
-    happens to reverse.
+    happens to reverse.  Raises ComparablePairError for a comparable or
+    equal pair and ValueError for an id outside 0..n-1.
     """
-    remaining = [tuple(pr) for pr in pairs]
+    remaining = _checked_pairs(p, pairs)
     out: list[LinearExtension] = []
     while remaining:
         cl = _Closure(p)
-        for x, y in remaining:
-            cl.add_below(y, x)
+        for x, ys in _x_runs(remaining):
+            cl.add_below(ys, x)
         ext = LinearExtension(cl.extension())
         out.append(ext)
         pos = ext.positions()
@@ -338,19 +401,7 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
         order = list(range(m))
 
     # greedy first-fit: upper bound plus fallback witness
-    classes: list[_Closure] = []
-    members: list[list[int]] = []
-    for i in order:
-        x, y = cps[i]
-        for c, cl in enumerate(classes):
-            if cl.add_below(y, x):
-                members[c].append(i)
-                break
-        else:
-            cl = _Closure(p)
-            cl.add_below(y, x)
-            classes.append(cl)
-            members.append([i])
+    classes = _first_fit(p, (cps[i] for i in order))
     greedy_exts = tuple(LinearExtension(cl.extension()) for cl in classes)
     greedy = DimensionResult(len(classes), Realizer(greedy_exts), False)
 
@@ -378,63 +429,60 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
         raise BudgetExceeded(
             f"{m} critical pairs exceed the exhaustive search cap", best=greedy
         )
-    if sys.getrecursionlimit() < m + 200:
-        sys.setrecursionlimit(m + 200)
+    nodes_left = budget if budget is not None else -1
 
-    nodes_left = [budget if budget is not None else -1]
-
-    def search(d: int) -> list[list[int]] | None:
-        class_cl: list[_Closure] = [_Closure(p) for _ in range(d)]
+    def search(d: int) -> list[_Closure] | None:
+        # Depth-first over pair indices with an explicit trail.  Opened
+        # classes are always a prefix (a pair may open only the first
+        # empty class), so pair idx tries classes 0..min(used, d-1).
+        nonlocal nodes_left
+        class_cl = [_Closure(p) for _ in range(d)]
         class_conf = [0] * d
-        class_members: list[list[int]] = [[] for _ in range(d)]
-
-        def place(idx: int) -> bool:
-            if idx == m:
-                return True
+        used = 0
+        # per placed pair: its class, that class's closure and conflict
+        # mask before the placement, and whether the placement opened it
+        trail: list[tuple[int, _Closure, int, bool]] = []
+        idx = c = 0
+        while idx < m:
             i = order[idx]
             x, y = cps[i]
             bit = 1 << i
-            opened = False
-            for c in range(d):
-                if not class_members[c]:
-                    if opened:
-                        break
-                    opened = True
-                elif have_conflicts and class_conf[c] & bit:
+            while c < d and c <= used:
+                if c < used and have_conflicts and class_conf[c] & bit:
+                    c += 1
                     continue
-                if nodes_left[0] == 0:
+                if nodes_left == 0:
                     raise _OutOfBudget
-                if nodes_left[0] > 0:
-                    nodes_left[0] -= 1
-                saved = class_cl[c].copy()
-                if class_cl[c].add_below(y, x):
-                    class_members[c].append(i)
-                    old_conf = class_conf[c]
+                if nodes_left > 0:
+                    nodes_left -= 1
+                cl = class_cl[c]
+                if not (cl.up[x] >> y) & 1:  # else y < x closes a cycle
+                    trail.append((c, cl.copy(), class_conf[c], c == used))
+                    cl.add_below(1 << y, x)
                     class_conf[c] |= conf[i]
-                    if place(idx + 1):
-                        return True
-                    class_conf[c] = old_conf
-                    class_members[c].pop()
-                class_cl[c] = saved
-            return False
-
-        if place(0):
-            return [mem for mem in class_members if mem]
-        return None
+                    used = max(used, c + 1)
+                    break
+                c += 1
+            else:
+                # no class takes pair idx: undo the previous placement
+                # and try its next class
+                if not trail:
+                    return None
+                idx -= 1
+                c, class_cl[c], class_conf[c], opened = trail.pop()
+                used -= opened
+                c += 1
+                continue
+            idx += 1
+            c = 0
+        return class_cl[:used]
 
     try:
         for d in range(max(lower, 2), greedy.d):
             solution = search(d)
             if solution is not None:
-                exts = []
-                for mem in solution:
-                    cl = _Closure(p)
-                    for i in mem:
-                        x, y = cps[i]
-                        ok = cl.add_below(y, x)
-                        assert ok
-                    exts.append(LinearExtension(cl.extension()))
-                return DimensionResult(len(exts), Realizer(tuple(exts)), True)
+                exts = tuple(LinearExtension(cl.extension()) for cl in solution)
+                return DimensionResult(len(exts), Realizer(exts), True)
     except _OutOfBudget:
         raise BudgetExceeded(
             f"search budget {budget} exhausted; best known dimension {greedy.d}",

@@ -351,6 +351,58 @@ def extension_from_sigma(
     return LinearExtension(tuple(bottom_up))
 
 
+def _listed_around(
+    exts: Iterable[LinearExtension], elems: Iterable[int]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """For each of elems, the bitmask of elements some member lists
+    below it and the bitmask of those some member lists above it.
+
+    One walk per distinct member; (x, y) with x in elems is then
+    reversed exactly when y is in below[x], and (x, y) with y in elems
+    exactly when x is in above[y].
+    """
+    below = dict.fromkeys(elems, 0)
+    above = dict.fromkeys(below, 0)
+    for order in dict.fromkeys(ext.order for ext in exts):
+        listed = 0
+        everyone = (1 << len(order)) - 1
+        for v in order:
+            if v in below:
+                below[v] |= listed
+                above[v] |= everyone & ~listed & ~(1 << v)
+            listed |= 1 << v
+    return below, above
+
+
+def _check_q_pairs_reversed(
+    bp: BipartitePoset,
+    q_elems: Sequence[int],
+    exts: Iterable[LinearExtension],
+    color: int,
+    t: int,
+) -> None:
+    """Every incomparable (a in Q, b in B) pair, critical here, must be
+    reversed by some member; the first miss (a in Q order, then the
+    smallest b) raises VerificationFailed with a mate-count diagnosis."""
+    p = bp.poset
+    down = p._down
+    below, _ = _listed_around(exts, q_elems)
+    q = len(q_elems)
+    for i, a in enumerate(q_elems, start=1):
+        missed = bp.b_mask & ~p.upset_mask(a) & ~below[a]
+        if not missed:
+            continue
+        b = (missed & -missed).bit_length() - 1
+        left = sum(1 for j in range(i - 1) if (down[b] >> q_elems[j]) & 1)
+        right = sum(1 for j in range(i, q) if (down[b] >> q_elems[j]) & 1)
+        raise VerificationFailed(
+            f"pair ({a}, {b}) not reversed; position {i} of Q sees "
+            f"{left} earlier and {right} later Q-elements below {b} "
+            f"(color {color}, t={t})",
+            pair=(a, b),
+        )
+
+
 def build_reversing_extensions(
     bp: BipartitePoset,
     k: int,
@@ -364,8 +416,9 @@ def build_reversing_extensions(
     k-subset coloring.  A matrix with the isolating-row property at
     t = max(color-1, k-color) supplies 2r extensions, two per row, via
     the two row traversals; rows that induce the same traversal share
-    one LinearExtension object.  The postcondition is checked pair by
-    pair; a miss raises VerificationFailed with a mate-count diagnosis.
+    one LinearExtension object.  The postcondition checks every such
+    pair against one walk per distinct member; a miss raises
+    VerificationFailed with a mate-count diagnosis.
     """
     q = len(q_elems)
     if q < 2:
@@ -385,24 +438,7 @@ def build_reversing_extensions(
                 ext = built[sigma] = extension_from_sigma(bp, q_elems, sigma)
             exts.append(ext)
 
-    # every incomparable (a in Q, b in B) pair is critical here and must
-    # now be reversed by some member
-    p = bp.poset
-    pos_rows = [ext.positions() for ext in built.values()]
-    down = p._down
-    for i, a in enumerate(q_elems, start=1):
-        cand = bp.b_mask & ~p.upset_mask(a)
-        for b in iter_bits(cand):
-            if any(pr[b] < pr[a] for pr in pos_rows):
-                continue
-            left = sum(1 for j in range(i - 1) if (down[b] >> q_elems[j]) & 1)
-            right = sum(1 for j in range(i, q) if (down[b] >> q_elems[j]) & 1)
-            raise VerificationFailed(
-                f"pair ({a}, {b}) not reversed; position {i} of Q sees "
-                f"{left} earlier and {right} later Q-elements below {b} "
-                f"(color {color}, t={t_eff})",
-                pair=(a, b),
-            )
+    _check_q_pairs_reversed(bp, q_elems, built.values(), color, t_eff)
     return exts, mat
 
 
@@ -475,10 +511,12 @@ def peel_step(
     for a in q_elems:
         q_mask |= 1 << a
     touching = critical_pairs(p, touching=q_mask)
-    pos_rows = [ext.positions() for ext in dict.fromkeys(exts)]
+    below, above = _listed_around(exts, q_elems)
     residue = [
         c for c in touching
-        if not any(pr[c.y] < pr[c.x] for pr in pos_rows)
+        if not (
+            (below[c.x] >> c.y) & 1 if c.x in below else (above[c.y] >> c.x) & 1
+        )
     ]
     cleanup = greedy_reversing_extensions(p, residue) if residue else []
     all_exts = tuple(exts + cleanup)

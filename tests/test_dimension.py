@@ -1,5 +1,7 @@
 """Dimension machinery: critical pairs, reversibility, solvers, realizers."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,10 @@ from posetdim import (
     standard_example,
 )
 from posetdim.dimension import (
+    _CONFLICT_PAIR_CAP,
+    _Closure,
     _conflict_masks,
+    _first_fit,
     realizer_from_json,
     realizer_to_json,
 )
@@ -140,6 +145,184 @@ def test_greedy_reversing_extensions_cover_input():
             assert any(reverses(e, c) for e in exts)
         for e in exts:
             check_extension(p, e)
+
+
+@pytest.mark.parametrize("fn", [greedy_reversing_extensions, is_reversible])
+def test_pair_arguments_are_validated(fn):
+    chain = Poset.from_relations(3, [(0, 1), (1, 2)])
+    for pair in [(0, 1), (2, 0), (2, 2)]:  # comparable, then equal
+        with pytest.raises(ComparablePairError):
+            fn(chain, [pair])
+    anti = Poset.from_relations(3, [])
+    for pair, bad in [((0, 7), "7"), ((-1, 2), "-1"), ((3, 0), "3")]:
+        with pytest.raises(ValueError, match=f"id {bad} is outside"):
+            fn(anti, [(0, 1), pair])  # a valid pair first: all are checked
+
+
+def _warshall(n, edges):
+    reach = [[False] * n for _ in range(n)]
+    for a, b in edges:
+        reach[a][b] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return reach
+
+
+def _bits(vs):
+    return sum(1 << v for v in set(vs))
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 10_000), st.integers(1, 9), st.floats(0.0, 0.4), st.data())
+def test_closure_updates_match_warshall(seed, n, edge_prob, data):
+    # the closure after any sequence of updates is the transitive closure
+    # of p plus the accepted edges; an edge that would close a cycle
+    # (hi at or below lo) is refused, an implied one is accepted
+    p = random_poset(n, edge_prob, seed)
+    cl = _Closure(p)
+    edges = list(p.pairs())
+    reach = _warshall(n, edges)
+    for _ in range(data.draw(st.integers(1, 10), label="updates")):
+        hi = data.draw(st.integers(0, n - 1), label="hi")
+        kind = data.draw(st.sampled_from(["any", "implied", "cycle"]))
+        pool = [
+            v for v in range(n)
+            if kind == "any"
+            or (kind == "implied" and reach[v][hi])
+            or (kind == "cycle" and (v == hi or reach[hi][v]))
+        ] or list(range(n))
+        los = data.draw(st.lists(st.sampled_from(pool), max_size=4), label="los")
+        want = [lo for lo in los if lo != hi and not reach[hi][lo]]
+        assert cl.add_below(_bits(los), hi) == _bits(want)
+        edges += [(lo, hi) for lo in want]
+        reach = _warshall(n, edges)
+        assert cl.up == [_bits(b for b in range(n) if reach[a][b]) for a in range(n)]
+        assert cl.down == [_bits(a for a in range(n) if reach[a][b]) for b in range(n)]
+
+
+def _reaches(n, edges, a, b):
+    # depth-first search from a over the edge list
+    succ = [[] for _ in range(n)]
+    for u, v in edges:
+        succ[u].append(v)
+    seen, todo = {a}, [a]
+    while todo:
+        for v in succ[todo.pop()]:
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return b in seen
+
+
+def _reference_first_fit(p, pairs):
+    # pair by pair on explicit edge lists; (x, y) fits a class unless x
+    # already reaches y there
+    base = list(p.pairs())
+    classes = []
+    for x, y in pairs:
+        for edges in classes:
+            if not _reaches(p.n, base + edges, x, y):
+                edges.append((y, x))
+                break
+        else:
+            classes.append([(y, x)])
+    return [_warshall(p.n, base + edges) for edges in classes]
+
+
+def _reference_extension(reach):
+    # lowest available index first
+    n, order = len(reach), []
+    while len(order) < n:
+        order.append(min(
+            v for v in range(n) if v not in order
+            and all(u in order for u in range(n) if reach[u][v])
+        ))
+    return tuple(order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 9), st.floats(0.0, 0.4), st.randoms())
+def test_first_fit_matches_pair_by_pair(seed, n, edge_prob, rnd):
+    p = random_poset(n, edge_prob, seed)
+    pairs = [(x, y) for x in range(n) for y in range(n) if p.incomparable(x, y)]
+    if rnd.random() < 0.5:  # runs of one x, as with critical pairs
+        pairs = sorted(rnd.sample(pairs, rnd.randint(0, len(pairs))))
+    else:
+        rnd.shuffle(pairs)
+    want = _reference_first_fit(p, pairs)
+    got = _first_fit(p, pairs)
+    assert [cl.up for cl in got] == [
+        [_bits(b for b in range(n) if r[a][b]) for a in range(n)] for r in want
+    ]
+    assert [cl.extension() for cl in got] == [_reference_extension(r) for r in want]
+
+
+def _greedy_witness(p):
+    try:
+        return exact_dimension(p, budget=0)
+    except BudgetExceeded as exc:
+        return exc.best
+
+
+@pytest.mark.parametrize("case", ["antichain", "sparse", "below-cap", "small"])
+def test_greedy_witness_matches_pair_by_pair(case):
+    # above the conflict cap pairs go in lexicographic order, below it in
+    # descending conflict degree; either way the greedy witness is the
+    # pair-by-pair first fit
+    p = {
+        "antichain": Poset.from_relations(46, []),
+        "sparse": random_poset(56, 0.01, 1),
+        "below-cap": random_poset(50, 0.01, 1),
+        "small": random_poset(12, 0.2, 5),
+    }[case]
+    cps = critical_pairs(p)
+    m = len(cps)
+    assert (m > _CONFLICT_PAIR_CAP) == (case in ("antichain", "sparse"))
+    order = range(m)
+    if m <= _CONFLICT_PAIR_CAP:
+        conf = _conflict_masks(p, cps)
+        order = sorted(range(m), key=lambda i: -conf[i].bit_count())
+    want = _reference_first_fit(p, [cps[i] for i in order])
+    got = _greedy_witness(p).witness.extensions
+    assert [e.order for e in got] == [_reference_extension(r) for r in want]
+
+
+def _reference_greedy_cover(p, pairs):
+    base = list(p.pairs())
+    out, remaining = [], list(pairs)
+    while remaining:
+        edges = []
+        for x, y in remaining:
+            if not _reaches(p.n, base + edges, x, y):
+                edges.append((y, x))
+        order = _reference_extension(_warshall(p.n, base + edges))
+        out.append(order)
+        remaining = [(x, y) for x, y in remaining
+                     if not order.index(y) < order.index(x)]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 9), st.floats(0.0, 0.4), st.randoms())
+def test_greedy_cover_matches_pair_by_pair(seed, n, edge_prob, rnd):
+    p = random_poset(n, edge_prob, seed)
+    pairs = [(x, y) for x in range(n) for y in range(n) if p.incomparable(x, y)]
+    pairs = rnd.sample(pairs, rnd.randint(0, len(pairs)))
+    if rnd.random() < 0.5:
+        pairs.sort()
+    pairs += rnd.sample(pairs, min(2, len(pairs)))  # repeated pairs
+    got = [e.order for e in greedy_reversing_extensions(p, pairs)]
+    assert got == _reference_greedy_cover(p, pairs)
+
+
+def test_exact_dimension_leaves_the_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    with pytest.raises(BudgetExceeded):
+        exact_dimension(random_poset(120, 0.04, 1), budget=500)
+    assert sys.getrecursionlimit() == limit
 
 
 # -- realizers ---------------------------------------------------------------------

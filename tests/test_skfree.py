@@ -41,13 +41,19 @@ from posetdim import (
     ub_coloring,
     valid_colors,
 )
-from posetdim.skfree import _project_split_extension
+from posetdim import skfree
+from posetdim.skfree import (
+    _check_q_pairs_reversed,
+    _listed_around,
+    _project_split_extension,
+)
 from posetdim.errors import (
     AcquisitionFailed,
     BoundExceeded,
     ContainsSk,
     NoMonochromaticSet,
     NoValidColor,
+    VerificationFailed,
 )
 
 
@@ -282,6 +288,84 @@ def test_build_reversing_extensions_postcondition():
                         e.positions()[b] < e.positions()[a] for e in exts
                     ), (i, a, b)
     assert hits >= 10
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 9), st.data())
+def test_listed_around_agrees_with_positions(n, data):
+    # one walk per distinct member answers the per-pair question
+    # "does some member list y below x" for pairs touching elems
+    family = data.draw(st.lists(st.permutations(range(n)), max_size=5))
+    family = [LinearExtension(o) for o in family]
+    family += data.draw(st.lists(st.sampled_from(family), max_size=3)) if family else []
+    elems = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    below, above = _listed_around(family, elems)
+    for x in range(n):
+        for y in range(n):
+            want = any(e.positions()[y] < e.positions()[x] for e in family)
+            if x in below:
+                assert (below[x] >> y) & 1 == want
+            if y in above:
+                assert (above[y] >> x) & 1 == want
+
+
+def _first_unreversed(bp, q_elems, exts):
+    # the pair-by-pair rule: Q in order, then B ascending
+    for a in q_elems:
+        for b in sorted(bp.b_order):
+            if bp.poset.incomparable(a, b) and not any(
+                e.positions()[b] < e.positions()[a] for e in exts
+            ):
+                return (a, b)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_postcondition_reports_the_first_unreversed_pair(seed, data):
+    # keep some of the distinct members and mutate one (an element of Q
+    # moved to the bottom); the check must raise for the pair the
+    # pair-by-pair rule finds first, and pass when that rule finds none
+    bp = random_skfree_bipartite(8, 8, 0.3, 3, seed=seed)
+    got = find_monochromatic(bp, UBColoring(bp, 3), 3)
+    if got is None:
+        return
+    q_elems, color = got
+    exts, _ = build_reversing_extensions(bp, 3, q_elems, color, seed=0)
+    distinct = list(dict.fromkeys(exts))
+    family = data.draw(st.lists(st.sampled_from(distinct), min_size=1), label="kept")
+    j = data.draw(st.integers(0, len(family) - 1), label="mutated")
+    moved = data.draw(st.sampled_from(q_elems), label="moved")
+    family[j] = LinearExtension(
+        (moved,) + tuple(v for v in family[j].order if v != moved))
+    want = _first_unreversed(bp, q_elems, family)
+    if want is None:
+        _check_q_pairs_reversed(bp, q_elems, family, color, 1)
+    else:
+        with pytest.raises(VerificationFailed) as exc:
+            _check_q_pairs_reversed(bp, q_elems, family, color, 1)
+        assert exc.value.pair == want
+
+
+def test_postcondition_raises_when_a_q_element_is_never_lifted(monkeypatch):
+    # every member lists Q's first element at the bottom: its first
+    # incomparable B element is the pair to report
+    for i in range(40):
+        bp = random_skfree_bipartite(8, 8, 0.3, 3, seed=derive_seed(41, i))
+        got = find_monochromatic(bp, UBColoring(bp, 3), 3)
+        if got is not None:
+            break
+    q_elems, color = got
+    a = q_elems[0]
+    b = min(v for v in bp.b_order if bp.poset.incomparable(a, v))
+    real = skfree.extension_from_sigma
+    monkeypatch.setattr(skfree, "extension_from_sigma", lambda bp_, q_, sigma: (
+        LinearExtension((a,) + tuple(v for v in real(bp_, q_, sigma).order if v != a))
+    ))
+    with pytest.raises(VerificationFailed) as exc:
+        build_reversing_extensions(bp, 3, q_elems, color, seed=0)
+    assert exc.value.pair == (a, b)
+    assert f"pair ({a}, {b}) not reversed; position 1 of Q" in str(exc.value)
 
 
 def test_build_reversing_extensions_shares_repeated_members():
