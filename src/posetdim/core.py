@@ -564,8 +564,15 @@ def poset_to_text(obj: Poset | BipartitePoset) -> str:
     return "\n".join(lines) + "\n"
 
 
+MAX_TEXT_N = 65_536  # largest header n: the reader allocates n rows up front
+
+
 def poset_from_text(text: str) -> Poset | BipartitePoset:
-    """Parse POSET v1 text; returns a BipartitePoset when side lines appear."""
+    """Parse POSET v1 text; returns a BipartitePoset when side lines appear.
+
+    Malformed lines and a header n above MAX_TEXT_N raise ValueError
+    naming the line.
+    """
     n = None
     pairs: list[tuple[int, int]] = []
     sides: dict[str, list[int]] = {}  # "A:" / "B:" -> listed ids
@@ -573,26 +580,31 @@ def poset_from_text(text: str) -> Poset | BipartitePoset:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        head = parts[0]
+        head, *args = line.split()
+        if head not in ("poset", "rel", "A:", "B:"):
+            raise ValueError(f"line {lineno}: unknown directive {head!r}")
+        try:
+            ids = [int(v) for v in args]
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer token in {line!r}") from None
         if head == "poset":
             if n is not None:
                 raise ValueError(f"line {lineno}: duplicate poset header")
-            if len(parts) != 2:
+            if len(ids) != 1:
                 raise ValueError(f"line {lineno}: malformed poset header")
-            n = int(parts[1])
+            n = ids[0]
+            if n > MAX_TEXT_N:
+                raise ValueError(f"line {lineno}: header n={n} exceeds {MAX_TEXT_N}")
         elif head == "rel":
             if n is None:
                 raise ValueError(f"line {lineno}: rel before poset header")
-            if len(parts) != 3:
+            if len(ids) != 2:
                 raise ValueError(f"line {lineno}: malformed rel line")
-            pairs.append((int(parts[1]), int(parts[2])))
-        elif head in ("A:", "B:"):
+            pairs.append((ids[0], ids[1]))
+        else:
             if head in sides:
                 raise ValueError(f"line {lineno}: duplicate {head} line")
-            sides[head] = [int(v) for v in parts[1:]]
-        else:
-            raise ValueError(f"line {lineno}: unknown directive {head!r}")
+            sides[head] = ids
     if n is None:
         raise ValueError("missing poset header")
     p = Poset.from_relations(n, pairs)

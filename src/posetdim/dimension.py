@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -37,11 +36,7 @@ class LinearExtension:
         object.__setattr__(self, "order", tuple(self.order))
 
     def positions(self) -> tuple[int, ...]:
-        """pos[v] is v's index in the order; computed once per object."""
-        return self._positions
-
-    @cached_property
-    def _positions(self) -> tuple[int, ...]:
+        """pos[v] is v's index in the order."""
         pos = [0] * len(self.order)
         for i, v in enumerate(self.order):
             pos[v] = i
@@ -150,13 +145,13 @@ def ranked_topological_order(
     return tuple(order)
 
 
-def critical_pairs(p: Poset, touching: int | None = None) -> list[CriticalPair]:
-    """Critical pairs (x, y): incomparable, D(x) within D(y), U(y) within
+def critical_rows(p: Poset, touching: int | None = None) -> list[int]:
+    """Critical pairs as bitmask rows: bit y of rows[x] is set iff (x, y)
+    is critical, i.e. incomparable with D(x) within D(y) and U(y) within
     U(x).  Reversing exactly these characterizes realizers.
 
     With a bitmask touching, only pairs with x or y in the mask are
-    listed, at O(|mask| * n) cost for the rows outside it.
-    Lexicographic order.
+    set, at O(|mask| * n) cost for the rows outside it.
     """
     n = p.n
     up = p._up
@@ -164,15 +159,40 @@ def critical_pairs(p: Poset, touching: int | None = None) -> list[CriticalPair]:
     everyone = (1 << n) - 1
     if touching is None:
         touching = everyone
-    out = []
+    rows = []
     for x in range(n):
         ux, dx = up[x], down[x]
         ys = everyone if (touching >> x) & 1 else touching
+        row = 0
         for y in iter_bits(ys & ~(ux | dx | (1 << x))):
             if dx & ~down[y] or up[y] & ~ux:
                 continue
-            out.append(CriticalPair(x, y))
-    return out
+            row |= 1 << y
+        rows.append(row)
+    return rows
+
+
+def row_pairs(rows: Iterable[int]) -> list[CriticalPair]:
+    """The pairs (x, y) with bit y of rows[x] set, in lexicographic order."""
+    return [CriticalPair(x, y) for x, row in enumerate(rows) for y in iter_bits(row)]
+
+
+def critical_pairs(p: Poset, touching: int | None = None) -> list[CriticalPair]:
+    """critical_rows(p, touching) as (x, y) pairs in lexicographic order."""
+    return row_pairs(critical_rows(p, touching))
+
+
+def listed_below(orders: Iterable[Sequence[int]], n: int) -> list[int]:
+    """Bit y of below[x] is set iff some order lists y below x, i.e. the
+    family reverses (x, y).  One walk per distinct order; each must be
+    a permutation of 0..n-1."""
+    below = [0] * n
+    for order in dict.fromkeys(orders):
+        listed = 0
+        for v in order:
+            below[v] |= listed
+            listed |= 1 << v
+    return below
 
 
 def reverses(ext: LinearExtension, pair: tuple[int, int]) -> bool:
@@ -209,35 +229,26 @@ def is_realizer(
 ) -> tuple[bool, list[CriticalPair]]:
     """Does the family realize p, i.e. is p the intersection of its orders?
 
-    Walks each distinct member top-down once, intersecting the sets of
-    elements listed above every x; the family realizes p exactly when
-    those intersections are p's up-sets.  Returns (ok, unreversed
-    critical pairs in lexicographic order).  Raises NotAnExtension if a
-    member is not a linear extension of p.
+    The family realizes p exactly when it is not empty (unless p is)
+    and, for every x, its distinct members together list below x every
+    element that is not above x and nothing above it.  Returns (ok,
+    unreversed critical pairs in lexicographic order).  Raises
+    NotAnExtension if a member is not a linear extension of p.
     """
     n = p.n
-    inter = [(1 << n) - 1] * n  # above x in every member seen so far
-    seen: set[tuple[int, ...]] = set()
-    for ext in extensions:
-        order = ext.order
-        if order in seen:
-            continue
-        if not _is_permutation(order, n):
-            break
-        seen.add(order)
-        above = 0
-        for v in reversed(order):
-            inter[v] &= above
-            above |= 1 << v
-    else:
-        if inter == list(p._up):
+    orders = list(dict.fromkeys(ext.order for ext in extensions))
+    if all(_is_permutation(order, n) for order in orders):
+        below = listed_below(orders, n)
+        everyone = (1 << n) - 1
+        if (orders or not n) and all(
+            below[x] == everyone & ~(up | 1 << x) for x, up in enumerate(p._up)
+        ):
             return True, []
     for ext in extensions:
         check_extension(p, ext)
     # every member is an extension, so (x, y) is reversed in some member
-    # exactly when y dropped out of inter[x]
-    unreversed = [c for c in critical_pairs(p) if (inter[c.x] >> c.y) & 1]
-    return False, unreversed
+    # exactly when y is in below[x]
+    return False, row_pairs(r & ~b for r, b in zip(critical_rows(p), below))
 
 
 def _checked_pairs(
@@ -286,16 +297,16 @@ def is_reversible(
     return True, LinearExtension(cl.extension())
 
 
-def _first_fit(p: Poset, pairs: Iterable[tuple[int, int]]) -> list[_Closure]:
-    """Incomparable pairs packed first-fit into reversible classes.
+def _first_fit(p: Poset, runs: Iterable[list[int]]) -> list[_Closure]:
+    """Incomparable pairs, as x-runs [x, bitmask of ys], packed first-fit
+    into reversible classes.
 
     Each pair (x, y) joins the first class that can take y < x, else
     opens a new one.  Taking some y < x never changes a class's up[x],
-    so a run of pairs sharing x is decided per class by one mask and
-    added in one closure update.
+    so a run is decided per class by one mask and added in one update.
     """
     classes: list[_Closure] = []
-    for x, ys in _x_runs(pairs):
+    for x, ys in runs:
         for cl in classes:
             ys &= ~cl.add_below(ys, x)
             if not ys:
@@ -317,19 +328,19 @@ def greedy_reversing_extensions(
     happens to reverse.  Raises ComparablePairError for a comparable or
     equal pair and ValueError for an id outside 0..n-1.
     """
-    remaining = _checked_pairs(p, pairs)
+    runs = _x_runs(_checked_pairs(p, pairs))
     out: list[LinearExtension] = []
-    while remaining:
+    while runs:
         cl = _Closure(p)
-        for x, ys in _x_runs(remaining):
+        for x, ys in runs:
             cl.add_below(ys, x)
-        ext = LinearExtension(cl.extension())
-        out.append(ext)
-        pos = ext.positions()
-        still = [(x, y) for x, y in remaining if not pos[y] < pos[x]]
-        if len(still) == len(remaining):
+        order = cl.extension()
+        out.append(LinearExtension(order))
+        below = listed_below([order], p.n)
+        still = [[x, ys & ~below[x]] for x, ys in runs if ys & ~below[x]]
+        if still == runs:
             raise AssertionError("greedy cover made no progress")
-        remaining = still
+        runs = still
     return out
 
 
@@ -385,23 +396,24 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    cps = critical_pairs(p)
-    if not cps:
+    rows = critical_rows(p)
+    m = sum(row.bit_count() for row in rows)
+    if not m:
         cl = _Closure(p)
         ext = LinearExtension(cl.extension())
         return DimensionResult(1, Realizer((ext,)), True)
 
-    m = len(cps)
     have_conflicts = m <= _CONFLICT_PAIR_CAP
     if have_conflicts:
+        cps = row_pairs(rows)
         conf = _conflict_masks(p, cps)
         order = sorted(range(m), key=lambda i: -conf[i].bit_count())
-    else:
-        conf = [0] * m
-        order = list(range(m))
+        runs = _x_runs(cps[i] for i in order)
+    else:  # lexicographic order, in which the x-runs are the nonzero rows
+        runs = [[x, row] for x, row in enumerate(rows) if row]
 
     # greedy first-fit: upper bound plus fallback witness
-    classes = _first_fit(p, (cps[i] for i in order))
+    classes = _first_fit(p, runs)
     greedy_exts = tuple(LinearExtension(cl.extension()) for cl in classes)
     greedy = DimensionResult(len(classes), Realizer(greedy_exts), False)
 
@@ -410,12 +422,10 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
     if have_conflicts:
         best_clique = 0
         for seed_v in sorted(range(m), key=lambda i: -conf[i].bit_count())[:12]:
-            clique_mask = 1 << seed_v
             common = conf[seed_v]
             size = 1
             while common:
                 v = max(iter_bits(common), key=lambda u: (conf[u] & common).bit_count())
-                clique_mask |= 1 << v
                 common &= conf[v]
                 size += 1
             best_clique = max(best_clique, size)
@@ -429,6 +439,8 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
         raise BudgetExceeded(
             f"{m} critical pairs exceed the exhaustive search cap", best=greedy
         )
+    if not have_conflicts:
+        cps, conf, order = row_pairs(rows), [0] * m, range(m)
     nodes_left = budget if budget is not None else -1
 
     def search(d: int) -> list[_Closure] | None:
@@ -535,12 +547,10 @@ def brute_force_dimension(p: Poset) -> int:
     masks: list[int] = []
     seen: set[int] = set()
     for order in all_linear_extensions(p):
-        pos = [0] * p.n
-        for i, v in enumerate(order):
-            pos[v] = i
+        below = listed_below([order], p.n)
         mask = 0
         for i, (x, y) in enumerate(cps):
-            if pos[y] < pos[x]:
+            if (below[x] >> y) & 1:
                 mask |= 1 << i
         if mask not in seen:
             seen.add(mask)

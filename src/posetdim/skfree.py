@@ -30,13 +30,15 @@ from .core import (
 from .dimension import (
     LinearExtension,
     Realizer,
-    critical_pairs,
+    critical_rows,
     exact_dimension,
     greedy_reversing_extensions,
     is_realizer,
+    listed_below,
     ranked_topological_order,
     realizer_from_json_dict,
     realizer_to_json_dict,
+    row_pairs,
 )
 from .errors import (
     AcquisitionFailed,
@@ -351,29 +353,6 @@ def extension_from_sigma(
     return LinearExtension(tuple(bottom_up))
 
 
-def _listed_around(
-    exts: Iterable[LinearExtension], elems: Iterable[int]
-) -> tuple[dict[int, int], dict[int, int]]:
-    """For each of elems, the bitmask of elements some member lists
-    below it and the bitmask of those some member lists above it.
-
-    One walk per distinct member; (x, y) with x in elems is then
-    reversed exactly when y is in below[x], and (x, y) with y in elems
-    exactly when x is in above[y].
-    """
-    below = dict.fromkeys(elems, 0)
-    above = dict.fromkeys(below, 0)
-    for order in dict.fromkeys(ext.order for ext in exts):
-        listed = 0
-        everyone = (1 << len(order)) - 1
-        for v in order:
-            if v in below:
-                below[v] |= listed
-                above[v] |= everyone & ~listed & ~(1 << v)
-            listed |= 1 << v
-    return below, above
-
-
 def _check_q_pairs_reversed(
     bp: BipartitePoset,
     q_elems: Sequence[int],
@@ -386,7 +365,7 @@ def _check_q_pairs_reversed(
     smallest b) raises VerificationFailed with a mate-count diagnosis."""
     p = bp.poset
     down = p._down
-    below, _ = _listed_around(exts, q_elems)
+    below = listed_below((ext.order for ext in exts), p.n)
     q = len(q_elems)
     for i, a in enumerate(q_elems, start=1):
         missed = bp.b_mask & ~p.upset_mask(a) & ~below[a]
@@ -510,14 +489,9 @@ def peel_step(
     q_mask = 0
     for a in q_elems:
         q_mask |= 1 << a
-    touching = critical_pairs(p, touching=q_mask)
-    below, above = _listed_around(exts, q_elems)
-    residue = [
-        c for c in touching
-        if not (
-            (below[c.x] >> c.y) & 1 if c.x in below else (above[c.y] >> c.x) & 1
-        )
-    ]
+    below = listed_below((ext.order for ext in exts), p.n)
+    rows = critical_rows(p, touching=q_mask)
+    residue = row_pairs(r & ~b for r, b in zip(rows, below))
     cleanup = greedy_reversing_extensions(p, residue) if residue else []
     all_exts = tuple(exts + cleanup)
     cap = step_extension_cap(k, len(q_elems))
@@ -553,9 +527,13 @@ class PeelCertificate:
     realizer: Realizer
 
     def check(self) -> None:
-        spent = sum(s.extensions_built for s in self.steps)
-        assert self.total_size == self.base_dimension + spent
-        assert self.total_size == len(self.realizer.extensions)
+        """Raise VerificationFailed unless the totals add up."""
+        spent = self.base_dimension + sum(s.extensions_built for s in self.steps)
+        if not self.total_size == spent == len(self.realizer.extensions):
+            raise VerificationFailed(
+                f"total_size {self.total_size}, base dimension plus step "
+                f"extensions {spent}, realizer members {len(self.realizer.extensions)}"
+            )
 
 
 def _map_distinct(
@@ -672,8 +650,7 @@ def _project_split_extension(p: Poset, ext: LinearExtension) -> LinearExtension:
     extension, repaired to a valid extension by always emitting the
     available element whose maximal copy sits lowest."""
     n = p.n
-    pos = ext.positions()
-    ranked = sorted(range(n), key=lambda x: pos[n + x])
+    ranked = [v - n for v in ext.order if v >= n]
     return LinearExtension(ranked_topological_order(p._down, ranked))
 
 

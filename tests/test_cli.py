@@ -6,6 +6,7 @@ import pytest
 
 from posetdim import __version__, load_poset
 from posetdim.cli import main
+from posetdim.core import MAX_TEXT_N
 
 
 def run(capsys, *argv):
@@ -209,6 +210,16 @@ def test_malformed_side_lines_are_argument_errors(tmp_path, capsys, text,
     payload = json.loads(err)
     assert payload["error"] == "ArgumentError"
     assert fragment in payload["message"]
+
+
+def test_oversized_header_is_an_argument_error(tmp_path, capsys):
+    f = tmp_path / "big.poset"
+    f.write_text(f"poset {MAX_TEXT_N + 1}\n")
+    code, out, err = run(capsys, "dim", str(f))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ArgumentError"
+    assert f"line 1: header n={MAX_TEXT_N + 1} exceeds" in payload["message"]
 
 
 def test_usage_errors_exit_2(capsys):

@@ -21,6 +21,7 @@ from posetdim import (
     standard_example,
     standard_example_bipartite,
 )
+from posetdim.core import MAX_TEXT_N
 from posetdim.errors import CycleError, GenerationExhausted
 
 from conftest import (
@@ -313,3 +314,19 @@ def test_text_parsing_details():
         poset_from_text("poset 2\nrel 0 1\nA: 1\nA: 0\nB: 1\n")
     with pytest.raises(ValueError, match="line 4: duplicate B: line"):
         poset_from_text("poset 2\nA: 0\nB: 1\nB: 1\n")
+
+
+def test_text_header_above_the_cap_is_refused():
+    # only cap + 1 is tried: the check must fire before any allocation
+    with pytest.raises(ValueError, match=f"line 2: .*{MAX_TEXT_N + 1}"):
+        poset_from_text(f"# big\nposet {MAX_TEXT_N + 1}\n")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("poset x\n", 1),
+    ("poset 3\nrel 0 y\n", 2),
+    ("poset 3\nrel 0 1\nA: 0 z\nB: 2\n", 3),
+])
+def test_text_non_integer_tokens_name_the_line(text, lineno):
+    with pytest.raises(ValueError, match=f"line {lineno}: non-integer token"):
+        poset_from_text(text)

@@ -30,6 +30,8 @@ from posetdim.dimension import (
     _Closure,
     _conflict_masks,
     _first_fit,
+    _x_runs,
+    critical_rows,
     realizer_from_json,
     realizer_to_json,
 )
@@ -96,6 +98,64 @@ def test_critical_pairs_touching_mask_filters_full_list(seed, n, mask):
 def test_chain_has_no_critical_pairs():
     chain = Poset.from_relations(5, [(i, i + 1) for i in range(4)])
     assert critical_pairs(chain) == []
+
+
+# metamorphic: these compare the rows with themselves under a dual or a
+# relabelling, so no construction code serves as the oracle
+
+
+def _transpose(rows):
+    n = len(rows)
+    return [sum(1 << x for x in range(n) if (rows[x] >> y) & 1) for y in range(n)]
+
+
+def _random_extension(p, rnd):
+    # repeatedly list a random element whose down-set is all listed
+    order, left = [], set(range(p.n))
+    while left:
+        v = rnd.choice(sorted(
+            u for u in left if not any(p.lt(w, u) for w in left)
+        ))
+        order.append(v)
+        left.remove(v)
+    return LinearExtension(order)
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 10_000), st.integers(1, 12), st.floats(0.0, 0.5))
+def test_critical_rows_of_the_dual_are_the_transpose(seed, n, edge_prob):
+    p = random_poset(n, edge_prob, seed)
+    assert critical_rows(p.dual()) == _transpose(critical_rows(p))
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 10_000), st.integers(1, 12), st.floats(0.0, 0.5), st.data())
+def test_critical_rows_follow_a_relabelling(seed, n, edge_prob, data):
+    p = random_poset(n, edge_prob, seed)
+    pi = data.draw(st.permutations(range(n)))
+    q = Poset.from_relations(n, [(pi[x], pi[y]) for x, y in p.pairs()])
+    want = [0] * n
+    for x, row in enumerate(critical_rows(p)):
+        for y in range(n):
+            if (row >> y) & 1:
+                want[pi[x]] |= 1 << pi[y]
+    assert critical_rows(q) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 10), st.floats(0.0, 0.5),
+       st.integers(0, 5), st.randoms())
+def test_is_realizer_agrees_on_the_dual(seed, n, edge_prob, size, rnd):
+    # reversing every member turns a family for p into one for p's dual;
+    # an unreversed (x, y) of p is an unreversed (y, x) of the dual
+    p = random_poset(n, edge_prob, seed)
+    family = [_random_extension(p, rnd) for _ in range(size)]
+    family += [rnd.choice(family) for _ in range(rnd.randint(0, 2))] if family else []
+    flipped = [LinearExtension(e.order[::-1]) for e in family]
+    ok, unrev = is_realizer(p, family)
+    ok_dual, unrev_dual = is_realizer(p.dual(), flipped)
+    assert ok == ok_dual
+    assert sorted((y, x) for x, y in unrev) == [tuple(c) for c in unrev_dual]
 
 
 # -- extensions and reversal -------------------------------------------------------
@@ -253,7 +313,7 @@ def test_first_fit_matches_pair_by_pair(seed, n, edge_prob, rnd):
     else:
         rnd.shuffle(pairs)
     want = _reference_first_fit(p, pairs)
-    got = _first_fit(p, pairs)
+    got = _first_fit(p, _x_runs(pairs))
     assert [cl.up for cl in got] == [
         [_bits(b for b in range(n) if r[a][b]) for a in range(n)] for r in want
     ]

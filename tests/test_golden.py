@@ -8,6 +8,8 @@ so a change that is meant to keep outputs fixed has broken that promise.
 
 import hashlib
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +98,21 @@ def test_exact_dimension_witness_is_pinned(seed):
         kind = "budget"
     text = kind + "\n" + realizer_to_json(p.n, res.witness, res.optimal)
     assert sha(text) == EXACT[seed]
+
+
+# stdout of each narrative demo, computed before critical pairs became
+# bitmask rows
+DEMOS = {
+    "01_standard_examples": "6673a3ee324fa51f105608bf7e9c48b65069480613578bdf3c8b553b21a2fb17",
+    "02_peeling_walkthrough": "47b8f2020f2c374c5f248f7f538d12198058585170b40726942bbae2914f7409",
+    "03_split_pipeline": "fe8c789467653db304da3248bc364307a9433e5106d9419331e5bf9f2a8e4995",
+    "04_matrix_event": "34c577b60495c649457a0ffd69d1a24b0fc16f357bd23dc89be867abc2e2bad8",
+    "05_growth_trend": "fb42bd2322c71bffbc4a286efb40f86ef863577bb36a2906a589cf069fed4e9e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_output_is_pinned(name, capsys):
+    path = Path(__file__).resolve().parent.parent / "demos" / f"{name}.py"
+    runpy.run_path(str(path), run_name="__main__")
+    assert sha(capsys.readouterr().out) == DEMOS[name]

@@ -11,6 +11,7 @@ from posetdim import (
     BinaryMatrix,
     LinearExtension,
     Poset,
+    Realizer,
     UBColoring,
     acquire_event_matrix,
     build_reversing_extensions,
@@ -42,9 +43,9 @@ from posetdim import (
     valid_colors,
 )
 from posetdim import skfree
+from posetdim.dimension import listed_below
 from posetdim.skfree import (
     _check_q_pairs_reversed,
-    _listed_around,
     _project_split_extension,
 )
 from posetdim.errors import (
@@ -292,21 +293,18 @@ def test_build_reversing_extensions_postcondition():
 
 @settings(max_examples=80)
 @given(st.integers(1, 9), st.data())
-def test_listed_around_agrees_with_positions(n, data):
+def test_listed_below_agrees_with_positions(n, data):
     # one walk per distinct member answers the per-pair question
-    # "does some member list y below x" for pairs touching elems
+    # "does some member list y below x" for every element
     family = data.draw(st.lists(st.permutations(range(n)), max_size=5))
     family = [LinearExtension(o) for o in family]
     family += data.draw(st.lists(st.sampled_from(family), max_size=3)) if family else []
-    elems = data.draw(st.lists(st.integers(0, n - 1), unique=True))
-    below, above = _listed_around(family, elems)
+    below = listed_below((e.order for e in family), n)
+    assert len(below) == n
     for x in range(n):
         for y in range(n):
             want = any(e.positions()[y] < e.positions()[x] for e in family)
-            if x in below:
-                assert (below[x] >> y) & 1 == want
-            if y in above:
-                assert (above[y] >> x) & 1 == want
+            assert (below[x] >> y) & 1 == want
 
 
 def _first_unreversed(bp, q_elems, exts):
@@ -472,6 +470,24 @@ def test_peel_realizer_tiny_base_budget_still_sound():
     ok, _ = is_realizer(bp.poset, cert.realizer.extensions)
     assert ok
     cert.check()
+
+
+def test_certificate_check_raises_on_bad_totals():
+    # a typed error, not an assert, so it also runs under python -O
+    bp = random_skfree_bipartite(10, 10, 0.3, 3, seed=71)
+    cert = peel_realizer(bp, 3, 2, base_threshold=8, seed=2)
+    total = cert.total_size
+    cert.total_size += 1
+    with pytest.raises(VerificationFailed) as exc:
+        cert.check()
+    assert str(exc.value) == (
+        f"total_size {total + 1}, base dimension plus step extensions "
+        f"{total}, realizer members {total}"
+    )
+    cert.total_size = total
+    cert.realizer = Realizer(cert.realizer.extensions[1:])
+    with pytest.raises(VerificationFailed, match=f"realizer members {total - 1}$"):
+        cert.check()
 
 
 def test_certificate_json_round_trip():
