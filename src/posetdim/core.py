@@ -61,36 +61,43 @@ class Poset:
         """Close the given pairs transitively and validate acyclicity.
 
         Raises IndexError for out-of-range elements and CycleError if the
-        closure would relate any element to itself.
+        relations contain a cycle.
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        up = [0] * n
+        succ = [0] * n
+        pred = [0] * n
         for x, y in pairs:
             if not (0 <= x < n and 0 <= y < n):
                 raise IndexError(f"relation ({x}, {y}) out of range for n={n}")
             if x == y:
                 raise CycleError(f"self-relation ({x}, {x})")
-            up[x] |= 1 << y
-        # Warshall closure over bitmask rows.
-        for k in range(n):
-            mask_k = up[k]
-            if not mask_k:
-                continue
-            bit = 1 << k
-            for i in range(n):
-                if up[i] & bit:
-                    up[i] |= mask_k
+            succ[x] |= 1 << y
+            pred[y] |= 1 << x
+        # Kahn's topological order; elements never freed lie on or above a cycle
+        indegree = [m.bit_count() for m in pred]
+        order = [x for x in range(n) if not indegree[x]]
+        for x in order:
+            for y in iter_bits(succ[x]):
+                indegree[y] -= 1
+                if not indegree[y]:
+                    order.append(y)
+        if len(order) < n:
+            x = next(x for x in range(n) if indegree[x])
+            raise CycleError(f"element {x} lies on or above a cycle")
+        # close along the order: up-rows from the top, down-rows from the bottom
+        up = [0] * n
+        for x in reversed(order):
+            row = succ[x]
+            for y in iter_bits(succ[x]):
+                row |= up[y]
+            up[x] = row
         down = [0] * n
-        for x in range(n):
-            if (up[x] >> x) & 1:
-                raise CycleError(f"element {x} lies on a cycle")
-            rest = up[x]
-            bit_x = 1 << x
-            while rest:
-                low = rest & -rest
-                down[low.bit_length() - 1] |= bit_x
-                rest ^= low
+        for y in order:
+            row = pred[y]
+            for x in iter_bits(pred[y]):
+                row |= down[x]
+            down[y] = row
         return cls(n, up, down)
 
     # -- elementary queries -------------------------------------------------
@@ -194,16 +201,6 @@ class Poset:
                 down[j] |= bit_i
             up[i] = row
         return Poset(m, up, down)
-
-    def check(self) -> None:
-        """Assert the stored rows really are a closed strict order."""
-        for x in range(self.n):
-            assert not (self._up[x] >> x) & 1, f"reflexive at {x}"
-            for y in iter_bits(self._up[x]):
-                assert (self._down[y] >> x) & 1, f"up/down mismatch {x},{y}"
-                assert not (self._up[y] >> x) & 1, f"antisymmetry {x},{y}"
-                missing = self._up[y] & ~self._up[x]
-                assert not missing, f"closure missing above {x} via {y}"
 
     def __eq__(self, other) -> bool:
         return (
@@ -376,19 +373,20 @@ def bipartition(p: Poset) -> BipartitePoset | None:
 
 def standard_example_bipartite(m: int) -> BipartitePoset:
     """standard_example(m) together with its canonical bipartition."""
-    bp = bipartition(standard_example(m))
-    assert bp is not None
-    return bp
+    return BipartitePoset(standard_example(m), range(m), range(m, 2 * m))
 
 
 def find_standard_example(p: Poset, k: int) -> Embedding | None:
     """Search for an induced standard example on 2k elements.
 
-    Exhaustive backtracking over antichains for the minimal side; for
-    each one the partner candidates per position are forced, and the
-    maximal side is completed position by position.  Returns the
-    lexicographically first embedding under (a_elems, b_elems) order,
-    or None when the poset is free of them.
+    Exhaustive backtracking over antichains for the minimal side, walking
+    the candidates still incomparable to every chosen element as one
+    ascending bitmask.  A k-antichain is completed with the lowest mate
+    of each position (incomparable to it, above the others): mates of
+    different positions are distinct and incomparable, since b_i <= b_j
+    would put a_j below its own mate b_j.  Returns the lexicographically
+    first embedding under (a_elems, b_elems) order, or None when the
+    poset is free of them.
     """
     if k < 2:
         raise ValueError(f"standard example size must be >= 2, got {k}")
@@ -398,68 +396,43 @@ def find_standard_example(p: Poset, k: int) -> Embedding | None:
     up = p._up
     down = p._down
     # a_i must end up below the k-1 partners of the other positions.
-    cand = [x for x in range(n) if up[x].bit_count() >= k - 1]
+    cand = 0
+    for x in range(n):
+        if up[x].bit_count() >= k - 1:
+            cand |= 1 << x
+    chosen: list[int] = []
 
-    def complete_b(masks: list[int]) -> tuple[int, ...] | None:
-        chosen: list[int] = []
-        banned: list[int] = [0] * (k + 1)
-
-        def extend(pos: int) -> bool:
-            if pos == k:
-                return True
-            avail = masks[pos] & ~banned[pos]
-            for b in iter_bits(avail):
-                chosen.append(b)
-                banned[pos + 1] = banned[pos] | up[b] | down[b] | (1 << b)
-                if extend(pos + 1):
-                    return True
-                chosen.pop()
-            return False
-
-        return tuple(chosen) if extend(0) else None
-
-    a_partial: list[int] = []
-
-    def extend_a(start: int) -> Embedding | None:
-        if len(a_partial) == k:
-            masks = []
-            for i, a in enumerate(a_partial):
-                m = (1 << n) - 1
-                for j, other in enumerate(a_partial):
-                    if j != i:
+    def extend(avail: int) -> Embedding | None:
+        if len(chosen) == k:
+            b_elems = []
+            for a in chosen:
+                m = ~up[a]
+                for other in chosen:
+                    if other != a:
                         m &= up[other]
-                m &= ~(up[a] | down[a] | (1 << a))
                 if not m:
                     return None
-                masks.append(m)
-            b_elems = complete_b(masks)
-            if b_elems is None:
-                return None
-            return Embedding(tuple(a_partial), b_elems)
-        for x in range(start, n):
-            if x not in cand_set:
-                continue
-            ok = True
-            for a in a_partial:
-                if not p.incomparable(a, x):
-                    ok = False
-                    break
+                b_elems.append((m & -m).bit_length() - 1)
+            return Embedding(tuple(chosen), tuple(b_elems))
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            x = low.bit_length() - 1
+            ux = up[x]
+            for a in chosen:
                 # every pair of a's needs a common cover for the third
                 # partner position, once k >= 3
-                if k >= 3 and not (up[a] & up[x]):
-                    ok = False
+                if k >= 3 and not up[a] & ux:
                     break
-            if not ok:
-                continue
-            a_partial.append(x)
-            found = extend_a(x + 1)
-            if found is not None:
-                return found
-            a_partial.pop()
+            else:
+                chosen.append(x)
+                found = extend(avail & ~(ux | down[x]))
+                if found is not None:
+                    return found
+                chosen.pop()
         return None
 
-    cand_set = set(cand)
-    return extend_a(0)
+    return extend(cand)
 
 
 def kimble_split(p: Poset) -> Poset:

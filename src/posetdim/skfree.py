@@ -21,7 +21,6 @@ from .core import (
     BipartitePoset,
     Embedding,
     Poset,
-    bipartition,
     derive_seed,
     find_standard_example,
     iter_bits,
@@ -55,36 +54,29 @@ from .errors import (
 
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """An r x q matrix over {0, 1}, stored row-major."""
+    """An r x q matrix over {0, 1}: one q-bit mask per row, column j on bit j."""
 
-    bits: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(b) for b in row) for row in self.bits)
-        if rows and any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("ragged matrix")
-        if any(b not in (0, 1) for row in rows for b in row):
-            raise ValueError("entries must be 0 or 1")
-        object.__setattr__(self, "bits", rows)
+    q: int
+    rows: tuple[int, ...]
 
     @property
     def r(self) -> int:
-        return len(self.bits)
-
-    @property
-    def q(self) -> int:
-        return len(self.bits[0]) if self.bits else 0
-
-    def row_masks(self) -> list[int]:
-        """Each row as a bitmask, column j on bit j."""
-        return [sum(b << j for j, b in enumerate(row)) for row in self.bits]
+        return len(self.rows)
 
     def to_strings(self) -> list[str]:
-        return ["".join(str(b) for b in row) for row in self.bits]
+        """Each row as a string of 0/1 characters, column 0 first."""
+        return ["".join("1" if (row >> j) & 1 else "0" for j in range(self.q))
+                for row in self.rows]
 
     @classmethod
     def from_strings(cls, rows: Iterable[str]) -> BinaryMatrix:
-        return cls(tuple(tuple(int(ch) for ch in row) for row in rows))
+        rows = list(rows)
+        q = len(rows[0]) if rows else 0
+        if any(len(row) != q for row in rows):
+            raise ValueError("ragged matrix")
+        if any(ch not in "01" for row in rows for ch in row):
+            raise ValueError("entries must be 0 or 1")
+        return cls(q, tuple(int(row[::-1] or "0", 2) for row in rows))
 
 
 def event_E_holds(mat: BinaryMatrix, t: int) -> bool:
@@ -96,14 +88,14 @@ def event_E_holds(mat: BinaryMatrix, t: int) -> bool:
     q = mat.q
     if not (1 <= t <= q):
         raise ValueError(f"need 1 <= t <= q, got t={t}, q={q}")
-    masks = mat.row_masks()
+    rows = mat.rows
     for cols in combinations(range(q), t):
         tuple_mask = 0
         for c in cols:
             tuple_mask |= 1 << c
         for c in cols:
             target = 1 << c
-            if not any(rm & tuple_mask == target for rm in masks):
+            if not any(row & tuple_mask == target for row in rows):
                 return False
     return True
 
@@ -120,10 +112,7 @@ def event_probability_bound(t: int, q: int, r: int) -> float:
 def fair_matrix(r: int, q: int, rng: random.Random) -> BinaryMatrix:
     """A fair-coin r x q matrix: rows drawn top to bottom, each from one
     getrandbits(q) word with column j on bit j."""
-    return BinaryMatrix(tuple(
-        tuple((w >> j) & 1 for j in range(q))
-        for w in (rng.getrandbits(q) for _ in range(r))
-    ))
+    return BinaryMatrix(q, tuple(rng.getrandbits(q) for _ in range(r)))
 
 
 def acquire_event_matrix(
@@ -140,11 +129,7 @@ def acquire_event_matrix(
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
     if r >= q:
-        rows = tuple(
-            tuple(1 if i == j else 0 for j in range(q)) if i < q else (0,) * q
-            for i in range(r)
-        )
-        return BinaryMatrix(rows)
+        return BinaryMatrix(q, tuple(1 << i if i < q else 0 for i in range(r)))
     rng = random.Random(seed)
     for _ in range(max_tries):
         mat = fair_matrix(r, q, rng)
@@ -243,14 +228,6 @@ class UBColoring:
             got = self.colors[positions] = subset_color(self.bp, elems)
         return got
 
-    def check(self) -> None:
-        """Re-verify the no-mate invariant for every stored color."""
-        bp = self.bp
-        for positions, color in self.colors.items():
-            elems = tuple(bp.a_order[c] for c in positions)
-            assert not mates(bp, elems, color), (positions, color)
-            assert color == subset_color(bp, elems)
-
 
 def ub_coloring(bp: BipartitePoset, k: int) -> UBColoring:
     """Color every k-subset of A, in lexicographic order of positions.
@@ -305,14 +282,14 @@ def find_monochromatic(
 # -- reversing extensions from matrix rows ------------------------------------
 
 
-def sigma_permutations(row: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two traversal orders a matrix row induces on 0..q-1.
+def sigma_permutations(row: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two traversal orders a matrix row (a q-bit mask) induces on 0..q-1.
 
     First the columns carrying 1, then those carrying 0; left to right
     for the first permutation, right to left for the second.
     """
-    ones = [j for j, b in enumerate(row) if b]
-    zeros = [j for j, b in enumerate(row) if not b]
+    ones = [j for j in range(q) if (row >> j) & 1]
+    zeros = [j for j in range(q) if not (row >> j) & 1]
     sigma1 = tuple(ones + zeros)
     sigma2 = tuple(ones[::-1] + zeros[::-1])
     return sigma1, sigma2
@@ -410,8 +387,8 @@ def build_reversing_extensions(
     mat = acquire_event_matrix(t_eff, q, r, seed)
     exts: list[LinearExtension] = []
     built: dict[tuple[int, ...], LinearExtension] = {}  # sigma -> extension
-    for row in mat.bits:
-        for sigma in sigma_permutations(row):
+    for row in mat.rows:
+        for sigma in sigma_permutations(row, q):
             ext = built.get(sigma)
             if ext is None:
                 ext = built[sigma] = extension_from_sigma(bp, q_elems, sigma)
@@ -676,9 +653,8 @@ def general_upper_bound(
         raise ContainsSk(
             f"poset contains a standard example on 2*{k} elements", embedding=emb
         )
-    split = kimble_split(p)
-    bp = bipartition(split)
-    assert bp is not None, "splits always have height at most 2"
+    # the split's minimal copies 0..n-1 form its A side
+    bp = BipartitePoset(kimble_split(p), range(p.n), range(p.n, 2 * p.n))
     cert = peel_realizer(bp, k, q, base_threshold, derive_seed(seed, 0), base_budget)
 
     family = _map_distinct(

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from posetdim import Poset, derive_seed, random_poset
+from posetdim import Poset, derive_seed, mates, random_poset, subset_color
+from posetdim.core import iter_bits
 
 
 def naive_closure(n: int, pairs: list[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -25,6 +26,28 @@ def naive_closure(n: int, pairs: list[tuple[int, int]]) -> set[tuple[int, int]]:
         if not extra:
             return rel
         rel |= extra
+
+
+def check_poset(p: Poset) -> None:
+    """Assert the stored rows really are a closed strict order."""
+    for x in range(p.n):
+        assert not p.lt(x, x), f"reflexive at {x}"
+        for y in iter_bits(p.upset_mask(x)):
+            assert (p.downset_mask(y) >> x) & 1, f"up/down mismatch {x},{y}"
+            assert not p.lt(y, x), f"antisymmetry {x},{y}"
+            missing = p.upset_mask(y) & ~p.upset_mask(x)
+            assert not missing, f"closure missing above {x} via {y}"
+        for w in iter_bits(p.downset_mask(x)):
+            assert p.lt(w, x), f"down/up mismatch {w},{x}"
+
+
+def check_coloring(coloring) -> None:
+    """Assert every color a UBColoring stored is a position with no mate."""
+    bp = coloring.bp
+    for positions, color in coloring.colors.items():
+        elems = tuple(bp.a_order[c] for c in positions)
+        assert not mates(bp, elems, color), (positions, color)
+        assert color == subset_color(bp, elems)
 
 
 def naive_critical_pairs(p: Poset) -> list[tuple[int, int]]:

@@ -119,6 +119,13 @@ def test_verify_rejects_wrong_realizer(tmp_path, capsys):
     code, _, err = run(capsys, "dim", f, "--verify", bad)
     assert code == 1
     assert json.loads(err)["error"] == "VerificationFailed"
+    with open(bad, "w") as fh:  # a valid realizer of a 5-element chain
+        json.dump({"n": 5, "optimal": True, "extensions": [[0, 1, 2, 3, 4]]}, fh)
+    code, _, err = run(capsys, "dim", f, "--verify", bad)
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"] == "VerificationFailed"
+    assert payload["pair"] is None and "n=5" in payload["message"]
 
 
 @pytest.mark.parametrize("realizer, error, fragment", [
@@ -231,6 +238,12 @@ def test_usage_errors_exit_2(capsys):
         main(["gen", "--type", "nonsense:1", "--seed", "1", "-o", "x"])
     assert exc.value.code == 2
     capsys.readouterr()
+    for sizes in ("12,x", ","):  # a non-integer and an empty list
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "growth", "--k", "3", "--sizes", sizes,
+                  "--samples", "1", "--q", "3", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "sizes" in capsys.readouterr().err
 
 
 def test_domain_error_payload_carries_embedding(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Core model tests: closure, constructors, detection, splits, formats."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from posetdim.core import MAX_TEXT_N
 from posetdim.errors import CycleError, GenerationExhausted
 
 from conftest import (
+    check_poset,
     naive_closure,
     naive_find_standard,
     naive_splitmix64,
@@ -57,7 +60,7 @@ def test_closure_matches_naive_oracle(case):
     p = Poset.from_relations(n, pairs)
     got = {(a, b) for a, b in p.pairs() if p.lt(a, b)}
     assert got == closed
-    p.check()
+    check_poset(p)
 
 
 def test_from_relations_rejects_bad_input():
@@ -67,6 +70,23 @@ def test_from_relations_rejects_bad_input():
         Poset.from_relations(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(IndexError):
         Poset.from_relations(2, [(0, 5)])
+
+
+def test_long_chain_in_shuffled_order_closes():
+    n = 2000
+    rels = [f"rel {i} {i + 1}" for i in range(n - 1)]
+    random.Random(5).shuffle(rels)
+    p = poset_from_text(f"poset {n}\n" + "\n".join(rels) + "\n")
+    assert p.relation_count() == n * (n - 1) // 2
+    assert p.lt(0, n - 1) and not p.lt(n - 1, 0)
+    assert p.downset_mask(n - 1) == (1 << (n - 1)) - 1
+
+
+def test_cycle_closed_at_the_end_of_a_long_path():
+    # 0 < 1 < ... < 999, then 999 < 990: 990..999 lie on the cycle
+    pairs = [(i, i + 1) for i in range(999)] + [(999, 990)]
+    with pytest.raises(CycleError, match="element 990 lies on or above a cycle"):
+        Poset.from_relations(1000, pairs)
 
 
 def test_basic_relations_on_a_fence():
@@ -113,7 +133,7 @@ def test_restrict_matches_naive_restriction(seed, n, edge_prob, rnd):
     for i, v in enumerate(keep):
         for j, w in enumerate(keep):
             assert q.lt(i, j) == p.lt(v, w), (keep, i, j)
-    q.check()
+    check_poset(q)
 
 
 @settings(max_examples=60)
@@ -142,6 +162,11 @@ def test_embedding_valid():
     assert not embedding_valid(s3, Embedding((0, 1, 2), (4, 3, 5)))
     chain = Poset.from_relations(4, [(0, 1), (1, 2), (2, 3)])
     assert not embedding_valid(chain, Embedding((0, 1), (2, 3)))
+    assert not embedding_valid(s3, Embedding((0, 1, 2), (3, 4)))  # lengths differ
+    assert not embedding_valid(s3, Embedding((0, 1), (1, 4)))  # 1 used twice
+    # a_0 < b_0 in the complete bipartite order on {0, 1} x {2, 3}
+    full = Poset.from_relations(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    assert not embedding_valid(full, Embedding((0, 1), (2, 3)))
 
 
 def test_find_standard_example_on_itself_and_on_chains():
@@ -169,6 +194,25 @@ def test_find_standard_example_agrees_with_exhaustive_search():
                 assert embedding_valid(p, got)
                 hits += 1
     assert hits > 10  # the loop must actually exercise positives
+
+
+def _relabel(p: Poset, perm: list[int]) -> Poset:
+    return Poset.from_relations(p.n, [(perm[x], perm[y]) for x, y in p.pairs()])
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2**32), st.integers(0, 12), st.floats(0.1, 0.7),
+       st.sampled_from([2, 3]), st.randoms(use_true_random=False))
+def test_detection_is_invariant_under_dual_and_relabelling(seed, n, edge_prob,
+                                                            k, rnd):
+    p = random_poset(n, edge_prob, seed)
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    found = [find_standard_example(q, k) for q in (p, p.dual(), _relabel(p, perm))]
+    assert len({emb is None for emb in found}) == 1
+    for q, emb in zip((p, p.dual(), _relabel(p, perm)), found):
+        if emb is not None:
+            assert embedding_valid(q, emb)
 
 
 # -- bipartite posets --------------------------------------------------------------

@@ -57,26 +57,28 @@ from posetdim.errors import (
     VerificationFailed,
 )
 
+from conftest import check_coloring
+
 
 # -- binary matrices and the event ------------------------------------------------
 
 
 def test_binary_matrix_validation_and_round_trip():
-    m = BinaryMatrix(((1, 0), (0, 1), (1, 1)))
+    m = BinaryMatrix(2, (0b01, 0b10, 0b11))
     assert m.r == 3 and m.q == 2
-    assert m.row_masks() == [0b01, 0b10, 0b11]
+    assert m.to_strings() == ["10", "01", "11"]  # column j on bit j
     assert BinaryMatrix.from_strings(m.to_strings()) == m
-    with pytest.raises(ValueError):
-        BinaryMatrix(((1, 0), (1,)))
-    with pytest.raises(ValueError):
-        BinaryMatrix(((2, 0),))
+    with pytest.raises(ValueError, match="ragged"):
+        BinaryMatrix.from_strings(["10", "1"])
+    with pytest.raises(ValueError, match="0 or 1"):
+        BinaryMatrix.from_strings(["20"])
 
 
 def test_event_hand_cases():
-    ident = BinaryMatrix(((1, 0), (0, 1)))
+    ident = BinaryMatrix(2, (0b01, 0b10))
     assert event_E_holds(ident, 1)
     assert event_E_holds(ident, 2)
-    ones = BinaryMatrix(((1, 1), (1, 1)))
+    ones = BinaryMatrix(2, (0b11, 0b11))
     assert event_E_holds(ones, 1)
     assert not event_E_holds(ones, 2)  # nothing isolates a column of a pair
     with pytest.raises(ValueError):
@@ -92,13 +94,13 @@ def test_event_hand_cases():
              min_size=1, max_size=6),
 )
 def test_event_matches_direct_definition(t, rows):
-    mat = BinaryMatrix(tuple(tuple(r) for r in rows))
+    mat = BinaryMatrix(4, tuple(sum(b << j for j, b in enumerate(r)) for r in rows))
     want = True
     for cols in combinations(range(4), t):
         for ell in cols:
             if not any(
                 row[ell] == 1 and all(row[c] == 0 for c in cols if c != ell)
-                for row in mat.bits
+                for row in rows
             ):
                 want = False
     assert event_E_holds(mat, t) == want
@@ -115,7 +117,7 @@ def test_probability_bound_frozen_values():
 
 def test_acquire_identity_fallback_and_sampling():
     m = acquire_event_matrix(2, 4, 12, seed=0)
-    assert m.bits[0] == (1, 0, 0, 0) and m.bits[11] == (0, 0, 0, 0)
+    assert m.rows[0] == 0b0001 and m.rows[3] == 0b1000 and m.rows[11] == 0
     assert event_E_holds(m, 2)
     m2 = acquire_event_matrix(1, 4, 3, seed=8)  # r < q: sampled
     assert event_E_holds(m2, 1) and m2.r == 3
@@ -168,7 +170,7 @@ def test_colors_on_free_posets():
 def test_ub_coloring_eager_matches_lazy():
     bp = random_skfree_bipartite(9, 9, 0.3, 3, seed=77)
     eager = ub_coloring(bp, 3)
-    eager.check()
+    check_coloring(eager)
     lazy = UBColoring(bp, 3)
     for positions, color in eager.colors.items():
         assert lazy.color_of(positions) == color
@@ -216,15 +218,16 @@ def test_find_monochromatic_respects_colors():
 
 
 def test_sigma_permutations_frozen():
-    assert sigma_permutations((1, 0, 1, 0)) == ((0, 2, 1, 3), (2, 0, 3, 1))
-    assert sigma_permutations((0, 0)) == ((0, 1), (1, 0))
-    assert sigma_permutations((1, 1, 1)) == ((0, 1, 2), (2, 1, 0))
+    assert sigma_permutations(0b0101, 4) == ((0, 2, 1, 3), (2, 0, 3, 1))
+    assert sigma_permutations(0b00, 2) == ((0, 1), (1, 0))
+    assert sigma_permutations(0b111, 3) == ((0, 1, 2), (2, 1, 0))
 
 
 @settings(max_examples=60)
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=8))
 def test_sigma_permutations_are_permutations(row):
-    s1, s2 = sigma_permutations(row)
+    mask = sum(b << j for j, b in enumerate(row))
+    s1, s2 = sigma_permutations(mask, len(row))
     assert sorted(s1) == list(range(len(row)))
     assert sorted(s2) == list(range(len(row)))
     ones = sum(row)
@@ -467,6 +470,14 @@ def test_peel_realizer_dualizes_when_b_is_larger():
 def test_peel_realizer_tiny_base_budget_still_sound():
     bp = random_skfree_bipartite(10, 10, 0.3, 3, seed=71)
     cert = peel_realizer(bp, 3, 2, base_threshold=8, seed=2, base_budget=1)
+    ok, _ = is_realizer(bp.poset, cert.realizer.extensions)
+    assert ok
+    cert.check()
+    # no peel step here: the whole poset is the base, and the greedy
+    # does not settle it, so a zero budget downgrades base_optimal
+    bp = random_skfree_bipartite(6, 6, 0.5, 3, 0)
+    cert = peel_realizer(bp, 3, 3, base_threshold=12, seed=0, base_budget=0)
+    assert cert.steps == () and cert.base_optimal is False
     ok, _ = is_realizer(bp.poset, cert.realizer.extensions)
     assert ok
     cert.check()
