@@ -201,14 +201,15 @@ def reverses(ext: LinearExtension, pair: tuple[int, int]) -> bool:
     return pos[pair[1]] < pos[pair[0]]
 
 
-def _is_permutation(order: Sequence[int], n: int) -> bool:
-    return len(order) == n and set(order) == set(range(n))
+def _is_permutation(order: Sequence[int], everyone: frozenset[int]) -> bool:
+    """Is order a permutation of everyone, which is frozenset(range(n))?"""
+    return len(order) == len(everyone) and everyone == set(order)
 
 
 def check_extension(p: Poset, ext: LinearExtension) -> None:
     """Raise NotAnExtension unless ext is a linear extension of p."""
     order = ext.order
-    if not _is_permutation(order, p.n):
+    if not _is_permutation(order, frozenset(range(p.n))):
         raise NotAnExtension(
             f"order of length {len(order)} is not a permutation of 0..{p.n - 1}"
         )
@@ -236,15 +237,19 @@ def is_realizer(
     NotAnExtension if a member is not a linear extension of p.
     """
     n = p.n
-    orders = list(dict.fromkeys(ext.order for ext in extensions))
-    if all(_is_permutation(order, n) for order in orders):
+    # peeled and JSON-read families repeat one object per distinct
+    # order, so dropping repeated objects first spares hashing orders
+    distinct = {id(ext): ext for ext in extensions}.values()
+    orders = list(dict.fromkeys(ext.order for ext in distinct))
+    elements = frozenset(range(n))
+    if all(_is_permutation(order, elements) for order in orders):
         below = listed_below(orders, n)
         everyone = (1 << n) - 1
         if (orders or not n) and all(
             below[x] == everyone & ~(up | 1 << x) for x, up in enumerate(p._up)
         ):
             return True, []
-    for ext in extensions:
+    for ext in distinct:
         check_extension(p, ext)
     # every member is an extension, so (x, y) is reversed in some member
     # exactly when y is in below[x]
@@ -569,35 +574,68 @@ def brute_force_dimension(p: Poset) -> int:
 
 
 def realizer_to_json_dict(n: int, realizer: Realizer, optimal: bool) -> dict:
+    """The v2 realizer dict: each distinct order once in "orders", in
+    order of first appearance, and per member its index into them."""
+    index: dict[tuple[int, ...], int] = {}
+    members = [
+        index.setdefault(ext.order, len(index)) for ext in realizer.extensions
+    ]
     return {
         "n": n,
-        "dimension": len(realizer.extensions),
-        "extensions": [list(ext.order) for ext in realizer.extensions],
+        "dimension": len(members),
+        "orders": [list(order) for order in index],
+        "members": members,
         "optimal": bool(optimal),
     }
 
 
+def _is_int_list(row) -> bool:
+    # type() is exact, so bools and floats are refused along with strings
+    return isinstance(row, list) and set(map(type, row)) <= {int}
+
+
 def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
-    """Parse a realizer dict; ValueError if it is not shaped like one."""
+    """Parse a realizer dict, v2 ("orders" and "members") or v1 (one
+    order per member in "extensions"); ValueError if it is not shaped
+    like one.  Members that name the same v2 order share one object."""
     if not isinstance(data, dict):
         raise ValueError(
             f"realizer JSON must be an object, got {type(data).__name__}"
         )
-    for key in ("n", "extensions", "optimal"):
+    if "orders" in data and "extensions" in data:
+        raise ValueError("realizer JSON has both 'orders' and v1 'extensions'")
+    v1 = "extensions" in data
+    keys = ("extensions",) if v1 else ("orders", "members")
+    for key in ("n", *keys, "optimal"):
         if key not in data:
-            raise ValueError(f"realizer JSON lacks the {key!r} key")
-    n, rows = data["n"], data["extensions"]
+            also = " (or the v1 'extensions' key)" if key == "orders" else ""
+            raise ValueError(f"realizer JSON lacks the {key!r} key{also}")
+    n = data["n"]
     if type(n) is not int or n < 0:
         raise ValueError(
             f"realizer 'n' must be a non-negative integer, got {n!r}"
         )
-    # type() is exact, so bools and floats are refused along with strings
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and set(map(type, row)) <= {int} for row in rows
-    ):
-        raise ValueError("realizer 'extensions' must be a list of integer lists")
-    exts = tuple(LinearExtension(tuple(row)) for row in rows)
-    return n, Realizer(exts), bool(data["optimal"])
+    key = "extensions" if v1 else "orders"
+    rows = data[key]
+    if not isinstance(rows, list) or not all(map(_is_int_list, rows)):
+        raise ValueError(f"realizer {key!r} must be a list of integer lists")
+    distinct = [LinearExtension(tuple(row)) for row in rows]
+    optimal = bool(data["optimal"])
+    if v1:
+        return n, Realizer(distinct), optimal
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(
+                f"realizer 'orders' row {i} has length {len(row)}, not n={n}"
+            )
+    members = data["members"]
+    if not _is_int_list(members):
+        raise ValueError("realizer 'members' must be a list of integers")
+    if members and not 0 <= min(members) <= max(members) < len(rows):
+        raise ValueError(
+            f"realizer 'members' must be indices into the {len(rows)} 'orders'"
+        )
+    return n, Realizer(tuple(distinct[i] for i in members)), optimal
 
 
 def realizer_to_json(n: int, realizer: Realizer, optimal: bool) -> str:

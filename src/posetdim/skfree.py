@@ -29,6 +29,7 @@ from .core import (
 from .dimension import (
     LinearExtension,
     Realizer,
+    _is_int_list,
     critical_rows,
     exact_dimension,
     greedy_reversing_extensions,
@@ -705,25 +706,79 @@ def certificate_to_json_dict(cert: PeelCertificate) -> dict:
     }
 
 
-def certificate_from_json_dict(data: dict) -> PeelCertificate:
-    steps = tuple(
-        PeelStep(
-            removed=tuple(rec["removed"]),
-            q=int(rec["q"]),
-            color=int(rec["color"]),
-            matrix=BinaryMatrix.from_strings(rec["matrix"]),
-            extensions_built=int(rec["extensions_built"]),
-            cleanup_count=int(rec["cleanup_extensions"]),
+_CERTIFICATE_KEYS = (
+    "steps", "base_size", "base_dimension", "base_optimal", "total_size",
+    "realizer",
+)
+_STEP_KEYS = (
+    "removed", "q", "color", "matrix", "extensions_built",
+    "cleanup_extensions",
+)
+
+
+def _require_keys(data, keys: Sequence[str], what: str) -> None:
+    """ValueError naming the type of data if it is not a dict, or the
+    first of keys it lacks."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} lacks the {key!r} key")
+
+
+def _ints(data: dict, keys: Sequence[str], what: str) -> list[int]:
+    """data[key] for each key; ValueError naming the first that is not
+    an integer (bools and floats included)."""
+    for key in keys:
+        if type(data[key]) is not int:
+            raise ValueError(
+                f"{what} {key!r} must be an integer, "
+                f"got {type(data[key]).__name__}"
+            )
+    return [data[key] for key in keys]
+
+
+def certificate_from_json_dict(data) -> PeelCertificate:
+    """Parse a certificate dict; ValueError naming the first key or type
+    that is not shaped like one."""
+    _require_keys(data, _CERTIFICATE_KEYS, "certificate JSON")
+    if not isinstance(data["steps"], list):
+        raise ValueError(
+            f"certificate 'steps' must be a list, "
+            f"got {type(data['steps']).__name__}"
         )
-        for rec in data["steps"]
+    steps = []
+    for i, rec in enumerate(data["steps"]):
+        what = f"certificate step {i}"
+        _require_keys(rec, _STEP_KEYS, what)
+        q, color, built, cleanup = _ints(
+            rec, ("q", "color", "extensions_built", "cleanup_extensions"), what
+        )
+        if not _is_int_list(rec["removed"]):
+            raise ValueError(f"{what} 'removed' must be a list of integers")
+        matrix = rec["matrix"]
+        if not isinstance(matrix, list) or not all(
+            isinstance(row, str) for row in matrix
+        ):
+            raise ValueError(f"{what} 'matrix' must be a list of strings")
+        steps.append(PeelStep(
+            removed=tuple(rec["removed"]),
+            q=q,
+            color=color,
+            matrix=BinaryMatrix.from_strings(matrix),
+            extensions_built=built,
+            cleanup_count=cleanup,
+        ))
+    base_size, base_dimension, total_size = _ints(
+        data, ("base_size", "base_dimension", "total_size"), "certificate"
     )
     _, realizer, _ = realizer_from_json_dict(data["realizer"])
     return PeelCertificate(
-        steps=steps,
-        base_size=int(data["base_size"]),
-        base_dimension=int(data["base_dimension"]),
+        steps=tuple(steps),
+        base_size=base_size,
+        base_dimension=base_dimension,
         base_optimal=bool(data["base_optimal"]),
-        total_size=int(data["total_size"]),
+        total_size=total_size,
         realizer=realizer,
     )
 

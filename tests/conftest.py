@@ -2,11 +2,14 @@
 
 Everything here is implemented independently of the package internals
 (set algebra and brute force instead of bitmasks and pruning) so the
-fast paths have something honest to agree with.
+fast paths have something honest to agree with.  The v1 renderers at
+the end write a decoded realizer or certificate back in the layout the
+old JSON writer used, so hashes pinned on v1 text keep checking content.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import combinations, permutations
 
 from posetdim import Poset, derive_seed, mates, random_poset, subset_color
@@ -120,3 +123,48 @@ def seeded_posets(count: int, n_lo: int, n_hi: int, seed: int):
         n = n_lo + (i % span)
         p_edge = 0.15 + 0.1 * (i % 5)
         yield i, random_poset(n, p_edge, derive_seed(s, 1))
+
+
+def v1_realizer_dict(n: int, realizer, optimal: bool) -> dict:
+    """A realizer in the v1 JSON layout: one full order per member."""
+    return {
+        "n": n,
+        "dimension": len(realizer.extensions),
+        "extensions": [list(ext.order) for ext in realizer.extensions],
+        "optimal": bool(optimal),
+    }
+
+
+def v1_certificate_dict(cert) -> dict:
+    """A peel certificate in the v1 JSON layout, key for key."""
+    exts = cert.realizer.extensions
+    return {
+        "steps": [
+            {
+                "removed": list(rec.removed),
+                "q": rec.q,
+                "color": rec.color,
+                "matrix_rows": rec.matrix_rows,
+                "matrix": rec.matrix.to_strings(),
+                "extensions_built": rec.extensions_built,
+                "cleanup_extensions": rec.cleanup_count,
+            }
+            for rec in cert.steps
+        ],
+        "base_size": cert.base_size,
+        "base_dimension": cert.base_dimension,
+        "base_optimal": cert.base_optimal,
+        "total_size": cert.total_size,
+        "realizer": v1_realizer_dict(len(exts[0]) if exts else 0,
+                                     cert.realizer, False),
+    }
+
+
+def v1_realizer_json(n: int, realizer, optimal: bool) -> str:
+    """Text the v1 writer gave for a realizer (indent 2)."""
+    return json.dumps(v1_realizer_dict(n, realizer, optimal), indent=2)
+
+
+def v1_certificate_json(cert) -> str:
+    """Text the v1 writer gave for a certificate (indent 2)."""
+    return json.dumps(v1_certificate_dict(cert), indent=2)

@@ -1,12 +1,15 @@
 """Command-line surface: flows, formats, exit codes, error JSON."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from posetdim import __version__, load_poset
 from posetdim.cli import main
 from posetdim.core import MAX_TEXT_N
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -136,6 +139,30 @@ def test_verify_rejects_wrong_realizer(tmp_path, capsys):
      "ArgumentError", "integer"),
     ({"n": 3, "optimal": False, "extensions": []},
      "VerificationFailed", "empty"),
+    # v2: distinct orders plus one index per member
+    ({"n": 3, "optimal": False}, "ArgumentError", "'orders'"),
+    ({"n": 3, "optimal": False, "orders": [[0, 1, 2]]},
+     "ArgumentError", "'members'"),
+    ({"n": 3, "optimal": False, "orders": [[0, 1, 2]], "members": 0},
+     "ArgumentError", "'members'"),
+    ({"n": 3, "optimal": False, "orders": [[0, 1, 2]], "members": [True]},
+     "ArgumentError", "'members'"),
+    ({"n": 3, "optimal": False, "orders": [[0, 1, 2]], "members": [0.0]},
+     "ArgumentError", "'members'"),
+    ({"n": 3, "optimal": False, "orders": [[0, 1, 2]], "members": ["0"]},
+     "ArgumentError", "'members'"),
+    ({"n": 3, "optimal": False, "orders": [[0, 1, 2]], "members": [-1]},
+     "ArgumentError", "'members'"),
+    ({"n": 3, "optimal": False, "orders": [[0, 1, 2]], "members": [0, 1]},
+     "ArgumentError", "'members'"),
+    ({"n": 3, "optimal": False, "orders": [[0, 1, 2]], "members": [0],
+      "extensions": [[0, 1, 2]]}, "ArgumentError", "both"),
+    ({"n": 3, "optimal": False, "orders": [[0, 1, 2], [0, 1]],
+      "members": [0, 1]}, "ArgumentError", "row 1"),
+    ({"n": 3, "optimal": False, "orders": [[0, 1, True]], "members": [0]},
+     "ArgumentError", "integer"),
+    ({"n": 3, "optimal": False, "orders": [], "members": []},
+     "VerificationFailed", "empty"),
 ])
 def test_verify_reports_malformed_realizers(tmp_path, capsys, realizer,
                                              error, fragment):
@@ -150,6 +177,20 @@ def test_verify_reports_malformed_realizers(tmp_path, capsys, realizer,
     assert payload["error"] == error and fragment in payload["message"]
     if error == "VerificationFailed":
         assert payload["pair"] is None
+
+
+def test_verify_reads_v1_and_v2_alike(tmp_path, capsys):
+    poset = str(DATA / "legacy_v1.poset")
+    code, out, err = run(capsys, "dim", poset, "--verify",
+                         str(DATA / "legacy_v1.cert.json"))
+    assert code == 0 and err == ""
+    assert out == "verified 144 extensions realize the poset\n"
+    v2 = str(tmp_path / "v2.json")
+    code, _, _ = run(capsys, "peel", poset, "--k", "3", "--q", "2",
+                     "--threshold", "6", "--seed", "5", "--json", v2)
+    assert code == 0
+    assert "orders" in json.loads(open(v2).read())["certificate"]["realizer"]
+    assert run(capsys, "dim", poset, "--verify", v2) == (0, out, "")
 
 
 # -- prob-lemma / experiment -----------------------------------------------------------

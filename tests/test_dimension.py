@@ -1,5 +1,6 @@
 """Dimension machinery: critical pairs, reversibility, solvers, realizers."""
 
+import json
 import sys
 
 import pytest
@@ -455,12 +456,54 @@ def test_is_realizer_agrees_with_naive_check(seed, n, data):
     assert [(c.x, c.y) for c in unrev] == unreversed
 
 
+@settings(max_examples=60)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.data())
+def test_is_realizer_ignores_how_members_are_shared(seed, n, data):
+    # shared objects, shared order tuples and equal-but-distinct tuples
+    # must all give one verdict, one unreversed list or one error
+    p = random_poset(n, 0.3, seed)
+    pool = [e.order for e in greedy_reversing_extensions(p, critical_pairs(p))]
+    pool.append(exact_dimension(p).witness.extensions[0].order)
+    pool.append(tuple(data.draw(st.permutations(range(n)), label="any order")))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=12),
+                      label="members")
+    shared = [LinearExtension(order) for order in pool]
+    families = [
+        [shared[i] for i in picks],
+        [LinearExtension(pool[i]) for i in picks],
+        [LinearExtension(tuple(list(pool[i]))) for i in picks],
+    ]
+    results = []
+    for family in families:
+        try:
+            ok, unrev = is_realizer(p, family)
+            results.append((ok, [tuple(c) for c in unrev]))
+        except NotAnExtension as exc:
+            results.append(("NotAnExtension", exc.pair))
+    assert results[0] == results[1] == results[2]
+
+
 def test_realizer_json_round_trip():
     p = standard_example(3)
     res = exact_dimension(p)
     text = realizer_to_json(p.n, res.witness, res.optimal)
     n, realizer, optimal = realizer_from_json(text)
     assert n == 6 and optimal and realizer == res.witness
+
+
+def test_realizer_json_stores_each_order_once():
+    a, b = LinearExtension((0, 1, 2)), LinearExtension((2, 1, 0))
+    family = Realizer((a, b, LinearExtension((0, 1, 2)), b, a))
+    text = realizer_to_json(3, family, False)
+    data = json.loads(text)
+    assert data["orders"] == [[0, 1, 2], [2, 1, 0]]
+    assert data["members"] == [0, 1, 0, 1, 0]
+    assert data["dimension"] == 5 and "extensions" not in data
+    _, back, _ = realizer_from_json(text)
+    assert back == family
+    # members naming one order share one object
+    assert back.extensions[0] is back.extensions[2] is back.extensions[4]
+    assert back.extensions[1] is back.extensions[3]
 
 
 # -- exact and brute-force solvers --------------------------------------------------

@@ -1,7 +1,9 @@
 """Peeling machinery: matrices, coloring, reversing extensions, certificates."""
 
+import json
 import math
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from posetdim import (
     find_standard_example,
     general_upper_bound,
     is_realizer,
+    load_poset,
     mates,
     peel_realizer,
     peel_step,
@@ -47,6 +50,7 @@ from posetdim.dimension import listed_below
 from posetdim.skfree import (
     _check_q_pairs_reversed,
     _project_split_extension,
+    certificate_from_json_dict,
 )
 from posetdim.errors import (
     AcquisitionFailed,
@@ -58,6 +62,8 @@ from posetdim.errors import (
 )
 
 from conftest import check_coloring
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 # -- binary matrices and the event ------------------------------------------------
@@ -512,6 +518,55 @@ def test_certificate_json_round_trip():
     assert back.base_optimal == cert.base_optimal
     assert back.realizer == cert.realizer
     assert '"matrix"' in text  # matrices serialize as row strings
+    realizer = json.loads(text)["realizer"]
+    assert realizer["dimension"] == len(realizer["members"]) == cert.total_size
+    assert len(realizer["orders"]) == len({e.order for e in cert.realizer.extensions})
+
+
+def test_v1_certificate_reads_like_a_v2_round_trip():
+    # written by `peel --json` before v2, from tests/data/legacy_v1.poset
+    payload = json.loads((DATA / "legacy_v1.cert.json").read_text())
+    assert "extensions" in payload["certificate"]["realizer"]
+    legacy = certificate_from_json(json.dumps(payload["certificate"]))
+    params = payload["parameters"]
+    cert = peel_realizer(load_poset(DATA / "legacy_v1.poset"), params["k"],
+                         params["q"], params["threshold"], payload["seed"])
+    back = certificate_from_json(certificate_to_json(cert))
+    assert legacy.realizer == back.realizer == cert.realizer
+    assert legacy.steps == back.steps
+    assert legacy.total_size == back.total_size == len(legacy.realizer)
+
+
+@pytest.mark.parametrize("data, fragment", [
+    ({}, "lacks the 'steps' key"),
+    ([], "must be an object, got list"),
+    ({"steps": 3, "base_size": 0, "base_dimension": 1, "base_optimal": True,
+      "total_size": 1, "realizer": {}}, "'steps' must be a list, got int"),
+    ({"steps": [{"q": 2}], "base_size": 0, "base_dimension": 1,
+      "base_optimal": True, "total_size": 1, "realizer": {}},
+     "step 0 lacks the 'removed' key"),
+])
+def test_certificate_from_json_dict_names_what_is_malformed(data, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        certificate_from_json_dict(data)
+
+
+@pytest.mark.parametrize("where, key, value, fragment", [
+    (0, "q", None, "step 0 'q' must be an integer, got NoneType"),
+    (0, "extensions_built", 2.0, "'extensions_built' must be an integer"),
+    (0, "color", True, "'color' must be an integer, got bool"),
+    (0, "removed", [0, "1"], "step 0 'removed' must be a list of integers"),
+    (0, "matrix", [101], "step 0 'matrix' must be a list of strings"),
+    (None, "total_size", "12", "'total_size' must be an integer, got str"),
+])
+def test_certificate_from_json_dict_names_mistyped_fields(where, key, value,
+                                                         fragment):
+    cert = peel_realizer(random_skfree_bipartite(10, 10, 0.3, 3, seed=19),
+                         3, 2, base_threshold=8, seed=6)
+    data = json.loads(certificate_to_json(cert))
+    (data if where is None else data["steps"][where])[key] = value
+    with pytest.raises(ValueError, match=fragment):
+        certificate_from_json_dict(data)
 
 
 # -- the general pipeline --------------------------------------------------------------------
