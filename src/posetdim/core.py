@@ -489,23 +489,21 @@ def random_bipartite(na: int, nb: int, edge_prob: float, seed: int) -> Bipartite
     return BipartitePoset(poset, range(na), range(na, n))
 
 
+_SKFREE_TRIES = 200  # draws random_skfree_bipartite rejects at most
+
+
 def random_skfree_bipartite(
-    na: int,
-    nb: int,
-    edge_prob: float,
-    k: int,
-    seed: int,
-    max_tries: int = 200,
+    na: int, nb: int, edge_prob: float, k: int, seed: int
 ) -> BipartitePoset:
     """Rejection-sample random bipartite posets until one contains no
     standard example on 2k elements.  Raises GenerationExhausted when
-    every try contained one."""
-    for t in range(max_tries):
+    all _SKFREE_TRIES draws contained one."""
+    for t in range(_SKFREE_TRIES):
         bp = random_bipartite(na, nb, edge_prob, derive_seed(seed, t))
         if find_standard_example(bp.poset, k) is None:
             return bp
     raise GenerationExhausted(
-        f"no S_{k}-free bipartite poset in {max_tries} tries "
+        f"no S_{k}-free bipartite poset in {_SKFREE_TRIES} tries "
         f"(na={na}, nb={nb}, edge_prob={edge_prob}, seed={seed})"
     )
 

@@ -184,10 +184,10 @@ def critical_pairs(p: Poset, touching: int | None = None) -> list[CriticalPair]:
 
 def listed_below(orders: Iterable[Sequence[int]], n: int) -> list[int]:
     """Bit y of below[x] is set iff some order lists y below x, i.e. the
-    family reverses (x, y).  One walk per distinct order; each must be
-    a permutation of 0..n-1."""
+    family reverses (x, y).  One walk per order, so callers pass each
+    distinct order once; each must be a permutation of 0..n-1."""
     below = [0] * n
-    for order in dict.fromkeys(orders):
+    for order in orders:
         listed = 0
         for v in order:
             below[v] |= listed
@@ -349,8 +349,7 @@ def greedy_reversing_extensions(
     return out
 
 
-_CONFLICT_PAIR_CAP = 2000
-_SEARCH_PAIR_CAP = 4000
+_CONFLICT_PAIR_CAP = 2000  # most critical pairs the search takes on
 
 
 class _OutOfBudget(Exception):
@@ -386,6 +385,12 @@ def _conflict_masks(p: Poset, cps: Sequence[CriticalPair]) -> list[int]:
     return [y_above[x] & x_below[y] for x, y in cps]
 
 
+def _greedy_result(p: Poset, runs: Iterable[list[int]]) -> DimensionResult:
+    """The first fit of the x-runs as a (not yet optimal) result."""
+    exts = tuple(LinearExtension(cl.extension()) for cl in _first_fit(p, runs))
+    return DimensionResult(len(exts), Realizer(exts), False)
+
+
 def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
     """Exact order dimension with a realizer witness.
 
@@ -393,11 +398,14 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
     reversible; iterative deepening runs from a clique lower bound on
     the pairwise-conflict graph, exploring pairs in descending
     conflict-degree order with first-empty-class symmetry breaking.
+    Above _CONFLICT_PAIR_CAP critical pairs there is no conflict graph
+    and no search: the greedy first fit is returned only when it meets
+    the lower bound 2.
 
-    budget caps the number of search node expansions; when it runs out
-    before optimality is settled, BudgetExceeded is raised carrying the
-    best known (valid, possibly non-optimal) result in .best.  A
-    negative budget is a ValueError.
+    budget caps the number of search node expansions; when it runs out,
+    or the pair cap rules the search out, before optimality is settled,
+    BudgetExceeded is raised carrying the best known (valid, possibly
+    non-optimal) result in .best.  A negative budget is a ValueError.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -408,44 +416,39 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
         ext = LinearExtension(cl.extension())
         return DimensionResult(1, Realizer((ext,)), True)
 
-    have_conflicts = m <= _CONFLICT_PAIR_CAP
-    if have_conflicts:
-        cps = row_pairs(rows)
-        conf = _conflict_masks(p, cps)
-        order = sorted(range(m), key=lambda i: -conf[i].bit_count())
-        runs = _x_runs(cps[i] for i in order)
-    else:  # lexicographic order, in which the x-runs are the nonzero rows
-        runs = [[x, row] for x, row in enumerate(rows) if row]
+    if m > _CONFLICT_PAIR_CAP:
+        # no conflict graph and no search: first fit in lexicographic
+        # order, whose x-runs are the nonzero rows, settles only d = 2
+        greedy = _greedy_result(p, [[x, row] for x, row in enumerate(rows) if row])
+        if greedy.d > 2:
+            raise BudgetExceeded(
+                f"{m} critical pairs exceed the search cap of {_CONFLICT_PAIR_CAP}",
+                best=greedy,
+            )
+        greedy.optimal = True
+        return greedy
 
+    cps = row_pairs(rows)
+    conf = _conflict_masks(p, cps)
+    order = sorted(range(m), key=lambda i: -conf[i].bit_count())
     # greedy first-fit: upper bound plus fallback witness
-    classes = _first_fit(p, runs)
-    greedy_exts = tuple(LinearExtension(cl.extension()) for cl in classes)
-    greedy = DimensionResult(len(classes), Realizer(greedy_exts), False)
+    greedy = _greedy_result(p, _x_runs(cps[i] for i in order))
 
     # clique on the conflict graph lower-bounds the dimension
     lower = 2
-    if have_conflicts:
-        best_clique = 0
-        for seed_v in sorted(range(m), key=lambda i: -conf[i].bit_count())[:12]:
-            common = conf[seed_v]
-            size = 1
-            while common:
-                v = max(iter_bits(common), key=lambda u: (conf[u] & common).bit_count())
-                common &= conf[v]
-                size += 1
-            best_clique = max(best_clique, size)
-        lower = max(lower, best_clique)
+    for seed_v in order[:12]:
+        common = conf[seed_v]
+        size = 1
+        while common:
+            v = max(iter_bits(common), key=lambda u: (conf[u] & common).bit_count())
+            common &= conf[v]
+            size += 1
+        lower = max(lower, size)
 
     if greedy.d <= lower:
         greedy.optimal = True
         return greedy
 
-    if m > _SEARCH_PAIR_CAP:
-        raise BudgetExceeded(
-            f"{m} critical pairs exceed the exhaustive search cap", best=greedy
-        )
-    if not have_conflicts:
-        cps, conf, order = row_pairs(rows), [0] * m, range(m)
     nodes_left = budget if budget is not None else -1
 
     def search(d: int) -> list[_Closure] | None:
@@ -465,7 +468,7 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
             x, y = cps[i]
             bit = 1 << i
             while c < d and c <= used:
-                if c < used and have_conflicts and class_conf[c] & bit:
+                if c < used and class_conf[c] & bit:
                     c += 1
                     continue
                 if nodes_left == 0:
@@ -495,7 +498,7 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
         return class_cl[:used]
 
     try:
-        for d in range(max(lower, 2), greedy.d):
+        for d in range(lower, greedy.d):
             solution = search(d)
             if solution is not None:
                 exts = tuple(LinearExtension(cl.extension()) for cl in solution)
@@ -597,7 +600,8 @@ def _is_int_list(row) -> bool:
 def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
     """Parse a realizer dict, v2 ("orders" and "members") or v1 (one
     order per member in "extensions"); ValueError if it is not shaped
-    like one.  Members that name the same v2 order share one object."""
+    like one, or if its optional "dimension" is not its member count.
+    Members that name the same v2 order share one object."""
     if not isinstance(data, dict):
         raise ValueError(
             f"realizer JSON must be an object, got {type(data).__name__}"
@@ -620,21 +624,27 @@ def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
     if not isinstance(rows, list) or not all(map(_is_int_list, rows)):
         raise ValueError(f"realizer {key!r} must be a list of integer lists")
     distinct = [LinearExtension(tuple(row)) for row in rows]
-    optimal = bool(data["optimal"])
     if v1:
-        return n, Realizer(distinct), optimal
-    for i, row in enumerate(rows):
-        if len(row) != n:
+        members = range(len(rows))
+    else:
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise ValueError(
+                    f"realizer 'orders' row {i} has length {len(row)}, not n={n}"
+                )
+        members = data["members"]
+        if not _is_int_list(members):
+            raise ValueError("realizer 'members' must be a list of integers")
+        if members and not 0 <= min(members) <= max(members) < len(rows):
             raise ValueError(
-                f"realizer 'orders' row {i} has length {len(row)}, not n={n}"
+                f"realizer 'members' must be indices into the {len(rows)} 'orders'"
             )
-    members = data["members"]
-    if not _is_int_list(members):
-        raise ValueError("realizer 'members' must be a list of integers")
-    if members and not 0 <= min(members) <= max(members) < len(rows):
+    dimension = data.get("dimension", len(members))
+    if type(dimension) is not int or dimension != len(members):
         raise ValueError(
-            f"realizer 'members' must be indices into the {len(rows)} 'orders'"
+            f"realizer 'dimension' is {dimension!r}, not its {len(members)} members"
         )
+    optimal = bool(data["optimal"])
     return n, Realizer(tuple(distinct[i] for i in members)), optimal
 
 

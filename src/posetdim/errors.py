@@ -21,8 +21,8 @@ class GenerationExhausted(PosetDimError):
     """Rejection sampling hit its retry limit."""
 
 
-class NotAnExtension(PosetDimError):
-    """A claimed linear extension is not one; .pair holds an offending relation."""
+class _PairError(PosetDimError):
+    """An error blamed on the pair of elements in .pair, if any."""
 
     def __init__(self, message, pair=None):
         super().__init__(message)
@@ -30,6 +30,26 @@ class NotAnExtension(PosetDimError):
 
     def payload(self):
         return {"pair": list(self.pair)} if self.pair is not None else {}
+
+
+class _EmbeddingError(PosetDimError):
+    """An error witnessed by the standard example in .embedding, if any."""
+
+    def __init__(self, message, embedding=None):
+        super().__init__(message)
+        self.embedding = embedding
+
+    def payload(self):
+        if self.embedding is None:
+            return {}
+        return {
+            "a_elems": list(self.embedding.a_elems),
+            "b_elems": list(self.embedding.b_elems),
+        }
+
+
+class NotAnExtension(_PairError):
+    """A claimed linear extension is not one; .pair holds an offending relation."""
 
 
 class ComparablePairError(PosetDimError):
@@ -52,20 +72,8 @@ class BudgetExceeded(PosetDimError):
         self.best = best
 
 
-class NoValidColor(PosetDimError):
+class NoValidColor(_EmbeddingError):
     """Some subset has a mate at every position; .embedding witnesses the S_k."""
-
-    def __init__(self, message, embedding=None):
-        super().__init__(message)
-        self.embedding = embedding
-
-    def payload(self):
-        if self.embedding is None:
-            return {}
-        return {
-            "a_elems": list(self.embedding.a_elems),
-            "b_elems": list(self.embedding.b_elems),
-        }
 
 
 class AcquisitionFailed(PosetDimError):
@@ -81,13 +89,9 @@ class AcquisitionFailed(PosetDimError):
         return {"analytic_bound": self.analytic_bound}
 
 
-class VerificationFailed(PosetDimError):
+class VerificationFailed(_PairError):
     """A constructed family missed a pair it must reverse; .pair has it
     (null in the payload when no single pair is to blame)."""
-
-    def __init__(self, message, pair=None):
-        super().__init__(message)
-        self.pair = pair
 
     def payload(self):
         return {"pair": list(self.pair) if self.pair is not None else None}
@@ -101,17 +105,5 @@ class BoundExceeded(PosetDimError):
     """A peel step produced more extensions than its guarantee allows."""
 
 
-class ContainsSk(PosetDimError):
+class ContainsSk(_EmbeddingError):
     """The poset contains a standard example; .embedding is the witness."""
-
-    def __init__(self, message, embedding=None):
-        super().__init__(message)
-        self.embedding = embedding
-
-    def payload(self):
-        if self.embedding is None:
-            return {}
-        return {
-            "a_elems": list(self.embedding.a_elems),
-            "b_elems": list(self.embedding.b_elems),
-        }

@@ -138,22 +138,25 @@ def run_growth_experiment(
     return records
 
 
-def run_hiraguchi_scan(count: int, seed: int) -> list[dict]:
-    """Check dim <= floor(n/2) on random posets with 4 <= n <= 8.
-
-    Sample i: s = derive_seed(seed, i); n = 4 + (i mod 5); edge
-    probability is one rng.random() draw from Random(s); the poset comes
-    from random_poset(n, p, derive_seed(s, 1)).  Violations (expected
-    never) carry the offending poset serialized for reproduction.
-    """
+def _small_random_posets(count: int, seed: int, n_min: int):
+    """Yield (i, n, poset) for each sample i < count, where s is
+    derive_seed(seed, i), n is n_min + (i mod 5), the edge probability p
+    is one random() draw from Random(s), and the poset is
+    random_poset(n, p, derive_seed(s, 1))."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    violations: list[dict] = []
     for i in range(count):
         s = derive_seed(seed, i)
-        n = 4 + (i % 5)
-        p_edge = random.Random(s).random()
-        p = random_poset(n, p_edge, derive_seed(s, 1))
+        n = n_min + (i % 5)
+        yield i, n, random_poset(n, random.Random(s).random(), derive_seed(s, 1))
+
+
+def run_hiraguchi_scan(count: int, seed: int) -> list[dict]:
+    """Check dim <= floor(n/2) on random posets with 4 <= n <= 8, drawn
+    by _small_random_posets(count, seed, 4).  Violations (expected
+    never) carry the offending poset serialized for reproduction."""
+    violations: list[dict] = []
+    for i, n, p in _small_random_posets(count, seed, 4):
         d = exact_dimension(p).d
         if d > n // 2:
             violations.append(
@@ -164,19 +167,10 @@ def run_hiraguchi_scan(count: int, seed: int) -> list[dict]:
 
 
 def run_split_sandwich_scan(count: int, seed: int) -> list[dict]:
-    """Check dim(P) <= dim(split(P)) <= dim(P) + 1 on random posets.
-
-    Sample i: s = derive_seed(seed, i); n = 3 + (i mod 5); edge
-    probability and poset seed exactly as in run_hiraguchi_scan.
-    """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    """Check dim(P) <= dim(split(P)) <= dim(P) + 1 on random posets with
+    3 <= n <= 7, drawn by _small_random_posets(count, seed, 3)."""
     violations: list[dict] = []
-    for i in range(count):
-        s = derive_seed(seed, i)
-        n = 3 + (i % 5)
-        p_edge = random.Random(s).random()
-        p = random_poset(n, p_edge, derive_seed(s, 1))
+    for i, n, p in _small_random_posets(count, seed, 3):
         dp = exact_dimension(p).d
         ds = exact_dimension(kimble_split(p)).d
         if not dp <= ds <= dp + 1:

@@ -50,6 +50,9 @@ from .errors import (
     VerificationFailed,
 )
 
+_MATRIX_TRIES = 1000  # fair-coin matrices acquire_event_matrix rejects at most
+_BASE_BUDGET = 300_000  # search nodes for the exact solve of a peel's base
+
 # -- binary matrices and the isolating-row event ------------------------------
 
 
@@ -116,14 +119,12 @@ def fair_matrix(r: int, q: int, rng: random.Random) -> BinaryMatrix:
     return BinaryMatrix(q, tuple(rng.getrandbits(q) for _ in range(r)))
 
 
-def acquire_event_matrix(
-    t: int, q: int, r: int, seed: int, max_tries: int = 1000
-) -> BinaryMatrix:
+def acquire_event_matrix(t: int, q: int, r: int, seed: int) -> BinaryMatrix:
     """Produce an r x q matrix satisfying the isolating-row event.
 
     With r >= q the first q rows of the identity settle it outright;
     otherwise fair-coin matrices are sampled from the seed until one
-    passes, raising AcquisitionFailed after max_tries rejections.
+    passes, raising AcquisitionFailed after _MATRIX_TRIES rejections.
     """
     if not (1 <= t <= q):
         raise ValueError(f"need 1 <= t <= q, got t={t}, q={q}")
@@ -132,13 +133,13 @@ def acquire_event_matrix(
     if r >= q:
         return BinaryMatrix(q, tuple(1 << i if i < q else 0 for i in range(r)))
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_MATRIX_TRIES):
         mat = fair_matrix(r, q, rng)
         if event_E_holds(mat, t):
             return mat
     bound = event_probability_bound(t, q, r)
     raise AcquisitionFailed(
-        f"no matrix with the isolating-row property in {max_tries} tries "
+        f"no matrix with the isolating-row property in {_MATRIX_TRIES} tries "
         f"(t={t}, q={q}, r={r}; analytic success bound {bound:.4f})",
         analytic_bound=bound,
     )
@@ -460,14 +461,14 @@ def peel_step(
     bottom = [x for x in reversed(bp.a_order)]
     bottom += [x for x in iter_bits(minimal_mask & bp.b_mask)]
     above = [x for x in iter_bits(bp.b_mask & ~minimal_mask)]
-    min_ext = LinearExtension(tuple(bottom + above))
-    exts = exts + [min_ext]
+    exts.append(LinearExtension(tuple(bottom + above)))  # minimal elements
 
     # cleanup: critical pairs with either end in Q not reversed yet
     q_mask = 0
     for a in q_elems:
         q_mask |= 1 << a
-    below = listed_below((ext.order for ext in exts), p.n)
+    distinct = {id(ext): ext for ext in exts}.values()
+    below = listed_below((ext.order for ext in distinct), p.n)
     rows = critical_rows(p, touching=q_mask)
     residue = row_pairs(r & ~b for r, b in zip(rows, below))
     cleanup = greedy_reversing_extensions(p, residue) if residue else []
@@ -531,12 +532,7 @@ def _map_distinct(
 
 
 def peel_realizer(
-    bp: BipartitePoset,
-    k: int,
-    q: int,
-    base_threshold: int,
-    seed: int,
-    base_budget: int | None = 300_000,
+    bp: BipartitePoset, k: int, q: int, base_threshold: int, seed: int
 ) -> PeelCertificate:
     """Iterated peeling down to a small base, then an exact base realizer.
 
@@ -546,8 +542,8 @@ def peel_realizer(
     bottom, descending a_order; a member repeated within one step is
     lifted once and the realizer repeats that object.  Stops peeling
     when the ground set is at most base_threshold or no monochromatic
-    set exists; the remainder goes to the exact solver (its budget
-    overrun downgrades base_optimal rather than failing, since any base
+    set exists; the remainder goes to the exact solver (overrunning
+    _BASE_BUDGET downgrades base_optimal rather than failing, since any base
     realizer keeps the certificate sound).  The assembled realizer is
     verified against the input before return.
     """
@@ -585,7 +581,7 @@ def peel_realizer(
 
     base_size = cur.poset.n
     try:
-        base = exact_dimension(cur.poset, budget=base_budget)
+        base = exact_dimension(cur.poset, budget=_BASE_BUDGET)
         base_optimal = base.optimal
     except BudgetExceeded as exc:
         base = exc.best
@@ -633,12 +629,7 @@ def _project_split_extension(p: Poset, ext: LinearExtension) -> LinearExtension:
 
 
 def general_upper_bound(
-    p: Poset,
-    k: int,
-    q: int,
-    base_threshold: int,
-    seed: int,
-    base_budget: int | None = 300_000,
+    p: Poset, k: int, q: int, base_threshold: int, seed: int
 ) -> GeneralBoundResult:
     """Dimension upper bound for any poset free of the 2k standard example.
 
@@ -656,7 +647,7 @@ def general_upper_bound(
         )
     # the split's minimal copies 0..n-1 form its A side
     bp = BipartitePoset(kimble_split(p), range(p.n), range(p.n, 2 * p.n))
-    cert = peel_realizer(bp, k, q, base_threshold, derive_seed(seed, 0), base_budget)
+    cert = peel_realizer(bp, k, q, base_threshold, derive_seed(seed, 0))
 
     family = _map_distinct(
         lambda ext: _project_split_extension(p, ext), cert.realizer.extensions
@@ -740,7 +731,9 @@ def _ints(data: dict, keys: Sequence[str], what: str) -> list[int]:
 
 def certificate_from_json_dict(data) -> PeelCertificate:
     """Parse a certificate dict; ValueError naming the first key or type
-    that is not shaped like one."""
+    that is not shaped like one, or a step whose q or matrix_rows
+    miscounts its removed set or matrix, and VerificationFailed unless
+    the totals add up (PeelCertificate.check)."""
     _require_keys(data, _CERTIFICATE_KEYS, "certificate JSON")
     if not isinstance(data["steps"], list):
         raise ValueError(
@@ -761,6 +754,11 @@ def certificate_from_json_dict(data) -> PeelCertificate:
             isinstance(row, str) for row in matrix
         ):
             raise ValueError(f"{what} 'matrix' must be a list of strings")
+        if q != len(rec["removed"]):
+            raise ValueError(f"{what} 'q' is {q}, not {len(rec['removed'])}")
+        rows = rec.get("matrix_rows", len(matrix))
+        if type(rows) is not int or rows != len(matrix):
+            raise ValueError(f"{what} 'matrix_rows' is {rows!r}, not {len(matrix)}")
         steps.append(PeelStep(
             removed=tuple(rec["removed"]),
             q=q,
@@ -773,7 +771,7 @@ def certificate_from_json_dict(data) -> PeelCertificate:
         data, ("base_size", "base_dimension", "total_size"), "certificate"
     )
     _, realizer, _ = realizer_from_json_dict(data["realizer"])
-    return PeelCertificate(
+    cert = PeelCertificate(
         steps=tuple(steps),
         base_size=base_size,
         base_dimension=base_dimension,
@@ -781,6 +779,8 @@ def certificate_from_json_dict(data) -> PeelCertificate:
         total_size=total_size,
         realizer=realizer,
     )
+    cert.check()
+    return cert
 
 
 def certificate_to_json(cert: PeelCertificate) -> str:

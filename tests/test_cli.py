@@ -7,7 +7,7 @@ import pytest
 
 from posetdim import __version__, load_poset
 from posetdim.cli import main
-from posetdim.core import MAX_TEXT_N
+from posetdim.core import MAX_TEXT_N, poset_to_text, standard_example_bipartite
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -42,6 +42,11 @@ def test_gen_output_reloads_and_echoes_seed(tmp_path, capsys):
     text = open(f).read()
     assert "--seed 11" in text and f"v{__version__}" in text
     assert load_poset(f).n == 7
+    code, _, _ = run(capsys, "gen", "--type", "bipartite:4,4,0.5", "--seed",
+                     "11", "-o", f)
+    assert code == 0
+    bp = load_poset(f)
+    assert len(bp.a_order) == len(bp.b_order) == 4
 
 
 def test_detect_reports_none(tmp_path, capsys):
@@ -163,6 +168,13 @@ def test_verify_rejects_wrong_realizer(tmp_path, capsys):
      "ArgumentError", "integer"),
     ({"n": 3, "optimal": False, "orders": [], "members": []},
      "VerificationFailed", "empty"),
+    # a "dimension" that is not the member count
+    ({"n": 3, "dimension": 99, "orders": [[0, 1, 2]], "members": [0],
+      "optimal": True}, "ArgumentError", "'dimension' is 99, not its 1 members"),
+    ({"n": 3, "dimension": 99, "extensions": [[0, 1, 2]], "optimal": True},
+     "ArgumentError", "'dimension' is 99, not its 1 members"),
+    ({"n": 3, "dimension": True, "orders": [[0, 1, 2]], "members": [0],
+      "optimal": True}, "ArgumentError", "'dimension' is True"),
 ])
 def test_verify_reports_malformed_realizers(tmp_path, capsys, realizer,
                                              error, fragment):
@@ -260,6 +272,43 @@ def test_malformed_side_lines_are_argument_errors(tmp_path, capsys, text,
     assert fragment in payload["message"]
 
 
+@pytest.mark.parametrize("text, argv, want", [
+    ("poset 3\nfoo 1\n", ["dim"],
+     {"error": "ArgumentError", "message": "line 2: unknown directive 'foo'"}),
+    ("poset 3\nposet 3\n", ["dim"],
+     {"error": "ArgumentError", "message": "line 2: duplicate poset header"}),
+    ("poset 3 4\n", ["dim"],
+     {"error": "ArgumentError", "message": "line 1: malformed poset header"}),
+    ("poset 3\nrel 0\n", ["dim"],
+     {"error": "ArgumentError", "message": "line 2: malformed rel line"}),
+    ("# no header\n", ["dim"],
+     {"error": "ArgumentError", "message": "missing poset header"}),
+    (None, ["gen", "--type", "random:5,1.5"],
+     {"error": "ArgumentError", "message": "edge_prob must lie in [0, 1]"}),
+    (None, ["gen", "--type", "random:-3,0.5"],
+     {"error": "ArgumentError", "message": "n must be >= 0"}),
+    (None, ["gen", "--type", "bipartite:4,4,-0.1"],
+     {"error": "ArgumentError", "message": "edge_prob must lie in [0, 1]"}),
+    (None, ["gen", "--type", "bipartite:-1,4,0.5"],
+     {"error": "ArgumentError", "message": "side sizes must be >= 0"}),
+    (poset_to_text(standard_example_bipartite(3)),
+     ["peel", "--k", "3", "--q", "3", "--threshold", "2", "--seed", "1"],
+     {"error": "NoValidColor", "a_elems": [0, 1, 2], "b_elems": [3, 4, 5]}),
+])
+def test_bad_input_exits_1_with_its_error(tmp_path, capsys, text, argv, want):
+    # a file to read when there is text, else one for gen to write
+    f = tmp_path / "p.poset"
+    if text is None:
+        argv = argv + ["--seed", "1", "-o", str(f)]
+    else:
+        f.write_text(text)
+        argv = argv[:1] + [str(f)] + argv[1:]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert {key: payload[key] for key in want} == want
+
+
 def test_oversized_header_is_an_argument_error(tmp_path, capsys):
     f = tmp_path / "big.poset"
     f.write_text(f"poset {MAX_TEXT_N + 1}\n")
@@ -275,10 +324,11 @@ def test_usage_errors_exit_2(capsys):
         main(["dim"])  # missing FILE
     assert exc.value.code == 2
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "--type", "nonsense:1", "--seed", "1", "-o", "x"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for kind in ("nonsense:1", "random:x,0.3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--type", kind, "--seed", "1", "-o", "x"])
+        assert exc.value.code == 2
+        assert f"bad type {kind!r}" in capsys.readouterr().err
     for sizes in ("12,x", ","):  # a non-integer and an empty list
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "growth", "--k", "3", "--sizes", sizes,
@@ -288,9 +338,8 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_domain_error_payload_carries_embedding(tmp_path, capsys):
-    # peeling a poset that contains a standard example is impossible to
-    # set up through `peel` (generators refuse), but `detect` plus a
-    # hand-written file exercises the witness payload through gen types
+    # `detect` prints the witness that `peel` puts in its NoValidColor
+    # payload (test_bad_input_exits_1_with_its_error)
     f = str(tmp_path / "s2.poset")
     run(capsys, "gen", "--type", "standard:2", "--seed", "1", "-o", f)
     code, out, _ = run(capsys, "detect", f, "--k", "2")

@@ -318,7 +318,7 @@ def test_random_skfree_exhaustion():
     # dense 2-free bipartite posets at this size are essentially
     # impossible, so the bounded rejection sampler must give up
     with pytest.raises(GenerationExhausted):
-        random_skfree_bipartite(8, 8, 0.5, 2, seed=1, max_tries=20)
+        random_skfree_bipartite(8, 8, 0.5, 2, seed=1)
 
 
 def test_derive_seed_matches_restated_arithmetic():

@@ -1,7 +1,9 @@
 """Dimension machinery: critical pairs, reversibility, solvers, realizers."""
 
+import hashlib
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -562,6 +564,28 @@ def test_budget_exhaustion_still_returns_a_realizer():
     ok, _ = is_realizer(bp.poset, best.witness.extensions)
     assert ok
     assert best.d == len(best.witness.extensions)
+
+
+# sha256 of the JSON list of witness orders: the lexicographic first fit,
+# which the solver also returned for this poset when it still searched
+# between 2,001 and 4,000 critical pairs (there with budget=0)
+BAND_GREEDY = "2e2f72757712841c37021ec28a7dc081431392ba77a2bbfbc900a0a1fd7996bc"
+
+
+def test_above_the_pair_cap_an_unsettled_greedy_raises_at_once():
+    # 2,413 critical pairs: no conflict graph and no search, so even an
+    # unbudgeted call hands back the greedy d=3 rather than run for minutes
+    p = random_poset(70, 0.01, 0)
+    assert len(critical_pairs(p)) == 2413 > _CONFLICT_PAIR_CAP
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="2413 critical pairs exceed the "
+                                             "search cap of 2000") as exc:
+        exact_dimension(p)
+    assert time.perf_counter() - start < 1
+    best = exc.value.best
+    assert best.d == 3 and not best.optimal
+    orders = json.dumps([list(e.order) for e in best.witness.extensions])
+    assert hashlib.sha256(orders.encode()).hexdigest() == BAND_GREEDY
 
 
 def test_budget_must_not_be_negative():

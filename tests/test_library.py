@@ -1,6 +1,7 @@
 """Properties of the library source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import posetdim
@@ -16,3 +17,18 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_every_traced_function_exists():
+    # the benchmark's per-layer metrics wrap library functions by name;
+    # a renamed or deleted one would silently read zero
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.remove()

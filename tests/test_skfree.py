@@ -135,7 +135,7 @@ def test_acquire_identity_fallback_and_sampling():
 def test_acquire_failure_is_diagnosed():
     # one row cannot isolate both columns of any pair
     with pytest.raises(AcquisitionFailed) as exc:
-        acquire_event_matrix(2, 3, 1, seed=5, max_tries=50)
+        acquire_event_matrix(2, 3, 1, seed=5)
     assert exc.value.analytic_bound < 0
 
 
@@ -473,16 +473,18 @@ def test_peel_realizer_dualizes_when_b_is_larger():
     assert len(cert.steps) >= 1
 
 
-def test_peel_realizer_tiny_base_budget_still_sound():
+def test_peel_realizer_tiny_base_budget_still_sound(monkeypatch):
+    monkeypatch.setattr(skfree, "_BASE_BUDGET", 1)
     bp = random_skfree_bipartite(10, 10, 0.3, 3, seed=71)
-    cert = peel_realizer(bp, 3, 2, base_threshold=8, seed=2, base_budget=1)
+    cert = peel_realizer(bp, 3, 2, base_threshold=8, seed=2)
     ok, _ = is_realizer(bp.poset, cert.realizer.extensions)
     assert ok
     cert.check()
     # no peel step here: the whole poset is the base, and the greedy
     # does not settle it, so a zero budget downgrades base_optimal
+    monkeypatch.setattr(skfree, "_BASE_BUDGET", 0)
     bp = random_skfree_bipartite(6, 6, 0.5, 3, 0)
-    cert = peel_realizer(bp, 3, 3, base_threshold=12, seed=0, base_budget=0)
+    cert = peel_realizer(bp, 3, 3, base_threshold=12, seed=0)
     assert cert.steps == () and cert.base_optimal is False
     ok, _ = is_realizer(bp.poset, cert.realizer.extensions)
     assert ok
@@ -521,6 +523,9 @@ def test_certificate_json_round_trip():
     realizer = json.loads(text)["realizer"]
     assert realizer["dimension"] == len(realizer["members"]) == cert.total_size
     assert len(realizer["orders"]) == len({e.order for e in cert.realizer.extensions})
+    data = json.loads(text)
+    del data["steps"][0]["matrix_rows"]  # optional: the matrix has its rows
+    assert certificate_from_json_dict(data).steps == cert.steps
 
 
 def test_v1_certificate_reads_like_a_v2_round_trip():
@@ -566,6 +571,24 @@ def test_certificate_from_json_dict_names_mistyped_fields(where, key, value,
     data = json.loads(certificate_to_json(cert))
     (data if where is None else data["steps"][where])[key] = value
     with pytest.raises(ValueError, match=fragment):
+        certificate_from_json_dict(data)
+
+
+@pytest.mark.parametrize("where, key, value, error, fragment", [
+    (None, "total_size", 1, VerificationFailed, "total_size 1,"),
+    (0, "extensions_built", 0, VerificationFailed, "step extensions"),
+    (0, "q", 3, ValueError, "step 0 'q' is 3, not 2"),
+    (0, "matrix_rows", 2, ValueError, "step 0 'matrix_rows' is 2, not "),
+    (0, "matrix_rows", True, ValueError, "'matrix_rows' is True"),
+])
+def test_certificate_from_json_dict_checks_its_counts(where, key, value, error,
+                                                      fragment):
+    # each redundant count must agree with what it counts
+    cert = peel_realizer(random_skfree_bipartite(10, 10, 0.3, 3, seed=19),
+                         3, 2, base_threshold=8, seed=6)
+    data = json.loads(certificate_to_json(cert))
+    (data if where is None else data["steps"][where])[key] = value
+    with pytest.raises(error, match=fragment):
         certificate_from_json_dict(data)
 
 
