@@ -26,6 +26,7 @@ from .core import (
     standard_example_bipartite,
 )
 from .dimension import (
+    _parse_json,
     exact_dimension,
     is_realizer,
     realizer_from_json_dict,
@@ -47,43 +48,48 @@ def _underlying(obj):
     return obj.poset if hasattr(obj, "poset") else obj
 
 
+def _write_json(args, names, **body) -> None:
+    """Write body to args.json after the provenance that regenerates it:
+    the seed, the named arguments as "parameters", and the tool version."""
+    payload = {
+        "seed": args.seed,
+        "parameters": {name: getattr(args, name) for name in names},
+        "tool_version": __version__,
+        **body,
+    }
+    Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+
+
 # -- gen ------------------------------------------------------------------------
+
+
+# each --type: its builder, the types of its comma-separated parameters,
+# and their names in the usage text
+_GEN_TYPES = {
+    "standard": (lambda k, seed: standard_example_bipartite(k), (int,), "<k>"),
+    "random": (random_poset, (int, float), "<n>,<p>"),
+    "bipartite": (random_bipartite, (int, int, float), "<nA>,<nB>,<p>"),
+    "skfree": (random_skfree_bipartite, (int, int, float, int),
+               "<nA>,<nB>,<p>,<k>"),
+}
+_GEN_USAGE = " | ".join(f"{kind}:{spec[2]}" for kind, spec in _GEN_TYPES.items())
 
 
 def _parse_gen_type(text: str):
     kind, _, rest = text.partition(":")
-    parts = rest.split(",") if rest else []
-    try:
-        if kind == "standard":
-            (k,) = parts
-            return ("standard", (int(k),), text)
-        if kind == "random":
-            n, p = parts
-            return ("random", (int(n), float(p)), text)
-        if kind == "bipartite":
-            na, nb, p = parts
-            return ("bipartite", (int(na), int(nb), float(p)), text)
-        if kind == "skfree":
-            na, nb, p, k = parts
-            return ("skfree", (int(na), int(nb), float(p), int(k)), text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"bad type {text!r}; expected standard:<k> | random:<n>,<p> | "
-        f"bipartite:<nA>,<nB>,<p> | skfree:<nA>,<nB>,<p>,<k>"
-    )
+    build, types, _ = _GEN_TYPES.get(kind, (None, (), ""))
+    parts = rest.split(",")
+    if build is not None and len(parts) == len(types):
+        try:
+            return build, tuple(t(x) for t, x in zip(types, parts)), text
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"bad type {text!r}; expected {_GEN_USAGE}")
 
 
 def _cmd_gen(args) -> int:
-    kind, params, type_text = args.type
-    if kind == "standard":
-        obj = standard_example_bipartite(*params)
-    elif kind == "random":
-        obj = random_poset(*params, seed=args.seed)
-    elif kind == "bipartite":
-        obj = random_bipartite(*params, seed=args.seed)
-    else:
-        obj = random_skfree_bipartite(*params, seed=args.seed)
+    build, params, type_text = args.type
+    obj = build(*params, seed=args.seed)
     header = (
         f"# posetdim v{__version__}\n"
         f"# gen --type {type_text} --seed {args.seed}\n"
@@ -101,20 +107,18 @@ def _cmd_dim(args) -> int:
     obj = load_poset(args.file)
     p = _underlying(obj)
     if args.verify:
-        data = json.loads(Path(args.verify).read_text())
+        data = _parse_json(Path(args.verify).read_text())
         # a CLI wrapper holds a certificate, and a certificate its realizer
         for key in ("certificate", "realizer"):
             if isinstance(data, dict) and key in data:
                 data = data[key]
         n, realizer, _ = realizer_from_json_dict(data)
         if n != p.n:
-            raise VerificationFailed(
-                f"realizer is for n={n}, poset has n={p.n}", pair=None
-            )
+            raise VerificationFailed(f"realizer is for n={n}, poset has n={p.n}")
         ok, unreversed = is_realizer(p, realizer.extensions)
         if not ok:
             if not realizer.extensions:
-                raise VerificationFailed("the realizer family is empty", pair=None)
+                raise VerificationFailed("the realizer family is empty")
             raise VerificationFailed(
                 f"{len(unreversed)} critical pairs unreversed, first "
                 f"{tuple(unreversed[0])}",
@@ -150,18 +154,8 @@ def _cmd_peel(args) -> int:
     print(f"base_dimension {cert.base_dimension}")
     print(f"total_size {cert.total_size}")
     if args.json:
-        payload = {
-            "seed": args.seed,
-            "parameters": {
-                "file": args.file,
-                "k": args.k,
-                "q": args.q,
-                "threshold": args.threshold,
-            },
-            "tool_version": __version__,
-            "certificate": certificate_to_json_dict(cert),
-        }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        _write_json(args, ("file", "k", "q", "threshold"),
+                    certificate=certificate_to_json_dict(cert))
         print(f"wrote {args.json}")
     return 0
 
@@ -221,19 +215,8 @@ def _cmd_experiment(args) -> int:
     if args.csv:
         Path(args.csv).write_text(csv_text)
     if args.json:
-        payload = {
-            "seed": args.seed,
-            "parameters": {
-                "k": args.k,
-                "sizes": args.sizes,
-                "samples": args.samples,
-                "q": args.q,
-                "edge_prob": args.edge_prob,
-            },
-            "tool_version": __version__,
-            "records": growth_records_to_json_dict(records),
-        }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        _write_json(args, ("k", "sizes", "samples", "q", "edge_prob"),
+                    records=growth_records_to_json_dict(records))
     return 0
 
 
@@ -250,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a poset file")
     g.add_argument("--type", required=True, type=_parse_gen_type,
-                   help="standard:<k> | random:<n>,<p> | "
-                        "bipartite:<nA>,<nB>,<p> | skfree:<nA>,<nB>,<p>,<k>")
+                   help=_GEN_USAGE)
     g.add_argument("--seed", required=True, type=int)
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=_cmd_gen)
@@ -317,20 +299,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except PosetDimError as exc:
-        json.dump(
-            {"error": exc.name, "message": str(exc), **exc.payload()},
-            sys.stderr,
-        )
-        sys.stderr.write("\n")
-        return 1
+        report = {"error": exc.name, "message": str(exc), **exc.payload()}
     except (ValueError, IndexError) as exc:
-        json.dump({"error": "ArgumentError", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        report = {"error": "ArgumentError", "message": str(exc)}
     except OSError as exc:
-        json.dump({"error": "IOError", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        report = {"error": "IOError", "message": str(exc)}
+    sys.stderr.write(json.dumps(report) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

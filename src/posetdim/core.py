@@ -280,18 +280,15 @@ class BipartitePoset:
         self.a_order = tuple(a_order)
         self.b_order = tuple(b_order)
         n = poset.n
+        masks = []
         for side, order in (("A", self.a_order), ("B", self.b_order)):
+            mask = 0
             for x in order:
                 if not 0 <= x < n:
                     raise ValueError(f"{side}-side id {x} is outside 0..{n - 1}")
-        a_mask = 0
-        for x in self.a_order:
-            a_mask |= 1 << x
-        b_mask = 0
-        for x in self.b_order:
-            b_mask |= 1 << x
-        self.a_mask = a_mask
-        self.b_mask = b_mask
+                mask |= 1 << x
+            masks.append(mask)
+        self.a_mask, self.b_mask = masks
         # position of each A-side element in a_order
         self.a_pos = {x: i for i, x in enumerate(self.a_order)}
         self._validate()

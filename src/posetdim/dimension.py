@@ -592,9 +592,40 @@ def realizer_to_json_dict(n: int, realizer: Realizer, optimal: bool) -> dict:
     }
 
 
+def _parse_json(text: str):
+    """json.loads, with input nested too deep for the parser a
+    ValueError instead of its RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _is_int_list(row) -> bool:
     # type() is exact, so bools and floats are refused along with strings
     return isinstance(row, list) and set(map(type, row)) <= {int}
+
+
+def _require_keys(data, keys: Sequence[str], what: str) -> None:
+    """ValueError naming the type of data if it is not a dict, or the
+    first of keys it lacks."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} lacks the {key!r} key")
+
+
+def _ints(data: dict, keys: Sequence[str], what: str) -> list[int]:
+    """data[key] for each key; ValueError naming the first that is not
+    an integer (bools and floats included)."""
+    for key in keys:
+        if type(data[key]) is not int:
+            raise ValueError(
+                f"{what} {key!r} must be an integer, "
+                f"got {type(data[key]).__name__}"
+            )
+    return [data[key] for key in keys]
 
 
 def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
@@ -602,23 +633,16 @@ def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
     order per member in "extensions"); ValueError if it is not shaped
     like one, or if its optional "dimension" is not its member count.
     Members that name the same v2 order share one object."""
-    if not isinstance(data, dict):
-        raise ValueError(
-            f"realizer JSON must be an object, got {type(data).__name__}"
-        )
-    if "orders" in data and "extensions" in data:
-        raise ValueError("realizer JSON has both 'orders' and v1 'extensions'")
+    _require_keys(data, ("n", "optimal"), "realizer JSON")
     v1 = "extensions" in data
-    keys = ("extensions",) if v1 else ("orders", "members")
-    for key in ("n", *keys, "optimal"):
-        if key not in data:
-            also = " (or the v1 'extensions' key)" if key == "orders" else ""
-            raise ValueError(f"realizer JSON lacks the {key!r} key{also}")
-    n = data["n"]
-    if type(n) is not int or n < 0:
+    if v1 == ("orders" in data):
         raise ValueError(
-            f"realizer 'n' must be a non-negative integer, got {n!r}"
+            "realizer JSON has both 'orders' and v1 'extensions'" if v1 else
+            "realizer JSON lacks the 'orders' key (or the v1 'extensions' key)"
         )
+    (n,) = _ints(data, ("n",), "realizer")
+    if n < 0:
+        raise ValueError(f"realizer 'n' must be non-negative, got {n}")
     key = "extensions" if v1 else "orders"
     rows = data[key]
     if not isinstance(rows, list) or not all(map(_is_int_list, rows)):
@@ -632,6 +656,7 @@ def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
                 raise ValueError(
                     f"realizer 'orders' row {i} has length {len(row)}, not n={n}"
                 )
+        _require_keys(data, ("members",), "realizer JSON")
         members = data["members"]
         if not _is_int_list(members):
             raise ValueError("realizer 'members' must be a list of integers")
@@ -653,4 +678,4 @@ def realizer_to_json(n: int, realizer: Realizer, optimal: bool) -> str:
 
 
 def realizer_from_json(text: str) -> tuple[int, Realizer, bool]:
-    return realizer_from_json_dict(json.loads(text))
+    return realizer_from_json_dict(_parse_json(text))

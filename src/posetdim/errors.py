@@ -22,14 +22,15 @@ class GenerationExhausted(PosetDimError):
 
 
 class _PairError(PosetDimError):
-    """An error blamed on the pair of elements in .pair, if any."""
+    """An error blamed on the pair of elements in .pair, if any (null in
+    the payload when no single pair is to blame)."""
 
     def __init__(self, message, pair=None):
         super().__init__(message)
         self.pair = pair
 
     def payload(self):
-        return {"pair": list(self.pair)} if self.pair is not None else {}
+        return {"pair": list(self.pair) if self.pair is not None else None}
 
 
 class _EmbeddingError(PosetDimError):
@@ -90,11 +91,7 @@ class AcquisitionFailed(PosetDimError):
 
 
 class VerificationFailed(_PairError):
-    """A constructed family missed a pair it must reverse; .pair has it
-    (null in the payload when no single pair is to blame)."""
-
-    def payload(self):
-        return {"pair": list(self.pair) if self.pair is not None else None}
+    """A constructed family missed a pair it must reverse; .pair has it."""
 
 
 class NoMonochromaticSet(PosetDimError):

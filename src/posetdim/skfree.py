@@ -29,7 +29,10 @@ from .core import (
 from .dimension import (
     LinearExtension,
     Realizer,
+    _ints,
     _is_int_list,
+    _parse_json,
+    _require_keys,
     critical_rows,
     exact_dimension,
     greedy_reversing_extensions,
@@ -707,28 +710,6 @@ _STEP_KEYS = (
 )
 
 
-def _require_keys(data, keys: Sequence[str], what: str) -> None:
-    """ValueError naming the type of data if it is not a dict, or the
-    first of keys it lacks."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be an object, got {type(data).__name__}")
-    for key in keys:
-        if key not in data:
-            raise ValueError(f"{what} lacks the {key!r} key")
-
-
-def _ints(data: dict, keys: Sequence[str], what: str) -> list[int]:
-    """data[key] for each key; ValueError naming the first that is not
-    an integer (bools and floats included)."""
-    for key in keys:
-        if type(data[key]) is not int:
-            raise ValueError(
-                f"{what} {key!r} must be an integer, "
-                f"got {type(data[key]).__name__}"
-            )
-    return [data[key] for key in keys]
-
-
 def certificate_from_json_dict(data) -> PeelCertificate:
     """Parse a certificate dict; ValueError naming the first key or type
     that is not shaped like one, or a step whose q or matrix_rows
@@ -788,4 +769,4 @@ def certificate_to_json(cert: PeelCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> PeelCertificate:
-    return certificate_from_json_dict(json.loads(text))
+    return certificate_from_json_dict(_parse_json(text))

@@ -1,9 +1,14 @@
 """Command-line surface: flows, formats, exit codes, error JSON."""
 
+import contextlib
+import copy
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from posetdim import __version__, load_poset
 from posetdim.cli import main
@@ -175,6 +180,13 @@ def test_verify_rejects_wrong_realizer(tmp_path, capsys):
      "ArgumentError", "'dimension' is 99, not its 1 members"),
     ({"n": 3, "dimension": True, "orders": [[0, 1, 2]], "members": [0],
       "optimal": True}, "ArgumentError", "'dimension' is True"),
+    ({"n": -1, "optimal": False, "orders": [], "members": []},
+     "ArgumentError", "'n'"),
+    ({"n": 3.0, "optimal": False, "orders": [[0, 1, 2]], "members": [0]},
+     "ArgumentError", "'n'"),
+    # an order that is not a permutation blames no single pair
+    ({"n": 3, "orders": [[0, 0, 1]], "members": [0], "optimal": False},
+     "NotAnExtension", "not a permutation"),
 ])
 def test_verify_reports_malformed_realizers(tmp_path, capsys, realizer,
                                              error, fragment):
@@ -187,8 +199,20 @@ def test_verify_reports_malformed_realizers(tmp_path, capsys, realizer,
     assert code == 1
     payload = json.loads(err)
     assert payload["error"] == error and fragment in payload["message"]
-    if error == "VerificationFailed":
+    if error in ("VerificationFailed", "NotAnExtension"):
         assert payload["pair"] is None
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+def test_verify_reports_over_nested_json(tmp_path, capsys, depth):
+    f = tmp_path / "chain.poset"
+    f.write_text("poset 3\nrel 0 1\nrel 1 2\n")
+    bad = tmp_path / "deep.json"
+    bad.write_text('{"n": ' + "[" * depth + "]" * depth + "}")
+    code, out, err = run(capsys, "dim", str(f), "--verify", str(bad))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ArgumentError",
+                               "message": "JSON nested too deeply"}
 
 
 def test_verify_reads_v1_and_v2_alike(tmp_path, capsys):
@@ -294,6 +318,15 @@ def test_malformed_side_lines_are_argument_errors(tmp_path, capsys, text,
     (poset_to_text(standard_example_bipartite(3)),
      ["peel", "--k", "3", "--q", "3", "--threshold", "2", "--seed", "1"],
      {"error": "NoValidColor", "a_elems": [0, 1, 2], "b_elems": [3, 4, 5]}),
+    ("poset -1\n", ["dim"],
+     {"error": "ArgumentError", "message": "n must be >= 0, got -1"}),
+    ("poset 3\nrel 0 2\nA: 0 1\nB: 1\n", ["dim"],
+     {"error": "ArgumentError", "message": "bipartition sides overlap"}),
+    ("poset 3\nrel 0 1\nA: 0 0\nB: 1\n", ["dim"],
+     {"error": "ArgumentError", "message": "bipartition misses elements"}),
+    ("poset 4\nrel 0 2\nrel 1 3\nA: 0 1\nB: 2 3\n",
+     ["peel", "--k", "3", "--q", "2", "--threshold", "0", "--seed", "1"],
+     {"error": "ArgumentError", "message": "base_threshold must be >= 1"}),
 ])
 def test_bad_input_exits_1_with_its_error(tmp_path, capsys, text, argv, want):
     # a file to read when there is text, else one for gen to write
@@ -344,3 +377,102 @@ def test_domain_error_payload_carries_embedding(tmp_path, capsys):
     run(capsys, "gen", "--type", "standard:2", "--seed", "1", "-o", f)
     code, out, _ = run(capsys, "detect", f, "--k", "2")
     assert code == 0 and "a: 0 1" in out
+
+
+# -- fuzzing the file boundary -----------------------------------------------------------
+
+# values of every JSON type, out-of-range ints and a ragged matrix among them
+_JUNK = [None, True, False, 0.5, 3.0, "1", -1, 2**70, [], {}, [[0, 1], [2]],
+         ["01", "2"]]
+# header sizes stay small: a bare antichain header's dim time grows about
+# quadratically in n, which no budget bounds yet
+_JUNK_TOKENS = ["-1", "0", "1", "4", "9", "x", "1.5", str(2**70), "A:", "B:"]
+
+
+def _mutate_json(draw, value):
+    """A copy of value with one entry somewhere in it dropped, repeated,
+    replaced by junk, or (in a string) garbled."""
+    if isinstance(value, str):
+        return draw(st.sampled_from([value[:-1], value + "1",
+                                     value.replace("0", "2", 1)]))
+    if (not isinstance(value, (dict, list)) or not value
+            or draw(st.integers(0, 4)) == 0):
+        return draw(st.sampled_from(_JUNK))
+    out = copy.copy(value)
+    key = draw(st.sampled_from(
+        sorted(out) if isinstance(out, dict) else range(len(out))))
+    how = draw(st.sampled_from(["drop", "repeat", "deeper"]))
+    if how == "drop":
+        del out[key]
+    elif how == "repeat" and isinstance(out, list):
+        out.append(out[key])
+    else:
+        out[key] = _mutate_json(draw, out[key])
+    return out
+
+
+def _mutate_poset(draw, text):
+    """text with one line dropped or repeated, one side line added, or
+    one token replaced by junk."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["drop", "repeat", "side", "token"]))
+    if how == "drop":
+        del lines[i]
+    elif how == "repeat":
+        lines.insert(i, lines[i])
+    elif how == "side":
+        lines.append(draw(st.sampled_from(["A:", "B:"])) + " "
+                     + draw(st.sampled_from(["0", "4", "9"])))
+    else:
+        tokens = lines[i].split() or [""]
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+            st.sampled_from(_JUNK_TOKENS))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A small bipartite POSET file and its `peel --json` certificate."""
+    root = tmp_path_factory.mktemp("fuzz")
+    poset, cert = str(root / "base.poset"), str(root / "base.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--type", "skfree:5,5,0.3,3", "--seed", "7",
+                     "-o", poset]) == 0
+        assert main(["peel", poset, "--k", "3", "--q", "2", "--threshold", "4",
+                     "--seed", "1", "--json", cert]) == 0
+    return root, open(poset).read(), json.loads(open(cert).read())
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_files_exit_0_or_1_with_one_json_error(fuzz_base, data):
+    root, poset_text, payload = fuzz_base
+    # the whole `peel --json` file, its certificate, or its bare realizer
+    value = data.draw(st.sampled_from([
+        payload, payload["certificate"], payload["certificate"]["realizer"]]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        value = _mutate_json(data.draw, value)
+    text = poset_text
+    for _ in range(data.draw(st.integers(1, 3))):
+        text = _mutate_poset(data.draw, text)
+    (root / "bad.json").write_text(json.dumps(value))
+    (root / "bad.poset").write_text(text)
+    base, bad_json, bad = (str(root / name)
+                           for name in ("base.poset", "bad.json", "bad.poset"))
+    for argv in (["dim", base, "--verify", bad_json],
+                 ["dim", bad, "--budget", "50"],
+                 ["peel", bad, "--k", "3", "--q", "2", "--threshold", "4",
+                  "--seed", "1"],
+                 ["detect", bad, "--k", "3"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1), argv
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1, (argv, lines)
+            assert "error" in json.loads(lines[0]), (argv, lines)

@@ -37,6 +37,7 @@ from posetdim import (
     peel_step,
     random_poset,
     random_skfree_bipartite,
+    realizer_from_json,
     sigma_permutations,
     standard_example,
     standard_example_bipartite,
@@ -130,6 +131,8 @@ def test_acquire_identity_fallback_and_sampling():
     assert acquire_event_matrix(1, 4, 3, seed=8) == m2  # deterministic
     with pytest.raises(ValueError):
         acquire_event_matrix(0, 4, 3, seed=1)
+    with pytest.raises(ValueError, match="need r >= 1"):
+        acquire_event_matrix(1, 2, 0, seed=0)
 
 
 def test_acquire_failure_is_diagnosed():
@@ -277,6 +280,17 @@ def test_build_reversing_extension_counts_frozen():
         assert len(exts) == count
         assert mat.r == count // 2
         assert len(set(e.order for e in exts)) > 1
+
+
+@pytest.mark.parametrize("q, color, fragment", [
+    (1, 1, r"need \|Q\| >= 2"),
+    (2, 0, "color 0 out of range 1..3"),
+    (2, 4, "color 4 out of range 1..3"),
+])
+def test_build_reversing_extensions_rejects_bad_q_and_color(q, color, fragment):
+    bp = random_skfree_bipartite(5, 5, 0.3, 3, seed=7)
+    with pytest.raises(ValueError, match=fragment):
+        build_reversing_extensions(bp, 3, bp.a_order[:q], color, seed=0)
 
 
 def test_build_reversing_extensions_postcondition():
@@ -590,6 +604,14 @@ def test_certificate_from_json_dict_checks_its_counts(where, key, value, error,
     (data if where is None else data["steps"][where])[key] = value
     with pytest.raises(error, match=fragment):
         certificate_from_json_dict(data)
+
+
+@pytest.mark.parametrize("read", [certificate_from_json, realizer_from_json])
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+def test_json_readers_refuse_over_nested_input(read, depth):
+    # the parser's RecursionError must not escape as if the library failed
+    with pytest.raises(ValueError, match="^JSON nested too deeply$"):
+        read('{"n": ' + "[" * depth + "]" * depth + "}")
 
 
 # -- the general pipeline --------------------------------------------------------------------
