@@ -276,6 +276,11 @@ class BipartitePoset:
     __slots__ = ("poset", "a_order", "b_order", "a_mask", "b_mask", "a_pos")
 
     def __init__(self, poset: Poset, a_order: Iterable[int], b_order: Iterable[int]):
+        self._build(poset, a_order, b_order, (1 << poset.n) - 1)
+
+    def _build(self, poset: Poset, a_order: Iterable[int], b_order: Iterable[int],
+               ground: int) -> BipartitePoset:
+        # the two sides must cover exactly the ids in ground
         self.poset = poset
         self.a_order = tuple(a_order)
         self.b_order = tuple(b_order)
@@ -291,15 +296,11 @@ class BipartitePoset:
         self.a_mask, self.b_mask = masks
         # position of each A-side element in a_order
         self.a_pos = {x: i for i, x in enumerate(self.a_order)}
-        self._validate()
-
-    def _validate(self) -> None:
-        n = self.poset.n
-        if len(self.a_order) + len(self.b_order) != n:
+        if len(self.a_order) + len(self.b_order) != ground.bit_count():
             raise ValueError("bipartition does not cover the ground set")
         if self.a_mask & self.b_mask:
             raise ValueError("bipartition sides overlap")
-        if (self.a_mask | self.b_mask) != (1 << n) - 1:
+        if (self.a_mask | self.b_mask) != ground:
             raise ValueError("bipartition misses elements")
         for x in self.a_order:
             if self.poset.downset_mask(x):
@@ -307,6 +308,7 @@ class BipartitePoset:
         for y in self.b_order:
             if self.poset.upset_mask(y):
                 raise ValueError(f"B-side element {y} has something above it")
+        return self
 
     def a_position(self, x: int) -> int:
         """Index of x in a_order; ValueError if x is not on the A side."""
@@ -317,18 +319,21 @@ class BipartitePoset:
 
     def dual(self) -> BipartitePoset:
         """Swap the two sides and reverse the order relation."""
-        return BipartitePoset(self.poset.dual(), self.b_order, self.a_order)
+        return object.__new__(BipartitePoset)._build(
+            self.poset.dual(), self.b_order, self.a_order, self.a_mask | self.b_mask)
 
-    def remove(self, elems: Iterable[int]) -> tuple[BipartitePoset, tuple[int, ...]]:
-        """Drop elements, returning the reindexed remainder and the map
-        from new indices back to the old ones (side orders inherited)."""
-        gone = set(elems)
-        keep = [v for v in range(self.poset.n) if v not in gone]
-        sub = self.poset.restrict(keep)
-        index = {v: i for i, v in enumerate(keep)}
-        a_new = [index[v] for v in self.a_order if v not in gone]
-        b_new = [index[v] for v in self.b_order if v not in gone]
-        return BipartitePoset(sub, a_new, b_new), tuple(keep)
+    def without(self, elems: Iterable[int]) -> BipartitePoset:
+        """This host less some A-side elements, in the same ids: they lose
+        their relations and leave A, and the sides cover what is left."""
+        gone = sum(1 << a for a in set(elems))
+        if gone & ~self.a_mask:
+            raise ValueError("only A-side elements can be taken out of a host")
+        p = self.poset
+        up = [0 if (gone >> x) & 1 else row for x, row in enumerate(p._up)]
+        return object.__new__(BipartitePoset)._build(
+            Poset(p.n, up, [row & ~gone for row in p._down]),
+            (a for a in self.a_order if not (gone >> a) & 1),
+            self.b_order, (self.a_mask | self.b_mask) & ~gone)
 
     def __eq__(self, other) -> bool:
         return (

@@ -145,36 +145,59 @@ def ranked_topological_order(
     return tuple(order)
 
 
+def _critical_lines(
+    up: Sequence[int], down: Sequence[int], xs: Iterable[int]
+) -> list[int]:
+    """Row x of the critical pairs for each x in xs; on the dual's rows,
+    column x.  When x has fewer relations than incomparable ys, whole
+    rows narrow the ys first: the AND of U(d) over D(x) keeps D(x) within
+    D(y), and a non-maximal y with U(y) within U(x) lies under U(x)."""
+    has_up = sum(1 << y for y, row in enumerate(up) if row)
+    everyone = (1 << len(up)) - 1
+    out = []
+    for x in xs:
+        ux, dx = up[x], down[x]
+        test = row = everyone & ~(ux | dx | 1 << x)
+        if row.bit_count() > (ux | dx).bit_count():
+            for d in iter_bits(dx):
+                row &= up[d]
+            under = 0
+            for u in iter_bits(ux):
+                under |= down[u]
+            row &= ~has_up | under
+            test = row & has_up
+        for y in iter_bits(test):
+            if dx & ~down[y] or up[y] & ~ux:
+                row ^= 1 << y
+        out.append(row)
+    return out
+
+
 def critical_rows(p: Poset, touching: int | None = None) -> list[int]:
     """Critical pairs as bitmask rows: bit y of rows[x] is set iff (x, y)
     is critical, i.e. incomparable with D(x) within D(y) and U(y) within
     U(x).  Reversing exactly these characterizes realizers.
 
     With a bitmask touching, only pairs with x or y in the mask are
-    set, at O(|mask| * n) cost for the rows outside it.
+    set: the rows of the xs in it and the columns of the ys in it.
     """
-    n = p.n
-    up = p._up
-    down = p._down
-    everyone = (1 << n) - 1
+    up, down = p._up, p._down
     if touching is None:
-        touching = everyone
-    rows = []
-    for x in range(n):
-        ux, dx = up[x], down[x]
-        ys = everyone if (touching >> x) & 1 else touching
-        row = 0
-        for y in iter_bits(ys & ~(ux | dx | (1 << x))):
-            if dx & ~down[y] or up[y] & ~ux:
-                continue
-            row |= 1 << y
-        rows.append(row)
+        return _critical_lines(up, down, range(p.n))
+    rows = [0] * p.n
+    mask = list(iter_bits(touching))
+    cols = _critical_lines(down, up, mask)
+    for x, row, col in zip(mask, _critical_lines(up, down, mask), cols):
+        rows[x] |= row
+        for w in iter_bits(col):
+            rows[w] |= 1 << x
     return rows
 
 
 def row_pairs(rows: Iterable[int]) -> list[CriticalPair]:
     """The pairs (x, y) with bit y of rows[x] set, in lexicographic order."""
-    return [CriticalPair(x, y) for x, row in enumerate(rows) for y in iter_bits(row)]
+    return [CriticalPair(x, y)
+            for x, row in enumerate(rows) if row for y in iter_bits(row)]
 
 
 def critical_pairs(p: Poset, touching: int | None = None) -> list[CriticalPair]:
@@ -616,14 +639,14 @@ def _require_keys(data, keys: Sequence[str], what: str) -> None:
             raise ValueError(f"{what} lacks the {key!r} key")
 
 
-def _ints(data: dict, keys: Sequence[str], what: str) -> list[int]:
-    """data[key] for each key; ValueError naming the first that is not
-    an integer (bools and floats included)."""
+def _fields(data: dict, keys: Sequence[str], what: str, kind: type = int) -> list:
+    """data[key] for each key; ValueError naming the first whose type is
+    not exactly kind: int (so bools and floats are refused) or bool."""
+    noun = "a boolean" if kind is bool else "an integer"
     for key in keys:
-        if type(data[key]) is not int:
+        if type(data[key]) is not kind:
             raise ValueError(
-                f"{what} {key!r} must be an integer, "
-                f"got {type(data[key]).__name__}"
+                f"{what} {key!r} must be {noun}, got {type(data[key]).__name__}"
             )
     return [data[key] for key in keys]
 
@@ -640,7 +663,7 @@ def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
             "realizer JSON has both 'orders' and v1 'extensions'" if v1 else
             "realizer JSON lacks the 'orders' key (or the v1 'extensions' key)"
         )
-    (n,) = _ints(data, ("n",), "realizer")
+    (n,) = _fields(data, ("n",), "realizer")
     if n < 0:
         raise ValueError(f"realizer 'n' must be non-negative, got {n}")
     key = "extensions" if v1 else "orders"
@@ -669,7 +692,7 @@ def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
         raise ValueError(
             f"realizer 'dimension' is {dimension!r}, not its {len(members)} members"
         )
-    optimal = bool(data["optimal"])
+    (optimal,) = _fields(data, ("optimal",), "realizer", bool)
     return n, Realizer(tuple(distinct[i] for i in members)), optimal
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -29,7 +29,7 @@ from .core import (
 from .dimension import (
     LinearExtension,
     Realizer,
-    _ints,
+    _fields,
     _is_int_list,
     _parse_json,
     _require_keys,
@@ -325,10 +325,8 @@ def extension_from_sigma(
     q_mask = 0
     for a in q_elems:
         q_mask |= 1 << a
-    rest = ((1 << p.n) - 1) & ~q_mask & ~claimed
-    rest_a = rest & bp.a_mask
-    rest_b = rest & bp.b_mask
-    bottom_up: list[int] = list(iter_bits(rest_a)) + list(iter_bits(rest_b))
+    rest = ~q_mask & ~claimed
+    bottom_up = [*iter_bits(rest & bp.a_mask), *iter_bits(rest & bp.b_mask)]
     for a, residual in reversed(blocks):
         bottom_up.append(a)
         bottom_up.extend(iter_bits(residual))
@@ -341,10 +339,11 @@ def _check_q_pairs_reversed(
     exts: Iterable[LinearExtension],
     color: int,
     t: int,
-) -> None:
+) -> list[int]:
     """Every incomparable (a in Q, b in B) pair, critical here, must be
     reversed by some member; the first miss (a in Q order, then the
-    smallest b) raises VerificationFailed with a mate-count diagnosis."""
+    smallest b) raises VerificationFailed with a mate-count diagnosis;
+    returns the members' listed_below rows."""
     p = bp.poset
     down = p._down
     below = listed_below((ext.order for ext in exts), p.n)
@@ -362,6 +361,7 @@ def _check_q_pairs_reversed(
             f"(color {color}, t={t})",
             pair=(a, b),
         )
+    return below
 
 
 def build_reversing_extensions(
@@ -381,6 +381,13 @@ def build_reversing_extensions(
     pair against one walk per distinct member; a miss raises
     VerificationFailed with a mate-count diagnosis.
     """
+    return _reversing_extensions(bp, k, q_elems, color, seed)[:2]
+
+
+def _reversing_extensions(
+    bp: BipartitePoset, k: int, q_elems: Sequence[int], color: int, seed: int
+) -> tuple[list[LinearExtension], BinaryMatrix, list[int]]:
+    """build_reversing_extensions plus its postcondition's below rows."""
     q = len(q_elems)
     if q < 2:
         raise ValueError("need |Q| >= 2")
@@ -399,8 +406,7 @@ def build_reversing_extensions(
                 ext = built[sigma] = extension_from_sigma(bp, q_elems, sigma)
             exts.append(ext)
 
-    _check_q_pairs_reversed(bp, q_elems, built.values(), color, t_eff)
-    return exts, mat
+    return exts, mat, _check_q_pairs_reversed(bp, q_elems, built.values(), color, t_eff)
 
 
 # -- peeling ------------------------------------------------------------------
@@ -441,7 +447,7 @@ def peel_step(
     descending a_order), and finishes with greedy cleanup extensions for
     any critical pair touching Q that is still unreversed.  The step
     must fit in floor(3k * 2^k * ln q) extensions, else BoundExceeded.
-    Returns the step, in bp's element ids, and the extensions it spent.
+    Returns the step and the extensions it spent, in bp's element ids.
     """
     na = len(bp.a_order)
     if q < 2:
@@ -454,27 +460,23 @@ def peel_step(
             f"no monochromatic {q}-set among {na} A-side elements"
         )
     q_elems, color = found
-    exts, mat = build_reversing_extensions(bp, k, q_elems, color, derive_seed(seed, 1))
+    seed = derive_seed(seed, 1)
+    exts, mat, below = _reversing_extensions(bp, k, q_elems, color, seed)
 
     p = bp.poset
-    minimal_mask = 0
-    for x in range(p.n):
-        if not p.downset_mask(x):
-            minimal_mask |= 1 << x
-    bottom = [x for x in reversed(bp.a_order)]
-    bottom += [x for x in iter_bits(minimal_mask & bp.b_mask)]
-    above = [x for x in iter_bits(bp.b_mask & ~minimal_mask)]
-    exts.append(LinearExtension(tuple(bottom + above)))  # minimal elements
+    b_ids = sorted(iter_bits(bp.b_mask), key=lambda y: bool(p._down[y]))
+    exts.append(LinearExtension((*reversed(bp.a_order), *b_ids)))
+    below = [b | m for b, m in zip(below, listed_below([exts[-1].order], p.n))]
 
-    # cleanup: critical pairs with either end in Q not reversed yet
-    q_mask = 0
-    for a in q_elems:
-        q_mask |= 1 << a
-    distinct = {id(ext): ext for ext in exts}.values()
-    below = listed_below((ext.order for ext in distinct), p.n)
+    # cleanup: critical pairs with either end in Q not reversed yet; ids
+    # off the ground are isolated, so their pairs are dropped
+    ground = bp.a_mask | bp.b_mask
+    q_mask = sum(1 << a for a in q_elems)
     rows = critical_rows(p, touching=q_mask)
-    residue = row_pairs(r & ~b for r, b in zip(rows, below))
-    cleanup = greedy_reversing_extensions(p, residue) if residue else []
+    residue = row_pairs(r & ~b & ground if r and (ground >> x) & 1 else 0
+                        for x, (r, b) in enumerate(zip(rows, below)))
+    cleanup = [LinearExtension(tuple(v for v in ext.order if (ground >> v) & 1))
+               for ext in (greedy_reversing_extensions(p, residue) if residue else ())]
     all_exts = tuple(exts + cleanup)
     cap = step_extension_cap(k, len(q_elems))
     if len(all_exts) > cap:
@@ -540,12 +542,13 @@ def peel_realizer(
     """Iterated peeling down to a small base, then an exact base realizer.
 
     Peels the side with more elements (the dual is peeled when |A| < |B|
-    and every extension is flipped as it is lifted).  Extensions from
-    deeper levels are lifted by stacking each removed set at the very
-    bottom, descending a_order; a member repeated within one step is
-    lifted once and the realizer repeats that object.  Stops peeling
-    when the ground set is at most base_threshold or no monochromatic
-    set exists; the remainder goes to the exact solver (overrunning
+    and every extension is flipped as it is lifted).  The host keeps the
+    input's ids and loses each removed set, which every later member
+    lists at its very bottom, descending a_order; a member repeated
+    within one step is lifted once and the realizer repeats that
+    object.  Stops peeling when the host has at most base_threshold
+    elements or no monochromatic set exists; the remainder goes,
+    restricted once, to the exact solver (overrunning
     _BASE_BUDGET downgrades base_optimal rather than failing, since any base
     realizer keeps the certificate sound).  The assembled realizer is
     verified against the input before return.
@@ -555,41 +558,39 @@ def peel_realizer(
     if base_threshold < 1:
         raise ValueError("base_threshold must be >= 1")
     dualized = len(bp.a_order) < len(bp.b_order)
-    work = bp.dual() if dualized else bp
-
-    cur = work
-    cur_ids = tuple(range(work.poset.n))
-    lift_prefix: list[int] = []  # grows bottom-up as peels stack
+    host = bp.dual() if dualized else bp
+    prefix: tuple[int, ...] = ()  # grows bottom-up as peels stack
     collected: list[LinearExtension] = []
     records: list[PeelStep] = []
 
     def lift(ext: LinearExtension) -> LinearExtension:
-        # an extension of the current host, as one of the input
-        full = tuple(lift_prefix) + tuple(cur_ids[v] for v in ext.order)
+        # an extension of the host's ground, as one of the input
+        full = prefix + ext.order
         return LinearExtension(full[::-1] if dualized else full)
 
-    while cur.poset.n > base_threshold and len(cur.a_order) >= q:
+    while (len(host.a_order) + len(host.b_order) > base_threshold
+           and len(host.a_order) >= q):
         try:
-            step, exts = peel_step(cur, k, q, derive_seed(seed, len(records)))
+            step, exts = peel_step(host, k, q, derive_seed(seed, len(records)))
         except NoMonochromaticSet:
             break
         collected.extend(_map_distinct(lift, exts))
-        removed_orig = tuple(cur_ids[v] for v in step.removed)
-        records.append(replace(step, removed=removed_orig))
+        records.append(step)
         # removed sets stack under everything peeled later, each block
-        # in descending a_order of its host
-        lift_prefix.extend(reversed(removed_orig))
-        cur, kept = cur.remove(step.removed)
-        cur_ids = tuple(cur_ids[i] for i in kept)
+        # in descending a_order
+        prefix += step.removed[::-1]
+        host = host.without(step.removed)
 
-    base_size = cur.poset.n
+    kept = tuple(iter_bits(host.a_mask | host.b_mask))
+    base_size = len(kept)
     try:
-        base = exact_dimension(cur.poset, budget=_BASE_BUDGET)
+        base = exact_dimension(host.poset.restrict(kept), budget=_BASE_BUDGET)
         base_optimal = base.optimal
     except BudgetExceeded as exc:
         base = exc.best
         base_optimal = False
-    collected.extend(map(lift, base.witness.extensions))
+    collected.extend(lift(LinearExtension(tuple(kept[v] for v in ext.order)))
+                     for ext in base.witness.extensions)
     realizer = Realizer(tuple(collected))
     ok, unreversed = is_realizer(bp.poset, realizer.extensions)
     if not ok:
@@ -725,7 +726,7 @@ def certificate_from_json_dict(data) -> PeelCertificate:
     for i, rec in enumerate(data["steps"]):
         what = f"certificate step {i}"
         _require_keys(rec, _STEP_KEYS, what)
-        q, color, built, cleanup = _ints(
+        q, color, built, cleanup = _fields(
             rec, ("q", "color", "extensions_built", "cleanup_extensions"), what
         )
         if not _is_int_list(rec["removed"]):
@@ -748,7 +749,7 @@ def certificate_from_json_dict(data) -> PeelCertificate:
             extensions_built=built,
             cleanup_count=cleanup,
         ))
-    base_size, base_dimension, total_size = _ints(
+    base_size, base_dimension, total_size = _fields(
         data, ("base_size", "base_dimension", "total_size"), "certificate"
     )
     _, realizer, _ = realizer_from_json_dict(data["realizer"])
@@ -756,7 +757,7 @@ def certificate_from_json_dict(data) -> PeelCertificate:
         steps=tuple(steps),
         base_size=base_size,
         base_dimension=base_dimension,
-        base_optimal=bool(data["base_optimal"]),
+        base_optimal=_fields(data, ("base_optimal",), "certificate", bool)[0],
         total_size=total_size,
         realizer=realizer,
     )

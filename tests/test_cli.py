@@ -187,6 +187,13 @@ def test_verify_rejects_wrong_realizer(tmp_path, capsys):
     # an order that is not a permutation blames no single pair
     ({"n": 3, "orders": [[0, 0, 1]], "members": [0], "optimal": False},
      "NotAnExtension", "not a permutation"),
+    # "optimal" is a JSON bool, never coerced
+    ({"n": 3, "orders": [[0, 1, 2]], "members": [0], "optimal": "false"},
+     "ArgumentError", "realizer 'optimal' must be a boolean, got str"),
+    ({"n": 3, "orders": [[0, 1, 2]], "members": [0], "optimal": [0]},
+     "ArgumentError", "realizer 'optimal' must be a boolean, got list"),
+    ({"n": 3, "extensions": [[0, 1, 2]], "optimal": 1},
+     "ArgumentError", "realizer 'optimal' must be a boolean, got int"),
 ])
 def test_verify_reports_malformed_realizers(tmp_path, capsys, realizer,
                                              error, fragment):

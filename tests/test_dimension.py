@@ -98,6 +98,37 @@ def test_critical_pairs_touching_mask_filters_full_list(seed, n, mask):
     assert got == want
 
 
+def _pairs_touching(pairs, mask):
+    return [(x, y) for x, y in pairs if (mask >> x) & 1 or (mask >> y) & 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 20), st.integers(1, 20),
+       st.floats(0.0, 0.4), st.data())
+def test_critical_rows_agree_with_definition_on_peel_hosts(seed, na, nb,
+                                                           edge_prob, data):
+    # the peel's own shape: a sparse bipartite host, a mask of 1-4 A-side
+    # elements as peel_step passes it
+    p = random_bipartite(na, nb, edge_prob, seed).poset
+    want = naive_critical_pairs(p)
+    assert [(c.x, c.y) for c in critical_pairs(p)] == want
+    q = data.draw(st.sets(st.integers(0, na - 1), min_size=1, max_size=4), label="q")
+    mask = sum(1 << a for a in q)
+    got = [(c.x, c.y) for c in critical_pairs(p, touching=mask)]
+    assert got == _pairs_touching(want, mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 24), st.floats(0.0, 0.5), st.data())
+def test_critical_rows_agree_with_definition_up_to_n24(seed, n, edge_prob, data):
+    p = random_poset(n, edge_prob, seed)
+    want = naive_critical_pairs(p)
+    assert [(c.x, c.y) for c in critical_pairs(p)] == want
+    mask = data.draw(st.integers(0, 2**n - 1), label="mask")
+    got = [(c.x, c.y) for c in critical_pairs(p, touching=mask)]
+    assert got == _pairs_touching(want, mask)
+
+
 def test_chain_has_no_critical_pairs():
     chain = Poset.from_relations(5, [(i, i + 1) for i in range(4)])
     assert critical_pairs(chain) == []

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from posetdim import (
     BinaryMatrix,
+    BipartitePoset,
     LinearExtension,
     Poset,
     Realizer,
@@ -47,7 +48,8 @@ from posetdim import (
     valid_colors,
 )
 from posetdim import skfree
-from posetdim.dimension import listed_below
+from posetdim.core import iter_bits
+from posetdim.dimension import critical_rows, listed_below
 from posetdim.skfree import (
     _check_q_pairs_reversed,
     _project_split_extension,
@@ -487,6 +489,85 @@ def test_peel_realizer_dualizes_when_b_is_larger():
     assert len(cert.steps) >= 1
 
 
+def _reindexed(bp, host):
+    """host rebuilt on its ground alone, ids renumbered in ascending
+    order, and the list of its ground ids (new id i is kept[i])."""
+    ground = host.a_mask | host.b_mask
+    kept = [v for v in range(bp.poset.n) if (ground >> v) & 1]
+    index = {v: i for i, v in enumerate(kept)}
+    sub = BipartitePoset(bp.poset.restrict(kept),
+                         [index[a] for a in host.a_order],
+                         [index[b] for b in host.b_order])
+    return sub, kept
+
+
+def _lifted(rows, kept):
+    # rows over renumbered ids, as masks over the original ids
+    return [sum(1 << kept[j] for j in iter_bits(row)) for row in rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_a_host_in_input_ids_acts_like_the_reindexed_host(seed, data):
+    # the host peel_realizer peels, against a reindexed rebuild of it
+    bp = random_skfree_bipartite(12, 12, 0.2, 3, seed=seed)
+    gone = data.draw(st.sets(st.sampled_from(bp.a_order), max_size=8), label="gone")
+    host = bp.without(gone)
+    sub, kept = _reindexed(bp, host)
+    ground = host.a_mask | host.b_mask
+    mask = sum(1 << a for a in data.draw(
+        st.sets(st.sampled_from(host.a_order), min_size=1, max_size=4), label="q"))
+    sub_mask = sum(1 << kept.index(a) for a in iter_bits(mask))
+    for got, want in ((critical_rows(host.poset), critical_rows(sub.poset)),
+                      (critical_rows(host.poset, touching=mask),
+                       critical_rows(sub.poset, touching=sub_mask))):
+        assert [got[v] & ground for v in kept] == _lifted(want, kept)
+    q_elems = [a for a in host.a_order if (mask >> a) & 1]
+    sigma = data.draw(st.permutations(range(len(q_elems))), label="sigma")
+    got = extension_from_sigma(host, q_elems, sigma).order
+    want = extension_from_sigma(sub, [kept.index(a) for a in q_elems], sigma).order
+    assert got == tuple(kept[v] for v in want)
+    # a whole step, cleanup included, removes and spends the same
+    if len(host.a_order) >= 2:
+        try:
+            step, exts = peel_step(host, 3, 2, seed)
+        except NoMonochromaticSet:
+            with pytest.raises(NoMonochromaticSet):
+                peel_step(sub, 3, 2, seed)
+            return
+        sub_step, sub_exts = peel_step(sub, 3, 2, seed)
+        assert step.removed == tuple(kept[v] for v in sub_step.removed)
+        assert step.cleanup_count == sub_step.cleanup_count
+        assert [e.order for e in exts] == [
+            tuple(kept[v] for v in e.order) for e in sub_exts]
+
+
+def test_peel_realizer_restricts_only_its_base(monkeypatch):
+    calls = []
+    real = Poset.restrict
+    monkeypatch.setattr(Poset, "restrict",
+                        lambda self, keep: calls.append(self.n) or real(self, keep))
+    bp = random_skfree_bipartite(40, 40, 1.5 / 40, 3, seed=7)
+    cert = peel_realizer(bp, 3, 3, base_threshold=12, seed=7)
+    assert len(cert.steps) >= 5
+    assert calls == [80]
+
+
+@pytest.mark.parametrize("na, nb", [(6, 14), (10, 10), (14, 6)])
+def test_peeling_the_dual_realizes_both_orders(na, nb):
+    # metamorphic: a realizer of the dual, each member reversed, realizes
+    # the input; (14, 6) peels the dual's dual inside peel_realizer
+    for i in range(7):
+        bp = random_skfree_bipartite(na, nb, 0.25, 3, seed=derive_seed(na, i))
+        cert = peel_realizer(bp.dual(), 3, 2 + i % 2, base_threshold=8, seed=i)
+        exts = cert.realizer.extensions
+        assert is_realizer(bp.dual().poset, exts) == (True, [])
+        back = [LinearExtension(e.order[::-1]) for e in exts]
+        assert is_realizer(bp.poset, back) == (True, [])
+        assert cert.total_size == len(exts) == cert.base_dimension + sum(
+            s.extensions_built for s in cert.steps)
+
+
 def test_peel_realizer_tiny_base_budget_still_sound(monkeypatch):
     monkeypatch.setattr(skfree, "_BASE_BUDGET", 1)
     bp = random_skfree_bipartite(10, 10, 0.3, 3, seed=71)
@@ -577,6 +658,8 @@ def test_certificate_from_json_dict_names_what_is_malformed(data, fragment):
     (0, "removed", [0, "1"], "step 0 'removed' must be a list of integers"),
     (0, "matrix", [101], "step 0 'matrix' must be a list of strings"),
     (None, "total_size", "12", "'total_size' must be an integer, got str"),
+    (None, "base_optimal", "false",
+     "certificate 'base_optimal' must be a boolean, got str"),
 ])
 def test_certificate_from_json_dict_names_mistyped_fields(where, key, value,
                                                          fragment):
