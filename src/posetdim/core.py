@@ -270,7 +270,8 @@ class BipartitePoset:
     """A height-at-most-2 poset with an ordered bipartition (A, B).
 
     Every related pair runs from A into B.  a_order and b_order fix a
-    linear order on each side; several constructions depend on it.
+    linear order on each side; several constructions depend on it.  The
+    sides cover poset, or only a_mask | b_mask in a host from _without.
     """
 
     __slots__ = ("poset", "a_order", "b_order", "a_mask", "b_mask", "a_pos")
@@ -280,7 +281,6 @@ class BipartitePoset:
 
     def _build(self, poset: Poset, a_order: Iterable[int], b_order: Iterable[int],
                ground: int) -> BipartitePoset:
-        # the two sides must cover exactly the ids in ground
         self.poset = poset
         self.a_order = tuple(a_order)
         self.b_order = tuple(b_order)
@@ -322,7 +322,7 @@ class BipartitePoset:
         return object.__new__(BipartitePoset)._build(
             self.poset.dual(), self.b_order, self.a_order, self.a_mask | self.b_mask)
 
-    def without(self, elems: Iterable[int]) -> BipartitePoset:
+    def _without(self, elems: Iterable[int]) -> BipartitePoset:
         """This host less some A-side elements, in the same ids: they lose
         their relations and leave A, and the sides cover what is left."""
         gone = sum(1 << a for a in set(elems))

@@ -149,9 +149,10 @@ def _critical_lines(
     up: Sequence[int], down: Sequence[int], xs: Iterable[int]
 ) -> list[int]:
     """Row x of the critical pairs for each x in xs; on the dual's rows,
-    column x.  When x has fewer relations than incomparable ys, whole
-    rows narrow the ys first: the AND of U(d) over D(x) keeps D(x) within
-    D(y), and a non-maximal y with U(y) within U(x) lies under U(x)."""
+    column x.  Whole rows narrow the ys (the AND of U(d) over D(x) keeps
+    D(x) within D(y); a non-maximal y with U(y) within U(x) lies under
+    U(x)) at one row operation per relation of x, so where x has more
+    relations than incomparable ys, those are tested one by one."""
     has_up = sum(1 << y for y, row in enumerate(up) if row)
     everyone = (1 << len(up)) - 1
     out = []

@@ -579,7 +579,7 @@ def peel_realizer(
         # removed sets stack under everything peeled later, each block
         # in descending a_order
         prefix += step.removed[::-1]
-        host = host.without(step.removed)
+        host = host._without(step.removed)
 
     kept = tuple(iter_bits(host.a_mask | host.b_mask))
     base_size = len(kept)

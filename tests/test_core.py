@@ -242,7 +242,7 @@ def test_bipartite_dual_and_remove():
     d = bp.dual()
     assert d.a_order == bp.b_order and d.b_order == bp.a_order
     assert d.poset.lt(4, 0) and not d.poset.lt(0, 4)
-    smaller = bp.without([1])
+    smaller = bp._without([1])
     assert smaller.poset.n == 6
     assert smaller.a_order == (0, 2) and smaller.b_order == bp.b_order
     assert smaller.a_mask | smaller.b_mask == 0b111101
@@ -252,7 +252,7 @@ def test_bipartite_dual_and_remove():
     assert all(not (smaller.poset.downset_mask(b) >> 1) & 1 for b in (3, 4, 5))
     assert smaller.poset.lt(0, 4) and smaller.poset.lt(2, 3)
     with pytest.raises(ValueError, match="only A-side"):
-        bp.without([4])
+        bp._without([4])
 
 
 def test_bipartition_rules():

@@ -134,6 +134,23 @@ def test_chain_has_no_critical_pairs():
     assert critical_pairs(chain) == []
 
 
+def test_critical_rows_of_a_tall_weak_order_with_an_isolated_element():
+    # levels {2i, 2i+1}, each below the next, and an isolated z: the
+    # level rows are dense (one or two incomparable ys), z's row is empty
+    # of relations, so rows on both sides of the narrowing rule are read
+    m = 300
+    z = 2 * m
+    p = Poset.from_relations(z + 1, [(2 * i + a, 2 * i + 2 + b)
+                                     for i in range(m - 1) for a in (0, 1) for b in (0, 1)])
+    want = [1 << (x ^ 1) for x in range(z)] + [0b11 << (z - 2)]
+    want[0] |= 1 << z
+    want[1] |= 1 << z
+    assert critical_rows(p) == want
+    mask = 1 << z | 1 << 301
+    got = [(c.x, c.y) for c in critical_pairs(p, touching=mask)]
+    assert got == [(0, z), (1, z), (300, 301), (301, 300), (z, z - 2), (z, z - 1)]
+
+
 # metamorphic: these compare the rows with themselves under a dual or a
 # relabelling, so no construction code serves as the oracle
 

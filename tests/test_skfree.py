@@ -512,7 +512,7 @@ def test_a_host_in_input_ids_acts_like_the_reindexed_host(seed, data):
     # the host peel_realizer peels, against a reindexed rebuild of it
     bp = random_skfree_bipartite(12, 12, 0.2, 3, seed=seed)
     gone = data.draw(st.sets(st.sampled_from(bp.a_order), max_size=8), label="gone")
-    host = bp.without(gone)
+    host = bp._without(gone)
     sub, kept = _reindexed(bp, host)
     ground = host.a_mask | host.b_mask
     mask = sum(1 << a for a in data.draw(
