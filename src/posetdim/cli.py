@@ -38,7 +38,7 @@ from .experiments import (
     run_growth_experiment,
     run_prob_lemma_trials,
 )
-from .skfree import certificate_to_json_dict, peel_realizer
+from .skfree import certificate_from_json_dict, certificate_to_json_dict, peel_realizer
 
 _DEFAULT_DIM_BUDGET = 1_000_000
 
@@ -108,11 +108,15 @@ def _cmd_dim(args) -> int:
     p = _underlying(obj)
     if args.verify:
         data = _parse_json(Path(args.verify).read_text())
-        # a CLI wrapper holds a certificate, and a certificate its realizer
-        for key in ("certificate", "realizer"):
-            if isinstance(data, dict) and key in data:
-                data = data[key]
-        n, realizer, _ = realizer_from_json_dict(data)
+        # a CLI wrapper holds a certificate; a certificate is read whole,
+        # so its steps and totals are checked along with its realizer
+        if isinstance(data, dict) and "certificate" in data:
+            data = data["certificate"]
+        if isinstance(data, dict) and ("steps" in data or "realizer" in data):
+            realizer = certificate_from_json_dict(data).realizer
+            n = data["realizer"]["n"]
+        else:
+            n, realizer, _ = realizer_from_json_dict(data)
         if n != p.n:
             raise VerificationFailed(f"realizer is for n={n}, poset has n={p.n}")
         ok, unreversed = is_realizer(p, realizer.extensions)

@@ -112,25 +112,11 @@ class Poset:
     def incomparable(self, x: int, y: int) -> bool:
         return x != y and not self.lt(x, y) and not self.lt(y, x)
 
-    def upset(self, x: int) -> frozenset[int]:
-        """Strict upset of x."""
-        return frozenset(iter_bits(self._up[x]))
-
-    def downset(self, x: int) -> frozenset[int]:
-        """Strict downset of x."""
-        return frozenset(iter_bits(self._down[x]))
-
     def upset_mask(self, x: int) -> int:
         return self._up[x]
 
     def downset_mask(self, x: int) -> int:
         return self._down[x]
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """All related pairs (x, y) with x < y, lexicographically."""
-        for x in range(self.n):
-            for y in iter_bits(self._up[x]):
-                yield (x, y)
 
     def relation_count(self) -> int:
         return sum(m.bit_count() for m in self._up)
@@ -143,12 +129,6 @@ class Poset:
                 if not (self._up[x] & self._down[y]):
                     out.append((x, y))
         return out
-
-    def minimal_elements(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.n) if not self._down[x])
-
-    def maximal_elements(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.n) if not self._up[x])
 
     def dual(self) -> Poset:
         """The same ground set with the order reversed."""
@@ -166,14 +146,6 @@ class Poset:
                     best = h[y]
             h[x] = best + 1
         return max(h)
-
-    def is_antichain(self, elems: Iterable[int]) -> bool:
-        elems = list(elems)
-        for i, x in enumerate(elems):
-            for y in elems[i + 1:]:
-                if not self.incomparable(x, y):
-                    return False
-        return True
 
     def restrict(self, keep: Iterable[int]) -> Poset:
         """Induced subposet on the given elements, reindexed in list order.
@@ -246,26 +218,6 @@ class Embedding(NamedTuple):
     b_elems: tuple[int, ...]
 
 
-def embedding_valid(p: Poset, emb: Embedding) -> bool:
-    """Re-check that emb really is an induced standard example in p."""
-    k = len(emb.a_elems)
-    if k != len(emb.b_elems) or k < 2:
-        return False
-    elems = list(emb.a_elems) + list(emb.b_elems)
-    if len(set(elems)) != 2 * k:
-        return False
-    if not p.is_antichain(emb.a_elems) or not p.is_antichain(emb.b_elems):
-        return False
-    for i, a in enumerate(emb.a_elems):
-        for j, b in enumerate(emb.b_elems):
-            if i == j:
-                if not p.incomparable(a, b):
-                    return False
-            elif not p.lt(a, b):
-                return False
-    return True
-
-
 class BipartitePoset:
     """A height-at-most-2 poset with an ordered bipartition (A, B).
 
@@ -309,13 +261,6 @@ class BipartitePoset:
             if self.poset.upset_mask(y):
                 raise ValueError(f"B-side element {y} has something above it")
         return self
-
-    def a_position(self, x: int) -> int:
-        """Index of x in a_order; ValueError if x is not on the A side."""
-        try:
-            return self.a_pos[x]
-        except KeyError:
-            raise ValueError(f"{x} is not on the A side") from None
 
     def dual(self) -> BipartitePoset:
         """Swap the two sides and reverse the order relation."""

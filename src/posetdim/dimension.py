@@ -1,4 +1,4 @@
-"""Order dimension: critical pairs, realizers, exact and brute-force solvers.
+"""Order dimension: critical pairs, realizers, the exact solver.
 
 A family of linear extensions realizes a poset exactly when every critical
 pair is reversed in some member, so everything here is organized around
@@ -9,16 +9,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import Poset, iter_bits
-from .errors import (
-    BudgetExceeded,
-    ComparablePairError,
-    NotAnExtension,
-    TooLarge,
-)
+from .errors import BudgetExceeded, ComparablePairError, NotAnExtension
 
 
 class CriticalPair(NamedTuple):
@@ -217,12 +211,6 @@ def listed_below(orders: Iterable[Sequence[int]], n: int) -> list[int]:
             below[v] |= listed
             listed |= 1 << v
     return below
-
-
-def reverses(ext: LinearExtension, pair: tuple[int, int]) -> bool:
-    """True iff ext puts pair's second element below its first."""
-    pos = ext.positions()
-    return pos[pair[1]] < pos[pair[0]]
 
 
 def _is_permutation(order: Sequence[int], everyone: frozenset[int]) -> bool:
@@ -536,65 +524,6 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
     # every smaller d failed exhaustively, so the greedy witness is optimal
     greedy.optimal = True
     return greedy
-
-
-def all_linear_extensions(p: Poset) -> list[tuple[int, ...]]:
-    """Every linear extension, by backtracking (small posets only)."""
-    if p.n > 10:
-        raise TooLarge(f"refusing to enumerate extensions for n={p.n}")
-    n = p.n
-    down = p._down
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def extend(used: int):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for v in range(n):
-            if (used >> v) & 1 or down[v] & ~used:
-                continue
-            prefix.append(v)
-            extend(used | (1 << v))
-            prefix.pop()
-
-    extend(0)
-    return out
-
-
-def brute_force_dimension(p: Poset) -> int:
-    """Reference dimension by exhausting subsets of linear extensions.
-
-    Enumerates every linear extension, dedupes by reversed-critical-pair
-    mask, and looks for the smallest family whose masks cover all
-    critical pairs.  Hard-capped at n <= 7.
-    """
-    if p.n > 7:
-        raise TooLarge(f"brute force dimension is capped at n=7, got n={p.n}")
-    cps = critical_pairs(p)
-    if not cps:
-        return 1
-    m = len(cps)
-    full = (1 << m) - 1
-    masks: list[int] = []
-    seen: set[int] = set()
-    for order in all_linear_extensions(p):
-        below = listed_below([order], p.n)
-        mask = 0
-        for i, (x, y) in enumerate(cps):
-            if (below[x] >> y) & 1:
-                mask |= 1 << i
-        if mask not in seen:
-            seen.add(mask)
-            masks.append(mask)
-    for d in range(1, len(masks) + 1):
-        for combo in combinations(masks, d):
-            acc = 0
-            for msk in combo:
-                acc |= msk
-            if acc == full:
-                return d
-    raise AssertionError("the full extension set always realizes the poset")
 
 
 # -- realizer JSON ------------------------------------------------------------

@@ -57,10 +57,6 @@ class ComparablePairError(PosetDimError):
     """A pair that must be incomparable is comparable."""
 
 
-class TooLarge(PosetDimError):
-    """Instance exceeds the hard size limit of an exhaustive routine."""
-
-
 class BudgetExceeded(PosetDimError):
     """Search budget ran out before optimality was settled.
 

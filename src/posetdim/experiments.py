@@ -1,4 +1,4 @@
-"""Desk-scale empirical runs: theorem scans, Monte Carlo, and growth study.
+"""Desk-scale empirical runs: Monte Carlo and the growth study.
 
 Every run is a pure function of (seed, parameters).  Per-sample seeds
 are derived by index nesting so records are regenerable one at a time.
@@ -9,14 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import (
-    Poset,
-    derive_seed,
-    kimble_split,
-    poset_to_text,
-    random_poset,
-    random_skfree_bipartite,
-)
+from .core import derive_seed, random_skfree_bipartite
 from .dimension import exact_dimension
 from .errors import BudgetExceeded, GenerationExhausted
 from .skfree import event_E_holds, event_probability_bound, fair_matrix, peel_realizer
@@ -136,49 +129,6 @@ def run_growth_experiment(
             )
         )
     return records
-
-
-def _small_random_posets(count: int, seed: int, n_min: int):
-    """Yield (i, n, poset) for each sample i < count, where s is
-    derive_seed(seed, i), n is n_min + (i mod 5), the edge probability p
-    is one random() draw from Random(s), and the poset is
-    random_poset(n, p, derive_seed(s, 1))."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    for i in range(count):
-        s = derive_seed(seed, i)
-        n = n_min + (i % 5)
-        yield i, n, random_poset(n, random.Random(s).random(), derive_seed(s, 1))
-
-
-def run_hiraguchi_scan(count: int, seed: int) -> list[dict]:
-    """Check dim <= floor(n/2) on random posets with 4 <= n <= 8, drawn
-    by _small_random_posets(count, seed, 4).  Violations (expected
-    never) carry the offending poset serialized for reproduction."""
-    violations: list[dict] = []
-    for i, n, p in _small_random_posets(count, seed, 4):
-        d = exact_dimension(p).d
-        if d > n // 2:
-            violations.append(
-                {"index": i, "n": n, "dim": d, "bound": n // 2,
-                 "poset": poset_to_text(p)}
-            )
-    return violations
-
-
-def run_split_sandwich_scan(count: int, seed: int) -> list[dict]:
-    """Check dim(P) <= dim(split(P)) <= dim(P) + 1 on random posets with
-    3 <= n <= 7, drawn by _small_random_posets(count, seed, 3)."""
-    violations: list[dict] = []
-    for i, n, p in _small_random_posets(count, seed, 3):
-        dp = exact_dimension(p).d
-        ds = exact_dimension(kimble_split(p)).d
-        if not dp <= ds <= dp + 1:
-            violations.append(
-                {"index": i, "n": n, "dim": dp, "split_dim": ds,
-                 "poset": poset_to_text(p)}
-            )
-    return violations
 
 
 # -- emission ------------------------------------------------------------------

@@ -370,7 +370,7 @@ def build_reversing_extensions(
     q_elems: Sequence[int],
     color: int,
     seed: int,
-) -> tuple[list[LinearExtension], BinaryMatrix]:
+) -> tuple[list[LinearExtension], BinaryMatrix, list[int]]:
     """Extensions reversing every critical pair (a, b) with a in Q, b in B.
 
     Q must be monochromatic of the given color under the upset-based
@@ -379,15 +379,9 @@ def build_reversing_extensions(
     the two row traversals; rows that induce the same traversal share
     one LinearExtension object.  The postcondition checks every such
     pair against one walk per distinct member; a miss raises
-    VerificationFailed with a mate-count diagnosis.
+    VerificationFailed with a mate-count diagnosis.  Returns the
+    extensions, the matrix and the walk's listed_below rows.
     """
-    return _reversing_extensions(bp, k, q_elems, color, seed)[:2]
-
-
-def _reversing_extensions(
-    bp: BipartitePoset, k: int, q_elems: Sequence[int], color: int, seed: int
-) -> tuple[list[LinearExtension], BinaryMatrix, list[int]]:
-    """build_reversing_extensions plus its postcondition's below rows."""
     q = len(q_elems)
     if q < 2:
         raise ValueError("need |Q| >= 2")
@@ -405,7 +399,6 @@ def _reversing_extensions(
             if ext is None:
                 ext = built[sigma] = extension_from_sigma(bp, q_elems, sigma)
             exts.append(ext)
-
     return exts, mat, _check_q_pairs_reversed(bp, q_elems, built.values(), color, t_eff)
 
 
@@ -461,7 +454,7 @@ def peel_step(
         )
     q_elems, color = found
     seed = derive_seed(seed, 1)
-    exts, mat, below = _reversing_extensions(bp, k, q_elems, color, seed)
+    exts, mat, below = build_reversing_extensions(bp, k, q_elems, color, seed)
 
     p = bp.poset
     b_ids = sorted(iter_bits(bp.b_mask), key=lambda y: bool(p._down[y]))

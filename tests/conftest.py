@@ -2,18 +2,71 @@
 
 Everything here is implemented independently of the package internals
 (set algebra and brute force instead of bitmasks and pruning) so the
-fast paths have something honest to agree with.  The v1 renderers at
-the end write a decoded realizer or certificate back in the layout the
-old JSON writer used, so hashes pinned on v1 text keep checking content.
+fast paths have something honest to agree with: the reference
+dimension by exhausting linear extensions, the theorem scans of the
+acceptance criteria, and small relation helpers read through Poset.lt.
+The v1 renderers at the end write a decoded realizer or certificate
+back in the layout the old JSON writer used, so hashes pinned on v1
+text keep checking content.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from itertools import combinations, permutations
 
-from posetdim import Poset, derive_seed, mates, random_poset, subset_color
+from posetdim import (
+    Poset,
+    derive_seed,
+    exact_dimension,
+    kimble_split,
+    mates,
+    poset_to_text,
+    random_poset,
+    subset_color,
+)
 from posetdim.core import iter_bits
+
+
+def relations(p: Poset) -> list[tuple[int, int]]:
+    """Every related pair (x, y) with x < y, lexicographically."""
+    return [(x, y) for x in range(p.n) for y in range(p.n) if p.lt(x, y)]
+
+
+def upset(p: Poset, x: int) -> frozenset[int]:
+    """Strict upset of x."""
+    return frozenset(y for y in range(p.n) if p.lt(x, y))
+
+
+def downset(p: Poset, x: int) -> frozenset[int]:
+    """Strict downset of x."""
+    return frozenset(y for y in range(p.n) if p.lt(y, x))
+
+
+def is_antichain(p: Poset, elems) -> bool:
+    return all(p.incomparable(x, y) for x, y in combinations(list(elems), 2))
+
+
+def reverses(ext, pair: tuple[int, int]) -> bool:
+    """True iff ext lists pair's second element below its first."""
+    return ext.order.index(pair[1]) < ext.order.index(pair[0])
+
+
+def embedding_valid(p: Poset, emb) -> bool:
+    """Re-check that emb really is an induced standard example in p."""
+    k = len(emb.a_elems)
+    if k != len(emb.b_elems) or k < 2:
+        return False
+    if len(set(emb.a_elems) | set(emb.b_elems)) != 2 * k:
+        return False
+    if not is_antichain(p, emb.a_elems) or not is_antichain(p, emb.b_elems):
+        return False
+    return all(
+        p.incomparable(a, b) if i == j else p.lt(a, b)
+        for i, a in enumerate(emb.a_elems)
+        for j, b in enumerate(emb.b_elems)
+    )
 
 
 def naive_closure(n: int, pairs: list[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -54,15 +107,64 @@ def check_coloring(coloring) -> None:
 
 
 def naive_critical_pairs(p: Poset) -> list[tuple[int, int]]:
-    """Critical pairs straight from the definition, via the frozenset API."""
+    """Critical pairs straight from the definition, on frozensets."""
     out = []
     for x in range(p.n):
         for y in range(p.n):
             if x == y or p.leq(x, y) or p.leq(y, x):
                 continue
-            if p.downset(x) <= p.downset(y) and p.upset(y) <= p.upset(x):
+            if downset(p, x) <= downset(p, y) and upset(p, y) <= upset(p, x):
                 out.append((x, y))
     return out
+
+
+def all_linear_extensions(p: Poset) -> list[tuple[int, ...]]:
+    """Every linear extension, by backtracking (small posets only)."""
+    if p.n > 10:
+        raise ValueError(f"refusing to enumerate extensions for n={p.n}")
+    below = [downset(p, v) for v in range(p.n)]
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def extend():
+        if len(prefix) == p.n:
+            out.append(tuple(prefix))
+            return
+        for v in range(p.n):
+            if v not in prefix and below[v] <= set(prefix):
+                prefix.append(v)
+                extend()
+                prefix.pop()
+
+    extend()
+    return out
+
+
+def brute_force_dimension(p: Poset) -> int:
+    """Reference dimension by exhausting subsets of linear extensions.
+
+    Enumerates every linear extension, dedupes by the mask of critical
+    pairs it reverses, and looks for the smallest family whose masks
+    cover all critical pairs.  Hard-capped at n <= 7.
+    """
+    if p.n > 7:
+        raise ValueError(f"brute force dimension is capped at n=7, got n={p.n}")
+    cps = naive_critical_pairs(p)
+    if not cps:
+        return 1
+    full = (1 << len(cps)) - 1
+    masks = list(dict.fromkeys(
+        sum(1 << i for i, (x, y) in enumerate(cps) if order.index(y) < order.index(x))
+        for order in all_linear_extensions(p)
+    ))
+    for d in range(1, len(masks) + 1):
+        for combo in combinations(masks, d):
+            acc = 0
+            for mask in combo:
+                acc |= mask
+            if acc == full:
+                return d
+    raise AssertionError("the full extension set always realizes the poset")
 
 
 def naive_find_standard(p: Poset, k: int):
@@ -123,6 +225,49 @@ def seeded_posets(count: int, n_lo: int, n_hi: int, seed: int):
         n = n_lo + (i % span)
         p_edge = 0.15 + 0.1 * (i % 5)
         yield i, random_poset(n, p_edge, derive_seed(s, 1))
+
+
+def _small_random_posets(count: int, seed: int, n_min: int):
+    """Yield (i, n, poset) for each sample i < count, where s is
+    derive_seed(seed, i), n is n_min + (i mod 5), the edge probability p
+    is one random() draw from Random(s), and the poset is
+    random_poset(n, p, derive_seed(s, 1))."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    for i in range(count):
+        s = derive_seed(seed, i)
+        n = n_min + (i % 5)
+        yield i, n, random_poset(n, random.Random(s).random(), derive_seed(s, 1))
+
+
+def run_hiraguchi_scan(count: int, seed: int) -> list[dict]:
+    """Check dim <= floor(n/2) on random posets with 4 <= n <= 8, drawn
+    by _small_random_posets(count, seed, 4).  Violations (expected
+    never) carry the offending poset serialized for reproduction."""
+    violations: list[dict] = []
+    for i, n, p in _small_random_posets(count, seed, 4):
+        d = exact_dimension(p).d
+        if d > n // 2:
+            violations.append(
+                {"index": i, "n": n, "dim": d, "bound": n // 2,
+                 "poset": poset_to_text(p)}
+            )
+    return violations
+
+
+def run_split_sandwich_scan(count: int, seed: int) -> list[dict]:
+    """Check dim(P) <= dim(split(P)) <= dim(P) + 1 on random posets with
+    3 <= n <= 7, drawn by _small_random_posets(count, seed, 3)."""
+    violations: list[dict] = []
+    for i, n, p in _small_random_posets(count, seed, 3):
+        dp = exact_dimension(p).d
+        ds = exact_dimension(kimble_split(p)).d
+        if not dp <= ds <= dp + 1:
+            violations.append(
+                {"index": i, "n": n, "dim": dp, "split_dim": ds,
+                 "poset": poset_to_text(p)}
+            )
+    return violations
 
 
 def v1_realizer_dict(n: int, realizer, optimal: bool) -> dict:

@@ -7,7 +7,6 @@ terminal always shows the scorecard.
 import time
 
 from posetdim import (
-    brute_force_dimension,
     build_reversing_extensions,
     derive_seed,
     exact_dimension,
@@ -21,15 +20,18 @@ from posetdim import (
     random_poset,
     random_skfree_bipartite,
     run_growth_experiment,
-    run_hiraguchi_scan,
     run_prob_lemma_trials,
-    run_split_sandwich_scan,
     standard_example,
     step_extension_cap,
     ub_coloring,
 )
 
-from conftest import seeded_posets
+from conftest import (
+    brute_force_dimension,
+    run_hiraguchi_scan,
+    run_split_sandwich_scan,
+    seeded_posets,
+)
 
 
 def _report(capsys, number: int, ok: bool, detail: str) -> None:
@@ -138,8 +140,8 @@ def test_criterion_7_reversing_extension_postcondition(capsys):
         if got is None:
             continue
         q_elems, color = got
-        exts, _ = build_reversing_extensions(bp, 3, q_elems, color,
-                                             derive_seed(s, 1))
+        exts, _, _ = build_reversing_extensions(bp, 3, q_elems, color,
+                                                derive_seed(s, 1))
         if len(exts) != want_counts[q]:
             failures += 1
             continue

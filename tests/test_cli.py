@@ -90,6 +90,27 @@ def test_peel_certificate_reverifies(tmp_path, capsys):
     assert code == 0 and "verified" in out
 
 
+def test_verify_checks_a_certificate_s_totals(tmp_path, capsys):
+    # inflating total_size and one step's count together keeps the
+    # accounting equation but no longer matches the realizer's members
+    f = str(tmp_path / "free.poset")
+    cert = tmp_path / "cert.json"
+    run(capsys, "gen", "--type", "skfree:10,10,0.25,3", "--seed", "7", "-o", f)
+    run(capsys, "peel", f, "--k", "3", "--q", "2", "--threshold", "8",
+        "--seed", "5", "--json", str(cert))
+    payload = json.loads(cert.read_text())
+    assert payload["certificate"]["steps"]
+    for body in (payload, payload["certificate"]):
+        bad = copy.deepcopy(body)
+        inner = bad.get("certificate", bad)
+        inner["total_size"] += 5
+        inner["steps"][0]["extensions_built"] += 5
+        cert.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "dim", f, "--verify", str(cert))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "VerificationFailed"
+
+
 @pytest.mark.parametrize("k, q", [("1", "2"), ("0", "2"), ("-1", "2"),
                                   ("3", "1")])
 def test_peel_rejects_small_k_and_q(tmp_path, capsys, k, q):

@@ -14,8 +14,6 @@ from posetdim import (
     LinearExtension,
     Poset,
     Realizer,
-    all_linear_extensions,
-    brute_force_dimension,
     check_extension,
     critical_pairs,
     derive_seed,
@@ -25,7 +23,6 @@ from posetdim import (
     is_reversible,
     random_bipartite,
     random_poset,
-    reverses,
     standard_example,
 )
 from posetdim.dimension import (
@@ -38,14 +35,17 @@ from posetdim.dimension import (
     realizer_from_json,
     realizer_to_json,
 )
-from posetdim.errors import (
-    BudgetExceeded,
-    ComparablePairError,
-    NotAnExtension,
-    TooLarge,
-)
+from posetdim.errors import BudgetExceeded, ComparablePairError, NotAnExtension
 
-from conftest import naive_critical_pairs, naive_is_extension, seeded_posets
+from conftest import (
+    all_linear_extensions,
+    brute_force_dimension,
+    naive_critical_pairs,
+    naive_is_extension,
+    relations,
+    reverses,
+    seeded_posets,
+)
 
 
 # -- critical pairs ---------------------------------------------------------------
@@ -184,7 +184,7 @@ def test_critical_rows_of_the_dual_are_the_transpose(seed, n, edge_prob):
 def test_critical_rows_follow_a_relabelling(seed, n, edge_prob, data):
     p = random_poset(n, edge_prob, seed)
     pi = data.draw(st.permutations(range(n)))
-    q = Poset.from_relations(n, [(pi[x], pi[y]) for x, y in p.pairs()])
+    q = Poset.from_relations(n, [(pi[x], pi[y]) for x, y in relations(p)])
     want = [0] * n
     for x, row in enumerate(critical_rows(p)):
         for y in range(n):
@@ -207,6 +207,23 @@ def test_is_realizer_agrees_on_the_dual(seed, n, edge_prob, size, rnd):
     ok_dual, unrev_dual = is_realizer(p.dual(), flipped)
     assert ok == ok_dual
     assert sorted((y, x) for x, y in unrev) == [tuple(c) for c in unrev_dual]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 12), st.floats(0.0, 0.6), st.data())
+def test_exact_dimension_is_unchanged_by_dual_and_relabelling(seed, n, edge_prob,
+                                                               data):
+    # dim(P) = dim(P^d), and a relabelled copy is the same order; only
+    # results the search settled within its budget are compared
+    p = random_poset(n, edge_prob, seed)
+    pi = data.draw(st.permutations(range(n)))
+    relabelled = Poset.from_relations(n, [(pi[x], pi[y]) for x, y in relations(p)])
+    try:
+        dims = [exact_dimension(q, budget=200_000).d
+                for q in (p, p.dual(), relabelled)]
+    except BudgetExceeded:
+        return
+    assert dims[0] == dims[1] == dims[2], dims
 
 
 # -- extensions and reversal -------------------------------------------------------
@@ -294,7 +311,7 @@ def test_closure_updates_match_warshall(seed, n, edge_prob, data):
     # (hi at or below lo) is refused, an implied one is accepted
     p = random_poset(n, edge_prob, seed)
     cl = _Closure(p)
-    edges = list(p.pairs())
+    edges = relations(p)
     reach = _warshall(n, edges)
     for _ in range(data.draw(st.integers(1, 10), label="updates")):
         hi = data.draw(st.integers(0, n - 1), label="hi")
@@ -331,7 +348,7 @@ def _reaches(n, edges, a, b):
 def _reference_first_fit(p, pairs):
     # pair by pair on explicit edge lists; (x, y) fits a class unless x
     # already reaches y there
-    base = list(p.pairs())
+    base = relations(p)
     classes = []
     for x, y in pairs:
         for edges in classes:
@@ -402,7 +419,7 @@ def test_greedy_witness_matches_pair_by_pair(case):
 
 
 def _reference_greedy_cover(p, pairs):
-    base = list(p.pairs())
+    base = relations(p)
     out, remaining = [], list(pairs)
     while remaining:
         edges = []
@@ -481,9 +498,9 @@ def test_is_realizer_agrees_with_naive_check(seed, n, data):
     for _ in range(data.draw(st.integers(0, 3), label="duplicates")):
         orders.insert(data.draw(st.integers(0, len(orders))),
                       data.draw(st.sampled_from(full)))
-    relations = list(p.pairs())
-    if relations and data.draw(st.booleans(), label="break a member"):
-        x, y = data.draw(st.sampled_from(relations))
+    rels = relations(p)
+    if rels and data.draw(st.booleans(), label="break a member"):
+        x, y = data.draw(st.sampled_from(rels))
         order = list(data.draw(st.sampled_from(full)))
         i, j = order.index(x), order.index(y)
         order[i], order[j] = y, x  # y now precedes x although x < y
@@ -586,9 +603,10 @@ def test_exact_agrees_with_brute_force():
 
 
 def test_brute_force_too_large():
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValueError,
+                       match="brute force dimension is capped at n=7, got n=8"):
         brute_force_dimension(Poset.from_relations(8, []))
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValueError, match="refusing to enumerate extensions for n=11"):
         all_linear_extensions(random_poset(11, 0.2, 1))
 
 

@@ -8,12 +8,12 @@ from posetdim import (
     GrowthRecord,
     growth_records_to_csv,
     run_growth_experiment,
-    run_hiraguchi_scan,
     run_prob_lemma_trials,
-    run_split_sandwich_scan,
 )
 from posetdim.errors import GenerationExhausted
 from posetdim.experiments import growth_records_to_json_dict
+
+from conftest import run_hiraguchi_scan, run_split_sandwich_scan
 
 
 # -- Monte Carlo ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Properties of the library source itself."""
 
 import ast
+import re
 import importlib.util
 from pathlib import Path
 
@@ -54,3 +55,24 @@ def test_every_traced_function_exists():
         assert tracer.missing == []
     finally:
         tracer.remove()
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # a name in __all__ that no library module, demo or benchmark file
+    # uses is a test-only convenience, unless it is a documented entry
+    # point that nothing inside the repository needs to call
+    root = Path(__file__).resolve().parents[1]
+    texts = [path.read_text() for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"]
+    for folder in ("demos", "perfbench"):
+        texts += [path.read_text() for path in sorted((root / folder).glob("*.py"))]
+    unreached = []
+    for name in posetdim.__all__:
+        use = re.compile(rf"\b{name}\b")
+        definition = re.compile(rf"^\s*(?:def|class) {name}\b.*$", re.M)
+        if not any(use.search(definition.sub("", text)) for text in texts):
+            unreached.append(name)
+    assert sorted(unreached) == [
+        "certificate_from_json", "certificate_to_json", "is_reversible",
+        "realizer_from_json", "realizer_to_json",
+    ]

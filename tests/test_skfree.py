@@ -23,7 +23,6 @@ from posetdim import (
     check_extension,
     critical_pairs,
     derive_seed,
-    embedding_valid,
     event_E_holds,
     event_probability_bound,
     exact_dimension,
@@ -64,7 +63,7 @@ from posetdim.errors import (
     VerificationFailed,
 )
 
-from conftest import check_coloring
+from conftest import check_coloring, downset, embedding_valid, relations
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -278,7 +277,7 @@ def test_build_reversing_extension_counts_frozen():
         if got is None:
             pytest.skip(f"no monochromatic {q}-set for this seed")
         q_elems, color = got
-        exts, mat = build_reversing_extensions(bp, 3, q_elems, color, seed=2)
+        exts, mat, _ = build_reversing_extensions(bp, 3, q_elems, color, seed=2)
         assert len(exts) == count
         assert mat.r == count // 2
         assert len(set(e.order for e in exts)) > 1
@@ -306,7 +305,7 @@ def test_build_reversing_extensions_postcondition():
             continue
         hits += 1
         q_elems, color = got
-        exts, _ = build_reversing_extensions(bp, 3, q_elems, color, seed=i)
+        exts, _, _ = build_reversing_extensions(bp, 3, q_elems, color, seed=i)
         for a in q_elems:
             for b in bp.b_order:
                 if bp.poset.incomparable(a, b):
@@ -354,7 +353,7 @@ def test_postcondition_reports_the_first_unreversed_pair(seed, data):
     if got is None:
         return
     q_elems, color = got
-    exts, _ = build_reversing_extensions(bp, 3, q_elems, color, seed=0)
+    exts, _, _ = build_reversing_extensions(bp, 3, q_elems, color, seed=0)
     distinct = list(dict.fromkeys(exts))
     family = data.draw(st.lists(st.sampled_from(distinct), min_size=1), label="kept")
     j = data.draw(st.integers(0, len(family) - 1), label="mutated")
@@ -404,7 +403,7 @@ def test_build_reversing_extensions_shares_repeated_members():
                 continue
             checked += 1
             q_elems, color = got
-            exts, mat = build_reversing_extensions(bp, 3, q_elems, color, seed=i)
+            exts, mat, _ = build_reversing_extensions(bp, 3, q_elems, color, seed=i)
             assert len(exts) == 2 * mat.r
             assert len({e.order for e in exts}) <= 2 * q + 2
             assert len({id(e) for e in exts}) == len({e.order for e in exts})
@@ -566,6 +565,24 @@ def test_peeling_the_dual_realizes_both_orders(na, nb):
         assert is_realizer(bp.poset, back) == (True, [])
         assert cert.total_size == len(exts) == cert.base_dimension + sum(
             s.extensions_built for s in cert.steps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 1000), st.integers(6, 12), st.sampled_from([2, 3]),
+       st.data())
+def test_peeling_a_relabelled_copy_realizes_it(seed, na, q, data):
+    # metamorphic: the same S_3-free order under other ids (sides listed
+    # in their relabelled order) peels to a realizer of the relabelled
+    # copy; every seed here samples within the tries and peels a step
+    bp = random_skfree_bipartite(na, na, 0.2, 3, seed=seed)
+    n = bp.poset.n
+    pi = data.draw(st.permutations(range(n)))
+    twin = BipartitePoset(
+        Poset.from_relations(n, [(pi[x], pi[y]) for x, y in relations(bp.poset)]),
+        [pi[a] for a in bp.a_order], [pi[b] for b in bp.b_order])
+    cert = peel_realizer(twin, 3, q, base_threshold=8, seed=seed)
+    assert cert.steps
+    assert is_realizer(twin.poset, cert.realizer.extensions) == (True, [])
 
 
 def test_peel_realizer_tiny_base_budget_still_sound(monkeypatch):
@@ -745,7 +762,7 @@ def _min_priority_projection(p, order):
     placed: set[int] = set()
     out = []
     while len(out) < n:
-        ready = [x for x in range(n) if x not in placed and p.downset(x) <= placed]
+        ready = [x for x in range(n) if x not in placed and downset(p, x) <= placed]
         best = min(ready, key=lambda x: pos[n + x])
         out.append(best)
         placed.add(best)
