@@ -13,7 +13,6 @@ from posetdim import (
     peel_step,
     random_skfree_bipartite,
     subset_color,
-    ub_coloring,
 )
 
 bp = random_skfree_bipartite(10, 10, 0.25, 3, seed=2024)
@@ -23,14 +22,14 @@ print(f"bipartite poset: |A| = {len(bp.a_order)}, |B| = {len(bp.b_order)}, "
 # Every 3-subset of A gets a color: a position whose element has no
 # "mate" above all the others.  Freeness of the poset is exactly what
 # guarantees some position qualifies.
-coloring = ub_coloring(bp, 3)
 sample = tuple(bp.a_order[:3])
 print(f"\nsubset {sample}: mates per position:",
       [sorted(mates(bp, sample, i)) for i in (1, 2, 3)])
 print(f"color of {sample}: {subset_color(bp, sample)}")
 
 # A monochromatic set: q elements all of whose 3-subsets share a color.
-q_elems, color = find_monochromatic(bp, coloring, 3)
+# The search colors only the subsets it reads.
+q_elems, color = find_monochromatic(bp, 3, 3)
 print(f"\nmonochromatic q-set {q_elems} with color {color}")
 
 # The peel step builds the reversing extensions from a random 0/1

@@ -106,9 +106,6 @@ class Poset:
         """True iff x < y."""
         return bool((self._up[x] >> y) & 1)
 
-    def leq(self, x: int, y: int) -> bool:
-        return x == y or self.lt(x, y)
-
     def incomparable(self, x: int, y: int) -> bool:
         return x != y and not self.lt(x, y) and not self.lt(y, x)
 

@@ -7,7 +7,7 @@ are derived by index nesting so records are regenerable one at a time.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import derive_seed, random_skfree_bipartite
 from .dimension import exact_dimension
@@ -152,15 +152,4 @@ def growth_records_to_csv(records: list[GrowthRecord]) -> str:
 
 
 def growth_records_to_json_dict(records: list[GrowthRecord]) -> list[dict]:
-    return [
-        {
-            "n": rec.n,
-            "samples": rec.samples,
-            "mean_bound": rec.mean_bound,
-            "max_bound": rec.max_bound,
-            "mean_exact": rec.mean_exact,
-            "bound_over_n": rec.bound_over_n,
-            "failures": rec.failures,
-        }
-        for rec in records
-    ]
+    return [asdict(rec) for rec in records]

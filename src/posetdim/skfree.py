@@ -184,91 +184,57 @@ def _mate_masks(bp: BipartitePoset, elems: Sequence[int]) -> list[int]:
     return [pre[i] & suf[i + 1] & ~up[elems[i]] for i in range(k)]
 
 
-def valid_colors(bp: BipartitePoset, subset: Sequence[int]) -> frozenset[int]:
-    """Positions (1-based) of the subset that have no mate.
+def subset_color(bp: BipartitePoset, subset: Sequence[int]) -> int:
+    """First position (1-based) of the subset that has no mate.
 
-    An empty result would exhibit a standard example (the subset plus
-    one mate per position), so NoValidColor carries that witness.
+    If every position has one, the subset plus one mate per position is
+    a standard example, and NoValidColor carries that witness.
     """
-    elems = list(subset)
+    elems = tuple(subset)
     _check_subset(bp, elems)
     masks = _mate_masks(bp, elems)
-    good = frozenset(i + 1 for i, m in enumerate(masks) if not m)
-    if not good:
-        partners = tuple(next(iter_bits(m)) for m in masks)
-        raise NoValidColor(
-            f"every position of {tuple(elems)} has a mate",
-            embedding=Embedding(tuple(elems), partners),
-        )
-    return good
-
-
-def subset_color(bp: BipartitePoset, subset: Sequence[int]) -> int:
-    """Smallest valid color of the subset."""
-    return min(valid_colors(bp, subset))
-
-
-class UBColoring:
-    """Upset-based coloring of the k-subsets of the A side.
-
-    color_of maps a sorted tuple of positions into a_order to the
-    smallest position (1-based) that has no mate in that subset.  Colors
-    are computed on demand and memoized in .colors, so peeling pays only
-    for the subsets the monochromatic search reads.
-    """
-
-    __slots__ = ("bp", "k", "colors")
-
-    def __init__(self, bp: BipartitePoset, k: int):
-        if k < 2:
-            raise ValueError(f"need k >= 2, got {k}")
-        self.bp = bp
-        self.k = k
-        self.colors: dict[tuple[int, ...], int] = {}
-
-    def color_of(self, positions: tuple[int, ...]) -> int:
-        got = self.colors.get(positions)
-        if got is None:
-            elems = tuple(self.bp.a_order[c] for c in positions)
-            got = self.colors[positions] = subset_color(self.bp, elems)
-        return got
-
-
-def ub_coloring(bp: BipartitePoset, k: int) -> UBColoring:
-    """Color every k-subset of A, in lexicographic order of positions.
-
-    Raises NoValidColor (with an embedded standard example) exactly when
-    the poset is not free of them.
-    """
-    coloring = UBColoring(bp, k)
-    for positions in combinations(range(len(bp.a_order)), k):
-        coloring.color_of(positions)
-    return coloring
+    for i, m in enumerate(masks, start=1):
+        if not m:
+            return i
+    raise NoValidColor(
+        f"every position of {elems} has a mate",
+        embedding=Embedding(elems, tuple(next(iter_bits(m)) for m in masks)),
+    )
 
 
 def find_monochromatic(
-    bp: BipartitePoset, coloring, q: int
+    bp: BipartitePoset, k: int, q: int
 ) -> tuple[tuple[int, ...], int] | None:
     """Search for q elements of A whose k-subsets all share one color.
 
     Tries colors in increasing order; within a color, greedy extension
     over A in a_order with backtracking, so the first set found wins.
-    Returns (elements sorted by a_order, color), or None.
+    Each k-subset read is colored once, by subset_color.  When q < k,
+    every q-set is vacuously monochromatic in color 1.  Returns
+    (elements sorted by a_order, color), or None.
     """
-    if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
-    na = len(bp.a_order)
+    if k < 2 or q < 2:
+        raise ValueError(f"need k >= 2 and q >= 2, got k={k}, q={q}")
+    a_order = bp.a_order
+    na = len(a_order)
     if q > na:
         return None
-    k = coloring.k
+    colors: dict[tuple[int, ...], int] = {}  # positions in a_order -> color
     chosen: list[int] = []
+
+    def color_of(positions: tuple[int, ...]) -> int:
+        got = colors.get(positions)
+        if got is None:
+            elems = tuple(a_order[c] for c in positions)
+            got = colors[positions] = subset_color(bp, elems)
+        return got
 
     def extend(start: int, color: int) -> bool:
         if len(chosen) == q:
             return True
         for c in range(start, na):
             if all(
-                coloring.color_of(tup + (c,)) == color
+                color_of(tup + (c,)) == color
                 for tup in combinations(chosen, k - 1)
             ):
                 chosen.append(c)
@@ -280,7 +246,7 @@ def find_monochromatic(
     for color in range(1, k + 1):
         chosen.clear()
         if extend(0, color):
-            return tuple(bp.a_order[c] for c in chosen), color
+            return tuple(a_order[c] for c in chosen), color
     return None
 
 
@@ -425,10 +391,6 @@ class PeelStep:
     extensions_built: int
     cleanup_count: int
 
-    @property
-    def matrix_rows(self) -> int:
-        return self.matrix.r
-
 
 def peel_step(
     bp: BipartitePoset, k: int, q: int, seed: int
@@ -442,15 +404,10 @@ def peel_step(
     must fit in floor(3k * 2^k * ln q) extensions, else BoundExceeded.
     Returns the step and the extensions it spent, in bp's element ids.
     """
-    na = len(bp.a_order)
-    if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
-    if na < q:
-        raise NoMonochromaticSet(f"|A| = {na} < q = {q}")
-    found = find_monochromatic(bp, UBColoring(bp, k), q)
+    found = find_monochromatic(bp, k, q)
     if found is None:
         raise NoMonochromaticSet(
-            f"no monochromatic {q}-set among {na} A-side elements"
+            f"no monochromatic {q}-set among {len(bp.a_order)} A-side elements"
         )
     q_elems, color = found
     seed = derive_seed(seed, 1)
@@ -679,7 +636,7 @@ def certificate_to_json_dict(cert: PeelCertificate) -> dict:
                 "removed": list(rec.removed),
                 "q": rec.q,
                 "color": rec.color,
-                "matrix_rows": rec.matrix_rows,
+                "matrix_rows": rec.matrix.r,
                 "matrix": rec.matrix.to_strings(),
                 "extensions_built": rec.extensions_built,
                 "cleanup_extensions": rec.cleanup_count,

@@ -21,10 +21,8 @@ from posetdim import (
     derive_seed,
     exact_dimension,
     kimble_split,
-    mates,
     poset_to_text,
     random_poset,
-    subset_color,
 )
 from posetdim.core import iter_bits
 
@@ -32,6 +30,11 @@ from posetdim.core import iter_bits
 def relations(p: Poset) -> list[tuple[int, int]]:
     """Every related pair (x, y) with x < y, lexicographically."""
     return [(x, y) for x in range(p.n) for y in range(p.n) if p.lt(x, y)]
+
+
+def leq(p: Poset, x: int, y: int) -> bool:
+    """True iff x <= y."""
+    return x == y or p.lt(x, y)
 
 
 def upset(p: Poset, x: int) -> frozenset[int]:
@@ -97,21 +100,12 @@ def check_poset(p: Poset) -> None:
             assert p.lt(w, x), f"down/up mismatch {w},{x}"
 
 
-def check_coloring(coloring) -> None:
-    """Assert every color a UBColoring stored is a position with no mate."""
-    bp = coloring.bp
-    for positions, color in coloring.colors.items():
-        elems = tuple(bp.a_order[c] for c in positions)
-        assert not mates(bp, elems, color), (positions, color)
-        assert color == subset_color(bp, elems)
-
-
 def naive_critical_pairs(p: Poset) -> list[tuple[int, int]]:
     """Critical pairs straight from the definition, on frozensets."""
     out = []
     for x in range(p.n):
         for y in range(p.n):
-            if x == y or p.leq(x, y) or p.leq(y, x):
+            if x == y or leq(p, x, y) or leq(p, y, x):
                 continue
             if downset(p, x) <= downset(p, y) and upset(p, y) <= upset(p, x):
                 out.append((x, y))
@@ -175,19 +169,19 @@ def naive_find_standard(p: Poset, k: int):
     """
     elems = range(p.n)
     for a_set in combinations(elems, k):
-        if any(p.leq(x, y) or p.leq(y, x) for x, y in combinations(a_set, 2)):
+        if any(leq(p, x, y) or leq(p, y, x) for x, y in combinations(a_set, 2)):
             continue
         rest = [e for e in elems if e not in a_set]
         found = None
         for b_set in combinations(rest, k):
-            if any(p.leq(x, y) or p.leq(y, x) for x, y in combinations(b_set, 2)):
+            if any(leq(p, x, y) or leq(p, y, x) for x, y in combinations(b_set, 2)):
                 continue
             for b_perm in sorted(permutations(b_set)):
                 ok = True
                 for i, a in enumerate(a_set):
                     for j, b in enumerate(b_perm):
                         want_lt = i != j
-                        if p.lt(a, b) != want_lt or p.leq(b, a):
+                        if p.lt(a, b) != want_lt or leq(p, b, a):
                             ok = False
                             break
                     if not ok:
@@ -205,7 +199,7 @@ def naive_is_extension(p: Poset, order: tuple[int, ...]) -> bool:
     pos = {v: i for i, v in enumerate(order)}
     return all(
         pos[x] < pos[y] for x in range(p.n) for y in range(p.n)
-        if x != y and p.leq(x, y)
+        if x != y and leq(p, x, y)
     )
 
 
@@ -289,7 +283,7 @@ def v1_certificate_dict(cert) -> dict:
                 "removed": list(rec.removed),
                 "q": rec.q,
                 "color": rec.color,
-                "matrix_rows": rec.matrix_rows,
+                "matrix_rows": rec.matrix.r,
                 "matrix": rec.matrix.to_strings(),
                 "extensions_built": rec.extensions_built,
                 "cleanup_extensions": rec.cleanup_count,

@@ -23,7 +23,6 @@ from posetdim import (
     run_prob_lemma_trials,
     standard_example,
     step_extension_cap,
-    ub_coloring,
 )
 
 from conftest import (
@@ -136,7 +135,7 @@ def test_criterion_7_reversing_extension_postcondition(capsys):
         q = 2 + (attempt % 2)
         attempt += 1
         bp = random_skfree_bipartite(na, na, 0.2, 3, s)
-        got = find_monochromatic(bp, ub_coloring(bp, 3), q)
+        got = find_monochromatic(bp, 3, q)
         if got is None:
             continue
         q_elems, color = got

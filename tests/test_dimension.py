@@ -40,6 +40,7 @@ from posetdim.errors import BudgetExceeded, ComparablePairError, NotAnExtension
 from conftest import (
     all_linear_extensions,
     brute_force_dimension,
+    leq,
     naive_critical_pairs,
     naive_is_extension,
     relations,
@@ -66,7 +67,7 @@ def test_conflict_masks_match_pairwise_rule(seed, n, edge_prob):
     want = [0] * len(cps)
     for i, (xi, yi) in enumerate(cps):
         for j, (xj, yj) in enumerate(cps):
-            if i != j and p.leq(xi, yj) and p.leq(xj, yi):
+            if i != j and leq(p, xi, yj) and leq(p, xj, yi):
                 want[i] |= 1 << j
     assert _conflict_masks(p, cps) == want
 

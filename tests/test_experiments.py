@@ -100,6 +100,11 @@ def test_growth_json_mirror():
         "n": 12, "samples": 2, "mean_bound": 3.0, "max_bound": 4,
         "mean_exact": 2.5, "bound_over_n": 0.25, "failures": 1,
     }
+    # experiment growth --json writes the keys in this order
+    assert list(payload) == [
+        "n", "samples", "mean_bound", "max_bound", "mean_exact",
+        "bound_over_n", "failures",
+    ]
 
 
 # -- theorem scans ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Properties of the library source itself."""
 
 import ast
+import inspect
 import re
 import importlib.util
 from pathlib import Path
@@ -57,15 +58,22 @@ def test_every_traced_function_exists():
         tracer.remove()
 
 
-def test_every_public_name_is_reached_outside_the_tests():
-    # a name in __all__ that no library module, demo or benchmark file
-    # uses is a test-only convenience, unless it is a documented entry
-    # point that nothing inside the repository needs to call
+def _texts_outside_the_tests() -> list[str]:
+    # every library module but the export list, every demo and every
+    # benchmark file
     root = Path(__file__).resolve().parents[1]
     texts = [path.read_text() for path in sorted(SRC.glob("*.py"))
              if path.name != "__init__.py"]
     for folder in ("demos", "perfbench"):
         texts += [path.read_text() for path in sorted((root / folder).glob("*.py"))]
+    return texts
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # a name in __all__ that no library module, demo or benchmark file
+    # uses is a test-only convenience, unless it is a documented entry
+    # point that nothing inside the repository needs to call
+    texts = _texts_outside_the_tests()
     unreached = []
     for name in posetdim.__all__:
         use = re.compile(rf"\b{name}\b")
@@ -76,3 +84,26 @@ def test_every_public_name_is_reached_outside_the_tests():
         "certificate_from_json", "certificate_to_json", "is_reversible",
         "realizer_from_json", "realizer_to_json",
     ]
+
+
+def test_every_public_method_is_reached_outside_the_tests():
+    # the same rule one level down: a public method or property of an
+    # exported class must be read as an attribute somewhere outside its
+    # own definition, not only by the tests
+    texts = _texts_outside_the_tests()
+    unreached = []
+    for cls_name in posetdim.__all__:
+        cls = getattr(posetdim, cls_name)
+        if not inspect.isclass(cls):
+            continue
+        for name, attr in vars(cls).items():
+            if name.startswith("_") or not (
+                inspect.isfunction(attr)
+                or isinstance(attr, (property, classmethod, staticmethod))
+            ):
+                continue
+            use = re.compile(rf"\.{name}\b")
+            definition = re.compile(rf"^\s*def {name}\b.*$", re.M)
+            if not any(use.search(definition.sub("", text)) for text in texts):
+                unreached.append(f"{cls_name}.{name}")
+    assert unreached == []

@@ -1,7 +1,6 @@
 """Peeling machinery: matrices, coloring, reversing extensions, certificates."""
 
 import json
-import math
 from itertools import combinations
 from pathlib import Path
 
@@ -15,7 +14,6 @@ from posetdim import (
     LinearExtension,
     Poset,
     Realizer,
-    UBColoring,
     acquire_event_matrix,
     build_reversing_extensions,
     certificate_from_json,
@@ -43,8 +41,6 @@ from posetdim import (
     standard_example_bipartite,
     step_extension_cap,
     subset_color,
-    ub_coloring,
-    valid_colors,
 )
 from posetdim import skfree
 from posetdim.core import iter_bits
@@ -63,7 +59,7 @@ from posetdim.errors import (
     VerificationFailed,
 )
 
-from conftest import check_coloring, downset, embedding_valid, relations
+from conftest import downset, embedding_valid, relations
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -157,53 +153,42 @@ def test_mates_on_the_standard_example():
         mates(bp, (1, 0), 1)  # not sorted by a_order
 
 
-def test_valid_colors_raises_with_witness_on_standard_example():
+def test_subset_color_raises_with_witness_on_standard_example():
     bp = standard_example_bipartite(3)
     with pytest.raises(NoValidColor) as exc:
-        valid_colors(bp, (0, 1, 2))
+        subset_color(bp, (0, 1, 2))
     emb = exc.value.embedding
     assert embedding_valid(bp.poset, emb)
     assert emb.a_elems == (0, 1, 2)
+    assert str(exc.value) == "every position of (0, 1, 2) has a mate"
 
 
 def test_colors_on_free_posets():
+    # the color is the first position without a mate; freeness means
+    # some position lacks one
     for i in range(15):
         bp = random_skfree_bipartite(8, 8, 0.3, 3, seed=derive_seed(5, i))
         for subset in combinations(bp.a_order, 3):
-            cols = valid_colors(bp, subset)
-            assert cols  # freeness means some position lacks a mate
-            assert subset_color(bp, subset) == min(cols)
-            for c in cols:
-                assert mates(bp, subset, c) == frozenset()
-
-
-def test_ub_coloring_eager_matches_lazy():
-    bp = random_skfree_bipartite(9, 9, 0.3, 3, seed=77)
-    eager = ub_coloring(bp, 3)
-    check_coloring(eager)
-    lazy = UBColoring(bp, 3)
-    for positions, color in eager.colors.items():
-        assert lazy.color_of(positions) == color
-    assert len(eager.colors) == math.comb(9, 3)
-    assert lazy.colors == eager.colors  # memoized as read
-    with pytest.raises(ValueError):
-        UBColoring(bp, 1)
+            color = subset_color(bp, subset)
+            assert mates(bp, subset, color) == frozenset()
+            assert all(mates(bp, subset, c) for c in range(1, color))
 
 
 def test_find_monochromatic_small_cases():
     bp = random_skfree_bipartite(8, 8, 0.3, 3, seed=13)
-    coloring = ub_coloring(bp, 3)
-    got = find_monochromatic(bp, coloring, 3)
+    got = find_monochromatic(bp, 3, 3)
     if got is not None:
         q_elems, color = got
         for subset in combinations(q_elems, 3):
             assert subset_color(bp, subset) == color
     # q below k is vacuously monochromatic with the first color
-    assert find_monochromatic(bp, coloring, 2) == ((0, 1), 1)
+    assert find_monochromatic(bp, 3, 2) == ((0, 1), 1)
     # q beyond |A| is impossible
-    assert find_monochromatic(bp, coloring, 9) is None
+    assert find_monochromatic(bp, 3, 9) is None
     with pytest.raises(ValueError):
-        find_monochromatic(bp, coloring, 1)
+        find_monochromatic(bp, 3, 1)
+    with pytest.raises(ValueError):
+        find_monochromatic(bp, 1, 3)
 
 
 def test_find_monochromatic_respects_colors():
@@ -212,8 +197,7 @@ def test_find_monochromatic_respects_colors():
     found = 0
     for i in range(30):
         bp = random_skfree_bipartite(9, 9, 0.35, 3, seed=derive_seed(99, i))
-        coloring = ub_coloring(bp, 3)
-        got = find_monochromatic(bp, coloring, 4)
+        got = find_monochromatic(bp, 3, 4)
         if got is None:
             continue
         found += 1
@@ -222,6 +206,31 @@ def test_find_monochromatic_respects_colors():
         for subset in combinations(q_elems, 3):
             assert subset_color(bp, subset) == color
     assert found > 0
+
+
+def test_find_monochromatic_colors_each_subset_once(monkeypatch):
+    # the search keeps the colors it read, so no k-subset is colored
+    # twice within one call, even when it tries several colors
+    seen: list[tuple[int, ...]] = []
+    real = skfree.subset_color
+
+    def counted(bp_, subset):
+        seen.append(tuple(subset))
+        return real(bp_, subset)
+
+    monkeypatch.setattr(skfree, "subset_color", counted)
+    past_color_1 = 0
+    for i in range(8):
+        bp = random_skfree_bipartite(9, 9, 0.3, 3, seed=derive_seed(61, i))
+        for q in (3, 4, 5, 6):
+            seen.clear()
+            got = find_monochromatic(bp, 3, q)
+            assert seen and len(seen) == len(set(seen)), (i, q)
+            assert all(len(subset) == 3 for subset in seen)
+            # every color's search starts by reading the first k-subset
+            # again, so these searches would re-color without the memo
+            past_color_1 += got is None or got[1] > 1
+    assert past_color_1 > 0
 
 
 # -- sigma orders and extensions ------------------------------------------------------
@@ -271,9 +280,8 @@ def test_build_reversing_extension_counts_frozen():
     # 2 * ceil(k 2^k ln q) at k=3: q=2 -> 34, q=3 -> 54, q=4 -> 68
     want = {2: 34, 3: 54, 4: 68}
     bp = random_skfree_bipartite(10, 10, 0.25, 3, seed=23)
-    coloring = ub_coloring(bp, 3)
     for q, count in want.items():
-        got = find_monochromatic(bp, coloring, q)
+        got = find_monochromatic(bp, 3, q)
         if got is None:
             pytest.skip(f"no monochromatic {q}-set for this seed")
         q_elems, color = got
@@ -299,8 +307,7 @@ def test_build_reversing_extensions_postcondition():
     hits = 0
     for i in range(40):
         bp = random_skfree_bipartite(9, 9, 0.3, 3, seed=derive_seed(3571, i))
-        coloring = ub_coloring(bp, 3)
-        got = find_monochromatic(bp, coloring, 3)
+        got = find_monochromatic(bp, 3, 3)
         if got is None:
             continue
         hits += 1
@@ -349,7 +356,7 @@ def test_postcondition_reports_the_first_unreversed_pair(seed, data):
     # moved to the bottom); the check must raise for the pair the
     # pair-by-pair rule finds first, and pass when that rule finds none
     bp = random_skfree_bipartite(8, 8, 0.3, 3, seed=seed)
-    got = find_monochromatic(bp, UBColoring(bp, 3), 3)
+    got = find_monochromatic(bp, 3, 3)
     if got is None:
         return
     q_elems, color = got
@@ -374,7 +381,7 @@ def test_postcondition_raises_when_a_q_element_is_never_lifted(monkeypatch):
     # incomparable B element is the pair to report
     for i in range(40):
         bp = random_skfree_bipartite(8, 8, 0.3, 3, seed=derive_seed(41, i))
-        got = find_monochromatic(bp, UBColoring(bp, 3), 3)
+        got = find_monochromatic(bp, 3, 3)
         if got is not None:
             break
     q_elems, color = got
@@ -396,9 +403,8 @@ def test_build_reversing_extensions_shares_repeated_members():
     checked = 0
     for i in range(20):
         bp = random_skfree_bipartite(10, 10, 0.25, 3, seed=derive_seed(29, i))
-        coloring = ub_coloring(bp, 3)
         for q in (2, 3, 4):
-            got = find_monochromatic(bp, coloring, q)
+            got = find_monochromatic(bp, 3, q)
             if got is None:
                 continue
             checked += 1
@@ -464,7 +470,7 @@ def test_certificate_counts_duplicate_extensions():
     cert = peel_realizer(bp, 3, 3, base_threshold=12, seed=7)
     assert cert.steps
     for s in cert.steps:
-        assert s.extensions_built == 2 * s.matrix_rows + 1 + s.cleanup_count
+        assert s.extensions_built == 2 * s.matrix.r + 1 + s.cleanup_count
     distinct = len({e.order for e in cert.realizer.extensions})
     assert distinct < cert.total_size == len(cert.realizer.extensions)
 
