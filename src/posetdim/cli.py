@@ -119,16 +119,16 @@ def _cmd_dim(args) -> int:
             n, realizer, _ = realizer_from_json_dict(data)
         if n != p.n:
             raise VerificationFailed(f"realizer is for n={n}, poset has n={p.n}")
-        ok, unreversed = is_realizer(p, realizer.extensions)
+        ok, unreversed = is_realizer(p, realizer.orders)
         if not ok:
-            if not realizer.extensions:
+            if not realizer:
                 raise VerificationFailed("the realizer family is empty")
             raise VerificationFailed(
                 f"{len(unreversed)} critical pairs unreversed, first "
                 f"{tuple(unreversed[0])}",
                 pair=tuple(unreversed[0]),
             )
-        print(f"verified {len(realizer.extensions)} extensions realize the poset")
+        print(f"verified {len(realizer)} extensions realize the poset")
         return 0
     budget = None if args.exact else args.budget
     try:

@@ -29,6 +29,14 @@ class LinearExtension:
     def __post_init__(self):
         object.__setattr__(self, "order", tuple(self.order))
 
+    def __hash__(self) -> int:
+        # realizers repeat one object per order: hash each order once
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.order))
+            return self._hash
+
     def positions(self) -> tuple[int, ...]:
         """pos[v] is v's index in the order."""
         pos = [0] * len(self.order)
@@ -42,13 +50,25 @@ class LinearExtension:
 
 @dataclass(frozen=True)
 class Realizer:
-    extensions: tuple[LinearExtension, ...]
+    """Distinct orders, each some member's, and per member its index."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "extensions", tuple(self.extensions))
+    orders: tuple[LinearExtension, ...]
+    members: tuple[int, ...]
+
+    @classmethod
+    def of(cls, extensions: Iterable[LinearExtension]) -> Realizer:
+        """The family of these members, orders in order of first appearance."""
+        index: dict[LinearExtension, int] = {}
+        members = tuple([index.setdefault(ext, len(index)) for ext in extensions])
+        return cls(tuple(index), members)
+
+    @property
+    def extensions(self) -> tuple[LinearExtension, ...]:
+        """Every member, repeats included."""
+        return tuple(self.orders[i] for i in self.members)
 
     def __len__(self) -> int:
-        return len(self.extensions)
+        return len(self.members)
 
 
 @dataclass
@@ -243,16 +263,14 @@ def is_realizer(
     """Does the family realize p, i.e. is p the intersection of its orders?
 
     The family realizes p exactly when it is not empty (unless p is)
-    and, for every x, its distinct members together list below x every
-    element that is not above x and nothing above it.  Returns (ok,
-    unreversed critical pairs in lexicographic order).  Raises
-    NotAnExtension if a member is not a linear extension of p.
+    and, for every x, its members together list below x every element
+    that is not above x and nothing above it.  Each member is walked as
+    given, so a Realizer is checked by passing its orders.
+    Returns (ok, unreversed critical pairs in lexicographic order).
+    Raises NotAnExtension if a member is not a linear extension of p.
     """
     n = p.n
-    # peeled and JSON-read families repeat one object per distinct
-    # order, so dropping repeated objects first spares hashing orders
-    distinct = {id(ext): ext for ext in extensions}.values()
-    orders = list(dict.fromkeys(ext.order for ext in distinct))
+    orders = [ext.order for ext in extensions]
     elements = frozenset(range(n))
     if all(_is_permutation(order, elements) for order in orders):
         below = listed_below(orders, n)
@@ -261,7 +279,7 @@ def is_realizer(
             below[x] == everyone & ~(up | 1 << x) for x, up in enumerate(p._up)
         ):
             return True, []
-    for ext in distinct:
+    for ext in extensions:
         check_extension(p, ext)
     # every member is an extension, so (x, y) is reversed in some member
     # exactly when y is in below[x]
@@ -400,7 +418,7 @@ def _conflict_masks(p: Poset, cps: Sequence[CriticalPair]) -> list[int]:
 def _greedy_result(p: Poset, runs: Iterable[list[int]]) -> DimensionResult:
     """The first fit of the x-runs as a (not yet optimal) result."""
     exts = tuple(LinearExtension(cl.extension()) for cl in _first_fit(p, runs))
-    return DimensionResult(len(exts), Realizer(exts), False)
+    return DimensionResult(len(exts), Realizer.of(exts), False)
 
 
 def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
@@ -426,7 +444,7 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
     if not m:
         cl = _Closure(p)
         ext = LinearExtension(cl.extension())
-        return DimensionResult(1, Realizer((ext,)), True)
+        return DimensionResult(1, Realizer.of((ext,)), True)
 
     if m > _CONFLICT_PAIR_CAP:
         # no conflict graph and no search: first fit in lexicographic
@@ -514,7 +532,7 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
             solution = search(d)
             if solution is not None:
                 exts = tuple(LinearExtension(cl.extension()) for cl in solution)
-                return DimensionResult(len(exts), Realizer(exts), True)
+                return DimensionResult(len(exts), Realizer.of(exts), True)
     except _OutOfBudget:
         raise BudgetExceeded(
             f"search budget {budget} exhausted; best known dimension {greedy.d}",
@@ -530,17 +548,12 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
 
 
 def realizer_to_json_dict(n: int, realizer: Realizer, optimal: bool) -> dict:
-    """The v2 realizer dict: each distinct order once in "orders", in
-    order of first appearance, and per member its index into them."""
-    index: dict[tuple[int, ...], int] = {}
-    members = [
-        index.setdefault(ext.order, len(index)) for ext in realizer.extensions
-    ]
+    """The v2 realizer dict: the realizer's orders and members as held."""
     return {
         "n": n,
-        "dimension": len(members),
-        "orders": [list(order) for order in index],
-        "members": members,
+        "dimension": len(realizer),
+        "orders": [list(ext.order) for ext in realizer.orders],
+        "members": list(realizer.members),
         "optimal": bool(optimal),
     }
 
@@ -584,8 +597,9 @@ def _fields(data: dict, keys: Sequence[str], what: str, kind: type = int) -> lis
 def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
     """Parse a realizer dict, v2 ("orders" and "members") or v1 (one
     order per member in "extensions"); ValueError if it is not shaped
-    like one, or if its optional "dimension" is not its member count.
-    Members that name the same v2 order share one object."""
+    like one, if a v2 order is no member's, or if its optional
+    "dimension" is not its member count.  A v2 realizer holds the file's
+    orders and members as they are; a v1 one goes through Realizer.of."""
     _require_keys(data, ("n", "optimal"), "realizer JSON")
     v1 = "extensions" in data
     if v1 == ("orders" in data):
@@ -600,9 +614,9 @@ def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
     rows = data[key]
     if not isinstance(rows, list) or not all(map(_is_int_list, rows)):
         raise ValueError(f"realizer {key!r} must be a list of integer lists")
-    distinct = [LinearExtension(tuple(row)) for row in rows]
+    exts = [LinearExtension(tuple(row)) for row in rows]
     if v1:
-        members = range(len(rows))
+        realizer = Realizer.of(exts)
     else:
         for i, row in enumerate(rows):
             if len(row) != n:
@@ -613,17 +627,19 @@ def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
         members = data["members"]
         if not _is_int_list(members):
             raise ValueError("realizer 'members' must be a list of integers")
-        if members and not 0 <= min(members) <= max(members) < len(rows):
+        # an order no member names would be checked but never counted
+        if set(members) != set(range(len(rows))):
             raise ValueError(
-                f"realizer 'members' must be indices into the {len(rows)} 'orders'"
+                f"realizer 'members' must be indices naming all {len(rows)} 'orders'"
             )
-    dimension = data.get("dimension", len(members))
-    if type(dimension) is not int or dimension != len(members):
+        realizer = Realizer(tuple(exts), tuple(members))
+    dimension = data.get("dimension", len(realizer))
+    if type(dimension) is not int or dimension != len(realizer):
         raise ValueError(
-            f"realizer 'dimension' is {dimension!r}, not its {len(members)} members"
+            f"realizer 'dimension' is {dimension!r}, not its {len(realizer)} members"
         )
     (optimal,) = _fields(data, ("optimal",), "realizer", bool)
-    return n, Realizer(tuple(distinct[i] for i in members)), optimal
+    return n, realizer, optimal
 
 
 def realizer_to_json(n: int, realizer: Realizer, optimal: bool) -> str:

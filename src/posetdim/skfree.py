@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     BipartitePoset,
@@ -342,10 +342,10 @@ def build_reversing_extensions(
     Q must be monochromatic of the given color under the upset-based
     k-subset coloring.  A matrix with the isolating-row property at
     t = max(color-1, k-color) supplies 2r extensions, two per row, via
-    the two row traversals; rows that induce the same traversal share
-    one LinearExtension object.  The postcondition checks every such
-    pair against one walk per distinct member; a miss raises
-    VerificationFailed with a mate-count diagnosis.  Returns the
+    the two row traversals; each distinct traversal is built once, and
+    the rows that repeat it repeat its object.  The postcondition checks
+    every such pair against one walk per distinct traversal; a miss
+    raises VerificationFailed with a mate-count diagnosis.  Returns the
     extensions, the matrix and the walk's listed_below rows.
     """
     q = len(q_elems)
@@ -463,27 +463,11 @@ class PeelCertificate:
     def check(self) -> None:
         """Raise VerificationFailed unless the totals add up."""
         spent = self.base_dimension + sum(s.extensions_built for s in self.steps)
-        if not self.total_size == spent == len(self.realizer.extensions):
+        if not self.total_size == spent == len(self.realizer):
             raise VerificationFailed(
                 f"total_size {self.total_size}, base dimension plus step "
-                f"extensions {spent}, realizer members {len(self.realizer.extensions)}"
+                f"extensions {spent}, realizer members {len(self.realizer)}"
             )
-
-
-def _map_distinct(
-    fn: Callable[[LinearExtension], LinearExtension],
-    exts: Iterable[LinearExtension],
-) -> list[LinearExtension]:
-    """fn of every member, computed once per distinct order; members
-    that repeat an order share one result object."""
-    done: dict[tuple[int, ...], LinearExtension] = {}
-    out = []
-    for ext in exts:
-        got = done.get(ext.order)
-        if got is None:
-            got = done[ext.order] = fn(ext)
-        out.append(got)
-    return out
 
 
 def peel_realizer(
@@ -494,14 +478,13 @@ def peel_realizer(
     Peels the side with more elements (the dual is peeled when |A| < |B|
     and every extension is flipped as it is lifted).  The host keeps the
     input's ids and loses each removed set, which every later member
-    lists at its very bottom, descending a_order; a member repeated
-    within one step is lifted once and the realizer repeats that
-    object.  Stops peeling when the host has at most base_threshold
-    elements or no monochromatic set exists; the remainder goes,
-    restricted once, to the exact solver (overrunning
-    _BASE_BUDGET downgrades base_optimal rather than failing, since any base
-    realizer keeps the certificate sound).  The assembled realizer is
-    verified against the input before return.
+    lists at its very bottom, descending a_order; each step's distinct
+    orders are lifted once.  Stops peeling when the host has at most
+    base_threshold elements or no monochromatic set exists; the
+    remainder goes, restricted once, to the exact solver (overrunning
+    _BASE_BUDGET downgrades base_optimal rather than failing, since any
+    base realizer keeps the certificate sound).  The assembled realizer
+    is verified against the input, through its orders, before return.
     """
     if k < 2 or q < 2:
         raise ValueError(f"need k >= 2 and q >= 2, got k={k}, q={q}")
@@ -524,7 +507,9 @@ def peel_realizer(
             step, exts = peel_step(host, k, q, derive_seed(seed, len(records)))
         except NoMonochromaticSet:
             break
-        collected.extend(_map_distinct(lift, exts))
+        spent = Realizer.of(exts)
+        lifted = [lift(ext) for ext in spent.orders]
+        collected.extend(lifted[i] for i in spent.members)
         records.append(step)
         # removed sets stack under everything peeled later, each block
         # in descending a_order
@@ -532,7 +517,6 @@ def peel_realizer(
         host = host._without(step.removed)
 
     kept = tuple(iter_bits(host.a_mask | host.b_mask))
-    base_size = len(kept)
     try:
         base = exact_dimension(host.poset.restrict(kept), budget=_BASE_BUDGET)
         base_optimal = base.optimal
@@ -541,8 +525,8 @@ def peel_realizer(
         base_optimal = False
     collected.extend(lift(LinearExtension(tuple(kept[v] for v in ext.order)))
                      for ext in base.witness.extensions)
-    realizer = Realizer(tuple(collected))
-    ok, unreversed = is_realizer(bp.poset, realizer.extensions)
+    realizer = Realizer.of(collected)
+    ok, unreversed = is_realizer(bp.poset, realizer.orders)
     if not ok:
         raise VerificationFailed(
             f"assembled realizer misses {len(unreversed)} critical pairs",
@@ -550,7 +534,7 @@ def peel_realizer(
         )
     cert = PeelCertificate(
         steps=tuple(records),
-        base_size=base_size,
+        base_size=len(kept),
         base_dimension=base.d,
         base_optimal=base_optimal,
         total_size=base.d + sum(rec.extensions_built for rec in records),
@@ -603,15 +587,15 @@ def general_upper_bound(
     bp = BipartitePoset(kimble_split(p), range(p.n), range(p.n, 2 * p.n))
     cert = peel_realizer(bp, k, q, base_threshold, derive_seed(seed, 0))
 
-    family = _map_distinct(
-        lambda ext: _project_split_extension(p, ext), cert.realizer.extensions
-    )
-    ok, unreversed = is_realizer(p, family)
+    # distinct split orders can project to one order of p
+    projected = [_project_split_extension(p, ext) for ext in cert.realizer.orders]
+    family = Realizer.of([projected[i] for i in cert.realizer.members])
+    ok, unreversed = is_realizer(p, family.orders)
     cleanup: list[LinearExtension] = []
     if not ok:
         cleanup = greedy_reversing_extensions(p, unreversed)
-        family = family + cleanup
-        ok, unreversed = is_realizer(p, family)
+        family = Realizer.of(family.extensions + tuple(cleanup))
+        ok, unreversed = is_realizer(p, family.orders)
         if not ok:
             raise VerificationFailed(
                 "projection cleanup failed to realize the input",
@@ -620,7 +604,7 @@ def general_upper_bound(
     return GeneralBoundResult(
         bound=cert.total_size,
         certificate=cert,
-        realizer_for_p=Realizer(tuple(family)),
+        realizer_for_p=family,
         cleanup_count=len(cleanup),
     )
 
@@ -629,7 +613,7 @@ def general_upper_bound(
 
 
 def certificate_to_json_dict(cert: PeelCertificate) -> dict:
-    n = len(cert.realizer.extensions[0]) if cert.realizer.extensions else 0
+    n = len(cert.realizer.orders[0]) if cert.realizer.orders else 0
     return {
         "steps": [
             {
@@ -702,14 +686,13 @@ def certificate_from_json_dict(data) -> PeelCertificate:
     base_size, base_dimension, total_size = _fields(
         data, ("base_size", "base_dimension", "total_size"), "certificate"
     )
-    _, realizer, _ = realizer_from_json_dict(data["realizer"])
     cert = PeelCertificate(
         steps=tuple(steps),
         base_size=base_size,
         base_dimension=base_dimension,
         base_optimal=_fields(data, ("base_optimal",), "certificate", bool)[0],
         total_size=total_size,
-        realizer=realizer,
+        realizer=realizer_from_json_dict(data["realizer"])[1],
     )
     cert.check()
     return cert

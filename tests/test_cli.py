@@ -215,6 +215,11 @@ def test_verify_rejects_wrong_realizer(tmp_path, capsys):
      "ArgumentError", "realizer 'optimal' must be a boolean, got list"),
     ({"n": 3, "extensions": [[0, 1, 2]], "optimal": 1},
      "ArgumentError", "realizer 'optimal' must be a boolean, got int"),
+    # every order is checked, so each must be counted as some member
+    ({"n": 3, "orders": [[0, 1, 2]], "members": [], "optimal": False},
+     "ArgumentError", "naming all 1 'orders'"),
+    ({"n": 3, "orders": [[0, 1, 2], [0, 2, 1]], "members": [0, 0],
+      "optimal": False}, "ArgumentError", "naming all 2 'orders'"),
 ])
 def test_verify_reports_malformed_realizers(tmp_path, capsys, realizer,
                                              error, fragment):

@@ -561,7 +561,10 @@ def test_realizer_json_round_trip():
 
 def test_realizer_json_stores_each_order_once():
     a, b = LinearExtension((0, 1, 2)), LinearExtension((2, 1, 0))
-    family = Realizer((a, b, LinearExtension((0, 1, 2)), b, a))
+    family = Realizer.of((a, b, LinearExtension((0, 1, 2)), b, a))
+    # first appearance fixes each order's index, and its object
+    assert family.orders == (a, b) and family.orders[0] is a
+    assert family.members == (0, 1, 0, 1, 0) and len(family) == 5
     text = realizer_to_json(3, family, False)
     data = json.loads(text)
     assert data["orders"] == [[0, 1, 2], [2, 1, 0]]
@@ -572,6 +575,14 @@ def test_realizer_json_stores_each_order_once():
     # members naming one order share one object
     assert back.extensions[0] is back.extensions[2] is back.extensions[4]
     assert back.extensions[1] is back.extensions[3]
+    # the writer emits the orders and members as held, in their order
+    held = json.loads(realizer_to_json(3, Realizer((b, a), (1, 0, 1)), False))
+    assert held["orders"] == [[2, 1, 0], [0, 1, 2]]
+    assert held["members"] == [1, 0, 1] and held["dimension"] == 3
+    # a v1 file that repeats an order reads back as one order, two members
+    v1 = {"n": 3, "extensions": [[0, 1, 2], [0, 1, 2]], "optimal": False}
+    _, back, _ = realizer_from_json(json.dumps(v1))
+    assert back.orders == (a,) and back.members == (0, 0)
 
 
 # -- exact and brute-force solvers --------------------------------------------------

@@ -43,6 +43,23 @@ def test_json_is_parsed_only_inside_the_nesting_guard():
     assert not outside, outside
 
 
+def test_orders_are_deduplicated_only_by_realizer_of():
+    # Realizer.of de-duplicates by order; de-duplication by object
+    # identity or through dict.fromkeys must not come back beside it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == "id") or (
+                isinstance(f, ast.Attribute) and f.attr == "fromkeys"
+                and isinstance(f.value, ast.Name) and f.value.id == "dict"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_every_traced_function_exists():
     # the benchmark's per-layer metrics wrap library functions by name;
     # a renamed or deleted one would silently read zero

@@ -442,6 +442,24 @@ def test_peel_step_covers_all_pairs_touching_q():
             check_extension(bp.poset, e)
 
 
+def test_peel_step_over_its_cap_raises_bound_exceeded(monkeypatch):
+    bp = random_skfree_bipartite(10, 10, 0.3, 3, seed=derive_seed(41, 0))
+    step, _ = peel_step(bp, 3, 2, seed=0)
+    spent = step.extensions_built
+    seen = []
+    monkeypatch.setattr(skfree, "step_extension_cap",
+                        lambda k, q: seen.append((k, q)) or spent - 1)
+    with pytest.raises(BoundExceeded) as exc:
+        peel_step(bp, 3, 2, seed=0)
+    assert seen == [(3, 2)]
+    assert str(exc.value) == (
+        f"peel spent {spent} extensions, cap is {spent - 1} (k=3, q=2)")
+    # the peel passes the error on rather than stopping early
+    monkeypatch.setattr(skfree, "step_extension_cap", lambda k, q: 0)
+    with pytest.raises(BoundExceeded):
+        peel_realizer(bp, 3, 2, base_threshold=8, seed=0)
+
+
 def test_peel_step_needs_enough_a_elements():
     bp = random_skfree_bipartite(3, 6, 0.3, 3, seed=2)
     with pytest.raises(NoMonochromaticSet):
@@ -622,7 +640,7 @@ def test_certificate_check_raises_on_bad_totals():
         f"{total}, realizer members {total}"
     )
     cert.total_size = total
-    cert.realizer = Realizer(cert.realizer.extensions[1:])
+    cert.realizer = Realizer.of(cert.realizer.extensions[1:])
     with pytest.raises(VerificationFailed, match=f"realizer members {total - 1}$"):
         cert.check()
 
@@ -744,20 +762,42 @@ def test_general_upper_bound_on_random_free_posets():
     assert checked >= 10
 
 
-def test_repeated_members_are_lifted_and_projected_once():
+def test_repeated_members_are_lifted_and_projected_once(monkeypatch):
+    calls = []
+    real = skfree._project_split_extension
+    monkeypatch.setattr(skfree, "_project_split_extension",
+                        lambda p_, ext: calls.append(ext) or real(p_, ext))
     p = random_poset(40, 0.06, seed=12)  # free of the 6-element example
     res = general_upper_bound(p, 3, 3, base_threshold=12, seed=12)
-    members = res.certificate.realizer.extensions
-    assert len({e.order for e in members}) < len(members)
-    # within one peel a repeated order is lifted once, to one object
+    split = res.certificate.realizer
+    assert len(split.orders) < len(split)
+    assert len({e.order for e in split.orders}) == len(split.orders)
+    # within one peel, distinct members map to distinct orders
     start = 0
     for step in res.certificate.steps:
-        chunk = members[start:start + step.extensions_built]
-        assert len({id(e) for e in chunk}) == len({e.order for e in chunk})
+        chunk = split.members[start:start + step.extensions_built]
+        assert len(set(chunk)) == len({split.orders[i].order for i in chunk})
         start += step.extensions_built
     # each distinct order of the split's realizer is projected once
-    projected = res.realizer_for_p.extensions[:len(members)]
-    assert len({id(e) for e in projected}) == len({e.order for e in members})
+    assert len(calls) == len(split.orders)
+    assert res.realizer_for_p.extensions[:len(split)] == tuple(
+        real(p, ext) for ext in split.extensions)
+
+
+def test_general_upper_bound_cleans_up_what_the_projection_misses(monkeypatch):
+    # every split order projects to one fixed extension, so the greedy
+    # cleanup has to reverse the rest; its members follow the projected ones
+    p = random_poset(12, 0.2, seed=3)
+    assert find_standard_example(p, 3) is None
+    one = exact_dimension(p).witness.orders[0]
+    monkeypatch.setattr(skfree, "_project_split_extension", lambda p_, ext: one)
+    res = general_upper_bound(p, 3, 2, base_threshold=8, seed=3)
+    assert res.cleanup_count > 0
+    family = res.realizer_for_p
+    assert len(family) == len(res.certificate.realizer) + res.cleanup_count
+    assert set(family.members[:len(res.certificate.realizer)]) == {0}
+    assert family.orders[0] is one
+    assert is_realizer(p, family.orders) == (True, [])
 
 
 def _min_priority_projection(p, order):
