@@ -27,8 +27,8 @@ from .core import (
 )
 from .dimension import (
     _parse_json,
+    check_realizer,
     exact_dimension,
-    is_realizer,
     realizer_from_json_dict,
 )
 from .errors import BudgetExceeded, PosetDimError, VerificationFailed
@@ -119,15 +119,7 @@ def _cmd_dim(args) -> int:
             n, realizer, _ = realizer_from_json_dict(data)
         if n != p.n:
             raise VerificationFailed(f"realizer is for n={n}, poset has n={p.n}")
-        ok, unreversed = is_realizer(p, realizer.orders)
-        if not ok:
-            if not realizer:
-                raise VerificationFailed("the realizer family is empty")
-            raise VerificationFailed(
-                f"{len(unreversed)} critical pairs unreversed, first "
-                f"{tuple(unreversed[0])}",
-                pair=tuple(unreversed[0]),
-            )
+        check_realizer(p, realizer.orders)
         print(f"verified {len(realizer)} extensions realize the poset")
         return 0
     budget = None if args.exact else args.budget

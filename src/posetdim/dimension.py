@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import Poset, iter_bits
-from .errors import BudgetExceeded, ComparablePairError, NotAnExtension
+from .errors import (BudgetExceeded, ComparablePairError, NotAnExtension,
+                     VerificationFailed)
 
 
 class CriticalPair(NamedTuple):
@@ -73,9 +74,13 @@ class Realizer:
 
 @dataclass
 class DimensionResult:
-    d: int
     witness: Realizer
     optimal: bool
+
+    @property
+    def d(self) -> int:
+        """The witness's member count."""
+        return len(self.witness)
 
 
 class _Closure:
@@ -286,6 +291,20 @@ def is_realizer(
     return False, row_pairs(r & ~b for r, b in zip(critical_rows(p), below))
 
 
+def check_realizer(p: Poset, extensions: Sequence[LinearExtension]) -> None:
+    """is_realizer, raising VerificationFailed unless the family realizes
+    p: "empty" for no members, else the first unreversed pair in .pair."""
+    ok, unreversed = is_realizer(p, extensions)
+    if not ok and not extensions:
+        raise VerificationFailed("the realizer family is empty")
+    if not ok:
+        pair = tuple(unreversed[0])
+        raise VerificationFailed(
+            f"{len(unreversed)} critical pairs unreversed, first {pair}",
+            pair=pair,
+        )
+
+
 def _checked_pairs(
     p: Poset, pairs: Iterable[tuple[int, int]]
 ) -> list[tuple[int, int]]:
@@ -418,7 +437,7 @@ def _conflict_masks(p: Poset, cps: Sequence[CriticalPair]) -> list[int]:
 def _greedy_result(p: Poset, runs: Iterable[list[int]]) -> DimensionResult:
     """The first fit of the x-runs as a (not yet optimal) result."""
     exts = tuple(LinearExtension(cl.extension()) for cl in _first_fit(p, runs))
-    return DimensionResult(len(exts), Realizer.of(exts), False)
+    return DimensionResult(Realizer.of(exts), False)
 
 
 def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
@@ -444,7 +463,7 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
     if not m:
         cl = _Closure(p)
         ext = LinearExtension(cl.extension())
-        return DimensionResult(1, Realizer.of((ext,)), True)
+        return DimensionResult(Realizer.of((ext,)), True)
 
     if m > _CONFLICT_PAIR_CAP:
         # no conflict graph and no search: first fit in lexicographic
@@ -532,7 +551,7 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
             solution = search(d)
             if solution is not None:
                 exts = tuple(LinearExtension(cl.extension()) for cl in solution)
-                return DimensionResult(len(exts), Realizer.of(exts), True)
+                return DimensionResult(Realizer.of(exts), True)
     except _OutOfBudget:
         raise BudgetExceeded(
             f"search budget {budget} exhausted; best known dimension {greedy.d}",

@@ -33,6 +33,7 @@ from .dimension import (
     _is_int_list,
     _parse_json,
     _require_keys,
+    check_realizer,
     critical_rows,
     exact_dimension,
     greedy_reversing_extensions,
@@ -380,16 +381,23 @@ def step_extension_cap(k: int, q: int) -> int:
 class PeelStep:
     """One peel: the removed monochromatic set and what paid for it.
 
-    extensions_built counts every member the step spent, repeats
-    included; cleanup_count of them are greedy cleanup extensions.
+    The step spent two members per matrix row, the minimal-elements
+    extension and cleanup_count greedy cleanup extensions.
     """
 
     removed: tuple[int, ...]
-    q: int
     color: int
     matrix: BinaryMatrix
-    extensions_built: int
     cleanup_count: int
+
+    @property
+    def q(self) -> int:
+        return len(self.removed)
+
+    @property
+    def extensions_built(self) -> int:
+        """Every member the step spent, repeats included."""
+        return 2 * self.matrix.r + 1 + self.cleanup_count
 
 
 def peel_step(
@@ -434,40 +442,33 @@ def peel_step(
             f"peel spent {len(all_exts)} extensions, cap is {cap} "
             f"(k={k}, q={len(q_elems)})"
         )
-    return PeelStep(
-        removed=q_elems,
-        q=len(q_elems),
-        color=color,
-        matrix=mat,
-        extensions_built=len(all_exts),
-        cleanup_count=len(cleanup),
-    ), all_exts
+    return PeelStep(q_elems, color, mat, len(cleanup)), all_exts
 
 
 @dataclass
 class PeelCertificate:
-    """Full accounting of a peeled realizer.
-
-    total_size = base_dimension + sum of per-step extension counts, and
-    the realizer (verified against the input poset) has exactly that
-    many extensions.
+    """Full accounting of a peeled realizer: the steps' members come
+    first, in step order, and the base's last, so every count is read
+    off the steps and the realizer (verified against the input poset).
     """
 
     steps: tuple[PeelStep, ...]
-    base_size: int
-    base_dimension: int
     base_optimal: bool
-    total_size: int
     realizer: Realizer
 
-    def check(self) -> None:
-        """Raise VerificationFailed unless the totals add up."""
-        spent = self.base_dimension + sum(s.extensions_built for s in self.steps)
-        if not self.total_size == spent == len(self.realizer):
-            raise VerificationFailed(
-                f"total_size {self.total_size}, base dimension plus step "
-                f"extensions {spent}, realizer members {len(self.realizer)}"
-            )
+    @property
+    def total_size(self) -> int:
+        return len(self.realizer)
+
+    @property
+    def base_dimension(self) -> int:
+        return self.total_size - sum(s.extensions_built for s in self.steps)
+
+    @property
+    def base_size(self) -> int:
+        """The input's size, the orders' length, less every removed set."""
+        n = len(self.realizer.orders[0]) if self.realizer.orders else 0
+        return n - sum(s.q for s in self.steps)
 
 
 def peel_realizer(
@@ -519,29 +520,13 @@ def peel_realizer(
     kept = tuple(iter_bits(host.a_mask | host.b_mask))
     try:
         base = exact_dimension(host.poset.restrict(kept), budget=_BASE_BUDGET)
-        base_optimal = base.optimal
     except BudgetExceeded as exc:
-        base = exc.best
-        base_optimal = False
+        base = exc.best  # not optimal
     collected.extend(lift(LinearExtension(tuple(kept[v] for v in ext.order)))
                      for ext in base.witness.extensions)
     realizer = Realizer.of(collected)
-    ok, unreversed = is_realizer(bp.poset, realizer.orders)
-    if not ok:
-        raise VerificationFailed(
-            f"assembled realizer misses {len(unreversed)} critical pairs",
-            pair=tuple(unreversed[0]),
-        )
-    cert = PeelCertificate(
-        steps=tuple(records),
-        base_size=len(kept),
-        base_dimension=base.d,
-        base_optimal=base_optimal,
-        total_size=base.d + sum(rec.extensions_built for rec in records),
-        realizer=realizer,
-    )
-    cert.check()
-    return cert
+    check_realizer(bp.poset, realizer.orders)
+    return PeelCertificate(tuple(records), base.optimal, realizer)
 
 
 # -- the general bound through the split --------------------------------------
@@ -551,10 +536,17 @@ def peel_realizer(
 class GeneralBoundResult:
     """Upper bound for a general poset via peeling its split."""
 
-    bound: int
     certificate: PeelCertificate
     realizer_for_p: Realizer
-    cleanup_count: int
+
+    @property
+    def bound(self) -> int:
+        return self.certificate.total_size
+
+    @property
+    def cleanup_count(self) -> int:
+        """Members appended to realize p, past the projected ones."""
+        return len(self.realizer_for_p) - self.bound
 
 
 def _project_split_extension(p: Poset, ext: LinearExtension) -> LinearExtension:
@@ -591,22 +583,11 @@ def general_upper_bound(
     projected = [_project_split_extension(p, ext) for ext in cert.realizer.orders]
     family = Realizer.of([projected[i] for i in cert.realizer.members])
     ok, unreversed = is_realizer(p, family.orders)
-    cleanup: list[LinearExtension] = []
     if not ok:
         cleanup = greedy_reversing_extensions(p, unreversed)
         family = Realizer.of(family.extensions + tuple(cleanup))
-        ok, unreversed = is_realizer(p, family.orders)
-        if not ok:
-            raise VerificationFailed(
-                "projection cleanup failed to realize the input",
-                pair=tuple(unreversed[0]),
-            )
-    return GeneralBoundResult(
-        bound=cert.total_size,
-        certificate=cert,
-        realizer_for_p=family,
-        cleanup_count=len(cleanup),
-    )
+        check_realizer(p, family.orders)
+    return GeneralBoundResult(cert, family)
 
 
 # -- certificate JSON ----------------------------------------------------------
@@ -646,10 +627,11 @@ _STEP_KEYS = (
 
 
 def certificate_from_json_dict(data) -> PeelCertificate:
-    """Parse a certificate dict; ValueError naming the first key or type
-    that is not shaped like one, or a step whose q or matrix_rows
-    miscounts its removed set or matrix, and VerificationFailed unless
-    the totals add up (PeelCertificate.check)."""
+    """Parse a certificate dict: ValueError naming the first key or type
+    not shaped like one, a negative cleanup_extensions, or a step's q,
+    matrix_rows or matrix width that miscounts; then VerificationFailed
+    unless the stored totals add up; then ValueError for a stored
+    extensions_built or base_size that is not the derived count."""
     _require_keys(data, _CERTIFICATE_KEYS, "certificate JSON")
     if not isinstance(data["steps"], list):
         raise ValueError(
@@ -660,7 +642,7 @@ def certificate_from_json_dict(data) -> PeelCertificate:
     for i, rec in enumerate(data["steps"]):
         what = f"certificate step {i}"
         _require_keys(rec, _STEP_KEYS, what)
-        q, color, built, cleanup = _fields(
+        q, color, _, cleanup = _fields(
             rec, ("q", "color", "extensions_built", "cleanup_extensions"), what
         )
         if not _is_int_list(rec["removed"]):
@@ -675,26 +657,32 @@ def certificate_from_json_dict(data) -> PeelCertificate:
         rows = rec.get("matrix_rows", len(matrix))
         if type(rows) is not int or rows != len(matrix):
             raise ValueError(f"{what} 'matrix_rows' is {rows!r}, not {len(matrix)}")
-        steps.append(PeelStep(
-            removed=tuple(rec["removed"]),
-            q=q,
-            color=color,
-            matrix=BinaryMatrix.from_strings(matrix),
-            extensions_built=built,
-            cleanup_count=cleanup,
-        ))
+        if any(len(row) != q for row in matrix):
+            raise ValueError(f"{what} 'matrix' rows must each have q={q} columns")
+        if cleanup < 0:
+            raise ValueError(f"{what} 'cleanup_extensions' is {cleanup}, below 0")
+        steps.append(PeelStep(tuple(rec["removed"]), color,
+                              BinaryMatrix.from_strings(matrix), cleanup))
     base_size, base_dimension, total_size = _fields(
         data, ("base_size", "base_dimension", "total_size"), "certificate"
     )
-    cert = PeelCertificate(
-        steps=tuple(steps),
-        base_size=base_size,
-        base_dimension=base_dimension,
-        base_optimal=_fields(data, ("base_optimal",), "certificate", bool)[0],
-        total_size=total_size,
-        realizer=realizer_from_json_dict(data["realizer"])[1],
-    )
-    cert.check()
+    (base_optimal,) = _fields(data, ("base_optimal",), "certificate", bool)
+    cert = PeelCertificate(tuple(steps), base_optimal,
+                           realizer_from_json_dict(data["realizer"])[1])
+    claimed = [rec["extensions_built"] for rec in data["steps"]]
+    spent = base_dimension + sum(claimed)
+    if not total_size == spent == cert.total_size:
+        raise VerificationFailed(
+            f"total_size {total_size}, base dimension plus step "
+            f"extensions {spent}, realizer members {cert.total_size}"
+        )
+    for i, (step, built) in enumerate(zip(steps, claimed)):
+        if built != step.extensions_built:
+            raise ValueError(f"certificate step {i} 'extensions_built' is "
+                             f"{built}, not {step.extensions_built}")
+    if base_size != cert.base_size:
+        raise ValueError(
+            f"certificate 'base_size' is {base_size}, not {cert.base_size}")
     return cert
 
 

@@ -111,6 +111,28 @@ def test_verify_checks_a_certificate_s_totals(tmp_path, capsys):
         assert json.loads(err)["error"] == "VerificationFailed"
 
 
+def test_verify_checks_a_certificate_s_step_counts(tmp_path, capsys):
+    # one member moved from step 0's count to step 1's keeps every total
+    f = str(tmp_path / "free.poset")
+    cert = tmp_path / "cert.json"
+    run(capsys, "gen", "--type", "skfree:10,10,0.25,3", "--seed", "7", "-o", f)
+    run(capsys, "peel", f, "--k", "3", "--q", "2", "--threshold", "8",
+        "--seed", "5", "--json", str(cert))
+    payload = json.loads(cert.read_text())
+    steps = payload["certificate"]["steps"]
+    built = steps[0]["extensions_built"]
+    steps[0]["extensions_built"] -= 1
+    steps[1]["extensions_built"] += 1
+    cert.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "dim", f, "--verify", str(cert))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "ArgumentError",
+        "message": f"certificate step 0 'extensions_built' is {built - 1}, "
+                   f"not {built}",
+    }
+
+
 @pytest.mark.parametrize("k, q", [("1", "2"), ("0", "2"), ("-1", "2"),
                                   ("3", "1")])
 def test_peel_rejects_small_k_and_q(tmp_path, capsys, k, q):

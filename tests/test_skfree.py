@@ -13,7 +13,6 @@ from posetdim import (
     BipartitePoset,
     LinearExtension,
     Poset,
-    Realizer,
     acquire_event_matrix,
     build_reversing_extensions,
     certificate_from_json,
@@ -28,7 +27,9 @@ from posetdim import (
     find_monochromatic,
     find_standard_example,
     general_upper_bound,
+    greedy_reversing_extensions,
     is_realizer,
+    kimble_split,
     load_poset,
     mates,
     peel_realizer,
@@ -615,7 +616,6 @@ def test_peel_realizer_tiny_base_budget_still_sound(monkeypatch):
     cert = peel_realizer(bp, 3, 2, base_threshold=8, seed=2)
     ok, _ = is_realizer(bp.poset, cert.realizer.extensions)
     assert ok
-    cert.check()
     # no peel step here: the whole poset is the base, and the greedy
     # does not settle it, so a zero budget downgrades base_optimal
     monkeypatch.setattr(skfree, "_BASE_BUDGET", 0)
@@ -624,25 +624,27 @@ def test_peel_realizer_tiny_base_budget_still_sound(monkeypatch):
     assert cert.steps == () and cert.base_optimal is False
     ok, _ = is_realizer(bp.poset, cert.realizer.extensions)
     assert ok
-    cert.check()
 
 
-def test_certificate_check_raises_on_bad_totals():
+def test_certificate_reader_names_each_total():
     # a typed error, not an assert, so it also runs under python -O
     bp = random_skfree_bipartite(10, 10, 0.3, 3, seed=71)
     cert = peel_realizer(bp, 3, 2, base_threshold=8, seed=2)
     total = cert.total_size
-    cert.total_size += 1
+    data = json.loads(certificate_to_json(cert))
+    data["total_size"] += 1
     with pytest.raises(VerificationFailed) as exc:
-        cert.check()
+        certificate_from_json_dict(data)
     assert str(exc.value) == (
         f"total_size {total + 1}, base dimension plus step extensions "
         f"{total}, realizer members {total}"
     )
-    cert.total_size = total
-    cert.realizer = Realizer.of(cert.realizer.extensions[1:])
-    with pytest.raises(VerificationFailed, match=f"realizer members {total - 1}$"):
-        cert.check()
+    data["total_size"] = total
+    realizer = data["realizer"]
+    realizer["members"].append(realizer["members"][0])
+    realizer["dimension"] += 1
+    with pytest.raises(VerificationFailed, match=f"realizer members {total + 1}$"):
+        certificate_from_json_dict(data)
 
 
 def test_certificate_json_round_trip():
@@ -712,12 +714,40 @@ def test_certificate_from_json_dict_names_mistyped_fields(where, key, value,
         certificate_from_json_dict(data)
 
 
+def _shift_member(data):
+    # one member moved from step 0's count to step 1's: the totals hold
+    data["steps"][0]["extensions_built"] -= 1
+    data["steps"][1]["extensions_built"] += 1
+
+
+def _negative_cleanup(data):
+    # the step's and the base's counts moved with it: the totals hold
+    step = data["steps"][0]
+    drop = step["cleanup_extensions"] + 1
+    step["cleanup_extensions"] = -1
+    step["extensions_built"] -= drop
+    data["base_dimension"] += drop
+
+
+def _widen_matrix(data):
+    step = data["steps"][0]
+    step["matrix"] = [row + "0" for row in step["matrix"]]
+
+
 @pytest.mark.parametrize("where, key, value, error, fragment", [
     (None, "total_size", 1, VerificationFailed, "total_size 1,"),
     (0, "extensions_built", 0, VerificationFailed, "step extensions"),
     (0, "q", 3, ValueError, "step 0 'q' is 3, not 2"),
     (0, "matrix_rows", 2, ValueError, "step 0 'matrix_rows' is 2, not "),
     (0, "matrix_rows", True, ValueError, "'matrix_rows' is True"),
+    # value edits the whole dict, keeping the totals
+    (None, None, _shift_member, ValueError,
+     "^certificate step 0 'extensions_built' is 35, not 36$"),
+    (None, "base_size", 11, ValueError, "^certificate 'base_size' is 11, not 10$"),
+    (None, None, _negative_cleanup, ValueError,
+     "^certificate step 0 'cleanup_extensions' is -1, below 0$"),
+    (None, None, _widen_matrix, ValueError,
+     "^certificate step 0 'matrix' rows must each have q=2 columns$"),
 ])
 def test_certificate_from_json_dict_checks_its_counts(where, key, value, error,
                                                       fragment):
@@ -725,7 +755,10 @@ def test_certificate_from_json_dict_checks_its_counts(where, key, value, error,
     cert = peel_realizer(random_skfree_bipartite(10, 10, 0.3, 3, seed=19),
                          3, 2, base_threshold=8, seed=6)
     data = json.loads(certificate_to_json(cert))
-    (data if where is None else data["steps"][where])[key] = value
+    if callable(value):
+        value(data)
+    else:
+        (data if where is None else data["steps"][where])[key] = value
     with pytest.raises(error, match=fragment):
         certificate_from_json_dict(data)
 
@@ -798,6 +831,21 @@ def test_general_upper_bound_cleans_up_what_the_projection_misses(monkeypatch):
     assert set(family.members[:len(res.certificate.realizer)]) == {0}
     assert family.orders[0] is one
     assert is_realizer(p, family.orders) == (True, [])
+
+
+def test_a_split_realizer_can_project_short_of_a_realizer():
+    # why the cleanup above is reachable without a patched projection:
+    # these orders realize the split of 0 < 1 beside 2, yet each projects
+    # with 2 below 1, so (2, 1) stays unreversed until the cleanup
+    p = Poset.from_relations(3, [(0, 1)])
+    split = [LinearExtension(order) for order in
+             [(0, 1, 3, 2, 5, 4), (1, 0, 4, 2, 5, 3), (2, 5, 0, 3, 1, 4)]]
+    assert is_realizer(kimble_split(p), split) == (True, [])
+    projected = [_project_split_extension(p, ext) for ext in split]
+    assert [ext.order for ext in projected] == [(0, 2, 1), (2, 0, 1), (2, 0, 1)]
+    assert is_realizer(p, projected) == (False, [(2, 1)])
+    cleanup = greedy_reversing_extensions(p, [(2, 1)])
+    assert is_realizer(p, projected + cleanup) == (True, [])
 
 
 def _min_priority_projection(p, order):
