@@ -33,17 +33,18 @@ q_elems, color = find_monochromatic(bp, 3, 3)
 print(f"\nmonochromatic q-set {q_elems} with color {color}")
 
 # The peel step builds the reversing extensions from a random 0/1
-# matrix, adds a minimal-elements extension, and cleans up the rest.
+# matrix and adds one minimal-elements extension, with the removed set
+# at its very bottom; no cleanup extension is ever needed.
 step, exts = peel_step(bp, 3, 3, seed=7)
 print(f"peel step: removed {step.removed} (color {step.color})")
 print(f"  matrix: {step.matrix.r} rows x {step.matrix.q} cols")
 print(f"  extensions spent: {step.extensions_built} "
-      f"({step.cleanup_count} cleanup)")
+      f"(2 per matrix row, plus the minimal-elements extension)")
 
 # Those extensions reverse every critical pair that touches the removed
 # set, which is what lets the set leave the poset.
-q_mask = sum(1 << a for a in step.removed)
-touching = critical_pairs(bp.poset, touching=q_mask)
+qset = set(step.removed)
+touching = [c for c in critical_pairs(bp.poset) if c.x in qset or c.y in qset]
 pos = [e.positions() for e in exts]
 covered = sum(1 for c in touching if any(p[c.y] < p[c.x] for p in pos))
 print(f"  critical pairs touching Q: {covered}/{len(touching)} reversed")

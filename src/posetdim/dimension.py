@@ -164,18 +164,21 @@ def ranked_topological_order(
     return tuple(order)
 
 
-def _critical_lines(
-    up: Sequence[int], down: Sequence[int], xs: Iterable[int]
-) -> list[int]:
-    """Row x of the critical pairs for each x in xs; on the dual's rows,
-    column x.  Whole rows narrow the ys (the AND of U(d) over D(x) keeps
-    D(x) within D(y); a non-maximal y with U(y) within U(x) lies under
-    U(x)) at one row operation per relation of x, so where x has more
-    relations than incomparable ys, those are tested one by one."""
+def critical_rows(p: Poset) -> list[int]:
+    """Critical pairs as bitmask rows: bit y of rows[x] is set iff (x, y)
+    is critical, i.e. incomparable with D(x) within D(y) and U(y) within
+    U(x).  Reversing exactly these characterizes realizers.
+
+    Whole rows narrow the ys (the AND of U(d) over D(x) keeps D(x)
+    within D(y); a non-maximal y with U(y) within U(x) lies under U(x))
+    at one row operation per relation of x, so where x has more
+    relations than incomparable ys, those are tested one by one.
+    """
+    up, down = p._up, p._down
     has_up = sum(1 << y for y, row in enumerate(up) if row)
-    everyone = (1 << len(up)) - 1
-    out = []
-    for x in xs:
+    everyone = (1 << p.n) - 1
+    rows = []
+    for x in range(p.n):
         ux, dx = up[x], down[x]
         test = row = everyone & ~(ux | dx | 1 << x)
         if row.bit_count() > (ux | dx).bit_count():
@@ -189,28 +192,7 @@ def _critical_lines(
         for y in iter_bits(test):
             if dx & ~down[y] or up[y] & ~ux:
                 row ^= 1 << y
-        out.append(row)
-    return out
-
-
-def critical_rows(p: Poset, touching: int | None = None) -> list[int]:
-    """Critical pairs as bitmask rows: bit y of rows[x] is set iff (x, y)
-    is critical, i.e. incomparable with D(x) within D(y) and U(y) within
-    U(x).  Reversing exactly these characterizes realizers.
-
-    With a bitmask touching, only pairs with x or y in the mask are
-    set: the rows of the xs in it and the columns of the ys in it.
-    """
-    up, down = p._up, p._down
-    if touching is None:
-        return _critical_lines(up, down, range(p.n))
-    rows = [0] * p.n
-    mask = list(iter_bits(touching))
-    cols = _critical_lines(down, up, mask)
-    for x, row, col in zip(mask, _critical_lines(up, down, mask), cols):
-        rows[x] |= row
-        for w in iter_bits(col):
-            rows[w] |= 1 << x
+        rows.append(row)
     return rows
 
 
@@ -220,9 +202,9 @@ def row_pairs(rows: Iterable[int]) -> list[CriticalPair]:
             for x, row in enumerate(rows) if row for y in iter_bits(row)]
 
 
-def critical_pairs(p: Poset, touching: int | None = None) -> list[CriticalPair]:
-    """critical_rows(p, touching) as (x, y) pairs in lexicographic order."""
-    return row_pairs(critical_rows(p, touching))
+def critical_pairs(p: Poset) -> list[CriticalPair]:
+    """critical_rows(p) as (x, y) pairs in lexicographic order."""
+    return row_pairs(critical_rows(p))
 
 
 def listed_below(orders: Iterable[Sequence[int]], n: int) -> list[int]:

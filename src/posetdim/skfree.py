@@ -34,15 +34,11 @@ from .dimension import (
     _parse_json,
     _require_keys,
     check_realizer,
-    critical_rows,
     exact_dimension,
-    greedy_reversing_extensions,
-    is_realizer,
     listed_below,
     ranked_topological_order,
     realizer_from_json_dict,
     realizer_to_json_dict,
-    row_pairs,
 )
 from .errors import (
     AcquisitionFailed,
@@ -306,11 +302,10 @@ def _check_q_pairs_reversed(
     exts: Iterable[LinearExtension],
     color: int,
     t: int,
-) -> list[int]:
+) -> None:
     """Every incomparable (a in Q, b in B) pair, critical here, must be
     reversed by some member; the first miss (a in Q order, then the
-    smallest b) raises VerificationFailed with a mate-count diagnosis;
-    returns the members' listed_below rows."""
+    smallest b) raises VerificationFailed with a mate-count diagnosis."""
     p = bp.poset
     down = p._down
     below = listed_below((ext.order for ext in exts), p.n)
@@ -328,7 +323,6 @@ def _check_q_pairs_reversed(
             f"(color {color}, t={t})",
             pair=(a, b),
         )
-    return below
 
 
 def build_reversing_extensions(
@@ -337,7 +331,7 @@ def build_reversing_extensions(
     q_elems: Sequence[int],
     color: int,
     seed: int,
-) -> tuple[list[LinearExtension], BinaryMatrix, list[int]]:
+) -> tuple[list[LinearExtension], BinaryMatrix]:
     """Extensions reversing every critical pair (a, b) with a in Q, b in B.
 
     Q must be monochromatic of the given color under the upset-based
@@ -347,7 +341,7 @@ def build_reversing_extensions(
     the rows that repeat it repeat its object.  The postcondition checks
     every such pair against one walk per distinct traversal; a miss
     raises VerificationFailed with a mate-count diagnosis.  Returns the
-    extensions, the matrix and the walk's listed_below rows.
+    extensions and the matrix.
     """
     q = len(q_elems)
     if q < 2:
@@ -366,7 +360,8 @@ def build_reversing_extensions(
             if ext is None:
                 ext = built[sigma] = extension_from_sigma(bp, q_elems, sigma)
             exts.append(ext)
-    return exts, mat, _check_q_pairs_reversed(bp, q_elems, built.values(), color, t_eff)
+    _check_q_pairs_reversed(bp, q_elems, built.values(), color, t_eff)
+    return exts, mat
 
 
 # -- peeling ------------------------------------------------------------------
@@ -382,7 +377,10 @@ class PeelStep:
     """One peel: the removed monochromatic set and what paid for it.
 
     The step spent two members per matrix row, the minimal-elements
-    extension and cleanup_count greedy cleanup extensions.
+    extension and cleanup_count cleanup extensions.  peel_step writes 0:
+    its members reverse every critical pair touching the removed set by
+    construction.  Certificates written before that hold steps with
+    cleanup members, and they read and verify the same way.
     """
 
     removed: tuple[int, ...]
@@ -405,12 +403,22 @@ def peel_step(
 ) -> tuple[PeelStep, tuple[LinearExtension, ...]]:
     """Remove one monochromatic q-set worth of dimension from bp.
 
-    Finds Q, builds the matrix-driven reversing extensions, adds the
-    minimal-elements extension (all minimal elements at the bottom,
-    descending a_order), and finishes with greedy cleanup extensions for
-    any critical pair touching Q that is still unreversed.  The step
-    must fit in floor(3k * 2^k * ln q) extensions, else BoundExceeded.
-    Returns the step and the extensions it spent, in bp's element ids.
+    Finds Q, builds the matrix-driven reversing extensions and adds the
+    minimal-elements extension: Q at the very bottom, then the rest of
+    A, both in descending a_order, then B.  Every critical pair of bp
+    touching Q is then reversed, with no cleanup:
+      (a, q), a in A less Q: the minimal-elements extension lists q
+        below a;
+      (q, a): every matrix member lists its leftovers, a among them,
+        below all of Q;
+      (q_i, q_j): some row has a 1 in column i (isolating rows, t >= 1);
+        its two traversals list q_j below q_i if the row has a 0 in
+        column j, and give both orders if it has a 1;
+      (q, b), b in B: the lemma, which build_reversing_extensions checks;
+      (b, q): B sits above A in the minimal-elements extension.
+    The step must fit in floor(3k * 2^k * ln q) extensions, else
+    BoundExceeded.  Returns the step and the extensions it spent, in
+    bp's element ids.
     """
     found = find_monochromatic(bp, k, q)
     if found is None:
@@ -419,30 +427,20 @@ def peel_step(
         )
     q_elems, color = found
     seed = derive_seed(seed, 1)
-    exts, mat, below = build_reversing_extensions(bp, k, q_elems, color, seed)
+    exts, mat = build_reversing_extensions(bp, k, q_elems, color, seed)
 
     p = bp.poset
-    b_ids = sorted(iter_bits(bp.b_mask), key=lambda y: bool(p._down[y]))
-    exts.append(LinearExtension((*reversed(bp.a_order), *b_ids)))
-    below = [b | m for b, m in zip(below, listed_below([exts[-1].order], p.n))]
-
-    # cleanup: critical pairs with either end in Q not reversed yet; ids
-    # off the ground are isolated, so their pairs are dropped
-    ground = bp.a_mask | bp.b_mask
     q_mask = sum(1 << a for a in q_elems)
-    rows = critical_rows(p, touching=q_mask)
-    residue = row_pairs(r & ~b & ground if r and (ground >> x) & 1 else 0
-                        for x, (r, b) in enumerate(zip(rows, below)))
-    cleanup = [LinearExtension(tuple(v for v in ext.order if (ground >> v) & 1))
-               for ext in (greedy_reversing_extensions(p, residue) if residue else ())]
-    all_exts = tuple(exts + cleanup)
+    a_rest = [a for a in reversed(bp.a_order) if not (q_mask >> a) & 1]
+    b_ids = sorted(iter_bits(bp.b_mask), key=lambda y: bool(p._down[y]))
+    exts.append(LinearExtension((*reversed(q_elems), *a_rest, *b_ids)))
     cap = step_extension_cap(k, len(q_elems))
-    if len(all_exts) > cap:
+    if len(exts) > cap:
         raise BoundExceeded(
-            f"peel spent {len(all_exts)} extensions, cap is {cap} "
+            f"peel spent {len(exts)} extensions, cap is {cap} "
             f"(k={k}, q={len(q_elems)})"
         )
-    return PeelStep(q_elems, color, mat, len(cleanup)), all_exts
+    return PeelStep(q_elems, color, mat, 0), tuple(exts)
 
 
 @dataclass
@@ -545,16 +543,23 @@ class GeneralBoundResult:
 
     @property
     def cleanup_count(self) -> int:
-        """Members appended to realize p, past the projected ones."""
+        """Members appended to realize p, past the projected ones: 0,
+        since the projected members realize p by themselves."""
         return len(self.realizer_for_p) - self.bound
 
 
 def _project_split_extension(p: Poset, ext: LinearExtension) -> LinearExtension:
-    """Order p by ascending position of the maximal copies in a split
+    """Order p by ascending position of the minimal copies in a split
     extension, repaired to a valid extension by always emitting the
-    available element whose maximal copy sits lowest."""
-    n = p.n
-    ranked = [v - n for v in ext.order if v >= n]
+    available element whose minimal copy sits lowest.
+
+    A realizer of the split projects to a realizer of p.  For a critical
+    pair (x, y) of p, (x', y'') is critical in the split, so some member
+    lists y'' below x'; every w <= y has w' < y'' there, so all of
+    D[y] and y rank below x.  Were x emitted first, a minimal unemitted
+    element of D[y] and y would be available and rank lower than x.
+    """
+    ranked = [v for v in ext.order if v < p.n]
     return LinearExtension(ranked_topological_order(p._down, ranked))
 
 
@@ -566,9 +571,9 @@ def general_upper_bound(
     The split doubles the poset into a bipartite one without creating
     standard examples and without lowering the dimension, so the size of
     its peeled realizer bounds the input's dimension.  A realizer for
-    the input itself is recovered from the split extensions by the
-    maximal-copy priority order, with greedy cleanup for whatever the
-    projection misses.
+    the input itself is the projection of the split's members by the
+    minimal-copy priority order, checked against the input before
+    return.
     """
     emb = find_standard_example(p, k)
     if emb is not None:
@@ -582,11 +587,7 @@ def general_upper_bound(
     # distinct split orders can project to one order of p
     projected = [_project_split_extension(p, ext) for ext in cert.realizer.orders]
     family = Realizer.of([projected[i] for i in cert.realizer.members])
-    ok, unreversed = is_realizer(p, family.orders)
-    if not ok:
-        cleanup = greedy_reversing_extensions(p, unreversed)
-        family = Realizer.of(family.extensions + tuple(cleanup))
-        check_realizer(p, family.orders)
+    check_realizer(p, family.orders)
     return GeneralBoundResult(cert, family)
 
 
@@ -628,10 +629,11 @@ _STEP_KEYS = (
 
 def certificate_from_json_dict(data) -> PeelCertificate:
     """Parse a certificate dict: ValueError naming the first key or type
-    not shaped like one, a negative cleanup_extensions, or a step's q,
-    matrix_rows or matrix width that miscounts; then VerificationFailed
-    unless the stored totals add up; then ValueError for a stored
-    extensions_built or base_size that is not the derived count."""
+    not shaped like one, a matrix entry other than 0 or 1, a negative
+    cleanup_extensions, or a step's q, matrix_rows or matrix width that
+    miscounts; then VerificationFailed unless the stored totals add up;
+    then ValueError for a stored extensions_built or base_size that is
+    not the derived count."""
     _require_keys(data, _CERTIFICATE_KEYS, "certificate JSON")
     if not isinstance(data["steps"], list):
         raise ValueError(
@@ -661,8 +663,11 @@ def certificate_from_json_dict(data) -> PeelCertificate:
             raise ValueError(f"{what} 'matrix' rows must each have q={q} columns")
         if cleanup < 0:
             raise ValueError(f"{what} 'cleanup_extensions' is {cleanup}, below 0")
-        steps.append(PeelStep(tuple(rec["removed"]), color,
-                              BinaryMatrix.from_strings(matrix), cleanup))
+        try:
+            mat = BinaryMatrix.from_strings(matrix)
+        except ValueError as exc:
+            raise ValueError(f"{what} 'matrix' {exc}") from None
+        steps.append(PeelStep(tuple(rec["removed"]), color, mat, cleanup))
     base_size, base_dimension, total_size = _fields(
         data, ("base_size", "base_dimension", "total_size"), "certificate"
     )

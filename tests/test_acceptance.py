@@ -139,7 +139,7 @@ def test_criterion_7_reversing_extension_postcondition(capsys):
         if got is None:
             continue
         q_elems, color = got
-        exts, _, _ = build_reversing_extensions(bp, 3, q_elems, color,
+        exts, _ = build_reversing_extensions(bp, 3, q_elems, color,
                                                 derive_seed(s, 1))
         if len(exts) != want_counts[q]:
             failures += 1

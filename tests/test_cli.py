@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from posetdim import __version__, load_poset
 from posetdim.cli import main
 from posetdim.core import MAX_TEXT_N, poset_to_text, standard_example_bipartite
+from posetdim.skfree import certificate_from_json_dict, certificate_to_json_dict
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -271,17 +272,33 @@ def test_verify_reports_over_nested_json(tmp_path, capsys, depth):
 
 
 def test_verify_reads_v1_and_v2_alike(tmp_path, capsys):
+    # the legacy file, written before v2 by a peel that still spent
+    # cleanup members, against its own v2 rendering
     poset = str(DATA / "legacy_v1.poset")
+    legacy = json.loads((DATA / "legacy_v1.cert.json").read_text())
     code, out, err = run(capsys, "dim", poset, "--verify",
                          str(DATA / "legacy_v1.cert.json"))
     assert code == 0 and err == ""
     assert out == "verified 144 extensions realize the poset\n"
-    v2 = str(tmp_path / "v2.json")
+    v2 = tmp_path / "v2.json"
+    legacy["certificate"] = certificate_to_json_dict(
+        certificate_from_json_dict(legacy["certificate"]))
+    assert "orders" in legacy["certificate"]["realizer"]
+    v2.write_text(json.dumps(legacy))
+    assert run(capsys, "dim", poset, "--verify", str(v2)) == (0, out, "")
+
+
+def test_a_fresh_peel_certificate_verifies(tmp_path, capsys):
+    poset = str(DATA / "legacy_v1.poset")
+    cert = str(tmp_path / "cert.json")
     code, _, _ = run(capsys, "peel", poset, "--k", "3", "--q", "2",
-                     "--threshold", "6", "--seed", "5", "--json", v2)
+                     "--threshold", "6", "--seed", "5", "--json", cert)
     assert code == 0
-    assert "orders" in json.loads(open(v2).read())["certificate"]["realizer"]
-    assert run(capsys, "dim", poset, "--verify", v2) == (0, out, "")
+    assert "orders" in json.loads(open(cert).read())["certificate"]["realizer"]
+    code, out, err = run(capsys, "dim", poset, "--verify", cert)
+    assert code == 0 and err == ""
+    assert out.startswith("verified ")
+    assert out.endswith(" extensions realize the poset\n")
 
 
 # -- prob-lemma / experiment -----------------------------------------------------------

@@ -88,46 +88,21 @@ def test_every_cross_incomparable_pair_is_critical_in_bipartite():
                     assert (a, b) in crit
 
 
-@settings(max_examples=60)
-@given(st.integers(0, 10_000), st.integers(1, 9), st.integers(0, 2**9 - 1))
-def test_critical_pairs_touching_mask_filters_full_list(seed, n, mask):
-    p = random_poset(n, 0.3, seed)
-    mask &= (1 << n) - 1
-    got = [(c.x, c.y) for c in critical_pairs(p, touching=mask)]
-    want = [(x, y) for x, y in naive_critical_pairs(p)
-            if (mask >> x) & 1 or (mask >> y) & 1]
-    assert got == want
-
-
-def _pairs_touching(pairs, mask):
-    return [(x, y) for x, y in pairs if (mask >> x) & 1 or (mask >> y) & 1]
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 20), st.integers(1, 20),
-       st.floats(0.0, 0.4), st.data())
+       st.floats(0.0, 0.4))
 def test_critical_rows_agree_with_definition_on_peel_hosts(seed, na, nb,
-                                                           edge_prob, data):
-    # the peel's own shape: a sparse bipartite host, a mask of 1-4 A-side
-    # elements as peel_step passes it
+                                                           edge_prob):
+    # the peel's own shape: a sparse bipartite host
     p = random_bipartite(na, nb, edge_prob, seed).poset
-    want = naive_critical_pairs(p)
-    assert [(c.x, c.y) for c in critical_pairs(p)] == want
-    q = data.draw(st.sets(st.integers(0, na - 1), min_size=1, max_size=4), label="q")
-    mask = sum(1 << a for a in q)
-    got = [(c.x, c.y) for c in critical_pairs(p, touching=mask)]
-    assert got == _pairs_touching(want, mask)
+    assert [(c.x, c.y) for c in critical_pairs(p)] == naive_critical_pairs(p)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 24), st.floats(0.0, 0.5), st.data())
-def test_critical_rows_agree_with_definition_up_to_n24(seed, n, edge_prob, data):
+@given(st.integers(0, 10_000), st.integers(1, 24), st.floats(0.0, 0.5))
+def test_critical_rows_agree_with_definition_up_to_n24(seed, n, edge_prob):
     p = random_poset(n, edge_prob, seed)
-    want = naive_critical_pairs(p)
-    assert [(c.x, c.y) for c in critical_pairs(p)] == want
-    mask = data.draw(st.integers(0, 2**n - 1), label="mask")
-    got = [(c.x, c.y) for c in critical_pairs(p, touching=mask)]
-    assert got == _pairs_touching(want, mask)
+    assert [(c.x, c.y) for c in critical_pairs(p)] == naive_critical_pairs(p)
 
 
 def test_chain_has_no_critical_pairs():
@@ -147,9 +122,6 @@ def test_critical_rows_of_a_tall_weak_order_with_an_isolated_element():
     want[0] |= 1 << z
     want[1] |= 1 << z
     assert critical_rows(p) == want
-    mask = 1 << z | 1 << 301
-    got = [(c.x, c.y) for c in critical_pairs(p, touching=mask)]
-    assert got == [(0, z), (1, z), (300, 301), (301, 300), (z, z - 2), (z, z - 1)]
 
 
 # metamorphic: these compare the rows with themselves under a dual or a

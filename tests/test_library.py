@@ -60,6 +60,28 @@ def test_orders_are_deduplicated_only_by_realizer_of():
     assert not found, found
 
 
+def test_every_imported_name_is_used():
+    # a name imported into a library module and never read there is a
+    # stale import; __init__.py imports to re-export, so it is exempt
+    stale = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        stale += [f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used]
+    assert not stale, stale
+
+
 def test_every_traced_function_exists():
     # the benchmark's per-layer metrics wrap library functions by name;
     # a renamed or deleted one would silently read zero

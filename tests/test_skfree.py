@@ -27,7 +27,6 @@ from posetdim import (
     find_monochromatic,
     find_standard_example,
     general_upper_bound,
-    greedy_reversing_extensions,
     is_realizer,
     kimble_split,
     load_poset,
@@ -45,7 +44,13 @@ from posetdim import (
 )
 from posetdim import skfree
 from posetdim.core import iter_bits
-from posetdim.dimension import critical_rows, listed_below
+from posetdim.dimension import (
+    _Closure,
+    check_realizer,
+    critical_rows,
+    listed_below,
+    ranked_topological_order,
+)
 from posetdim.skfree import (
     _check_q_pairs_reversed,
     _project_split_extension,
@@ -286,7 +291,7 @@ def test_build_reversing_extension_counts_frozen():
         if got is None:
             pytest.skip(f"no monochromatic {q}-set for this seed")
         q_elems, color = got
-        exts, mat, _ = build_reversing_extensions(bp, 3, q_elems, color, seed=2)
+        exts, mat = build_reversing_extensions(bp, 3, q_elems, color, seed=2)
         assert len(exts) == count
         assert mat.r == count // 2
         assert len(set(e.order for e in exts)) > 1
@@ -313,7 +318,7 @@ def test_build_reversing_extensions_postcondition():
             continue
         hits += 1
         q_elems, color = got
-        exts, _, _ = build_reversing_extensions(bp, 3, q_elems, color, seed=i)
+        exts, _ = build_reversing_extensions(bp, 3, q_elems, color, seed=i)
         for a in q_elems:
             for b in bp.b_order:
                 if bp.poset.incomparable(a, b):
@@ -361,7 +366,7 @@ def test_postcondition_reports_the_first_unreversed_pair(seed, data):
     if got is None:
         return
     q_elems, color = got
-    exts, _, _ = build_reversing_extensions(bp, 3, q_elems, color, seed=0)
+    exts, _ = build_reversing_extensions(bp, 3, q_elems, color, seed=0)
     distinct = list(dict.fromkeys(exts))
     family = data.draw(st.lists(st.sampled_from(distinct), min_size=1), label="kept")
     j = data.draw(st.integers(0, len(family) - 1), label="mutated")
@@ -410,7 +415,7 @@ def test_build_reversing_extensions_shares_repeated_members():
                 continue
             checked += 1
             q_elems, color = got
-            exts, mat, _ = build_reversing_extensions(bp, 3, q_elems, color, seed=i)
+            exts, mat = build_reversing_extensions(bp, 3, q_elems, color, seed=i)
             assert len(exts) == 2 * mat.r
             assert len({e.order for e in exts}) <= 2 * q + 2
             assert len({id(e) for e in exts}) == len({e.order for e in exts})
@@ -427,13 +432,22 @@ def test_step_extension_cap_frozen():
 # -- peel steps and certificates ----------------------------------------------------------
 
 
-def test_peel_step_covers_all_pairs_touching_q():
+@pytest.mark.parametrize("k, q", [(3, 2), (3, 3), (4, 3)])
+def test_peel_step_covers_all_pairs_touching_q(k, q):
+    # by construction: the matrix members and the minimal-elements
+    # extension alone, with no cleanup member
+    peeled = 0
     for i in range(20):
         bp = random_skfree_bipartite(10, 10, 0.3, 3, seed=derive_seed(41, i))
-        step, exts = peel_step(bp, 3, 2, seed=i)
-        assert step.q == 2 and len(step.removed) == 2
-        assert step.extensions_built == len(exts)
-        assert step.extensions_built <= step_extension_cap(3, 2)
+        try:
+            step, exts = peel_step(bp, k, q, seed=i)
+        except NoMonochromaticSet:
+            continue
+        peeled += 1
+        assert step.q == q and len(step.removed) == q
+        assert step.cleanup_count == 0
+        assert step.extensions_built == 2 * step.matrix.r + 1 == len(exts)
+        assert step.extensions_built <= step_extension_cap(k, q)
         qset = set(step.removed)
         pos = [e.positions() for e in exts]
         for c in critical_pairs(bp.poset):
@@ -441,6 +455,7 @@ def test_peel_step_covers_all_pairs_touching_q():
                 assert any(pr[c.y] < pr[c.x] for pr in pos), (i, c)
         for e in exts:
             check_extension(bp.poset, e)
+    assert peeled >= 15
 
 
 def test_peel_step_over_its_cap_raises_bound_exceeded(monkeypatch):
@@ -541,17 +556,14 @@ def test_a_host_in_input_ids_acts_like_the_reindexed_host(seed, data):
     ground = host.a_mask | host.b_mask
     mask = sum(1 << a for a in data.draw(
         st.sets(st.sampled_from(host.a_order), min_size=1, max_size=4), label="q"))
-    sub_mask = sum(1 << kept.index(a) for a in iter_bits(mask))
-    for got, want in ((critical_rows(host.poset), critical_rows(sub.poset)),
-                      (critical_rows(host.poset, touching=mask),
-                       critical_rows(sub.poset, touching=sub_mask))):
-        assert [got[v] & ground for v in kept] == _lifted(want, kept)
+    got, want = critical_rows(host.poset), critical_rows(sub.poset)
+    assert [got[v] & ground for v in kept] == _lifted(want, kept)
     q_elems = [a for a in host.a_order if (mask >> a) & 1]
     sigma = data.draw(st.permutations(range(len(q_elems))), label="sigma")
     got = extension_from_sigma(host, q_elems, sigma).order
     want = extension_from_sigma(sub, [kept.index(a) for a in q_elems], sigma).order
     assert got == tuple(kept[v] for v in want)
-    # a whole step, cleanup included, removes and spends the same
+    # a whole step removes and spends the same
     if len(host.a_order) >= 2:
         try:
             step, exts = peel_step(host, 3, 2, seed)
@@ -667,17 +679,19 @@ def test_certificate_json_round_trip():
 
 
 def test_v1_certificate_reads_like_a_v2_round_trip():
-    # written by `peel --json` before v2, from tests/data/legacy_v1.poset
+    # written by `peel --json` before v2, from tests/data/legacy_v1.poset,
+    # by a peel that still spent cleanup members
     payload = json.loads((DATA / "legacy_v1.cert.json").read_text())
     assert "extensions" in payload["certificate"]["realizer"]
     legacy = certificate_from_json(json.dumps(payload["certificate"]))
-    params = payload["parameters"]
-    cert = peel_realizer(load_poset(DATA / "legacy_v1.poset"), params["k"],
-                         params["q"], params["threshold"], payload["seed"])
-    back = certificate_from_json(certificate_to_json(cert))
-    assert legacy.realizer == back.realizer == cert.realizer
+    assert any(step.cleanup_count for step in legacy.steps)
+    v2 = certificate_to_json(legacy)
+    assert "orders" in json.loads(v2)["realizer"]
+    back = certificate_from_json(v2)
+    assert legacy.realizer == back.realizer
     assert legacy.steps == back.steps
-    assert legacy.total_size == back.total_size == len(legacy.realizer)
+    assert legacy.total_size == back.total_size == len(legacy.realizer) == 144
+    check_realizer(load_poset(DATA / "legacy_v1.poset").poset, back.realizer.orders)
 
 
 @pytest.mark.parametrize("data, fragment", [
@@ -734,6 +748,11 @@ def _widen_matrix(data):
     step["matrix"] = [row + "0" for row in step["matrix"]]
 
 
+def _two_in_matrix(data):
+    matrix = data["steps"][2]["matrix"]
+    matrix[0] = "2" + matrix[0][1:]
+
+
 @pytest.mark.parametrize("where, key, value, error, fragment", [
     (None, "total_size", 1, VerificationFailed, "total_size 1,"),
     (0, "extensions_built", 0, VerificationFailed, "step extensions"),
@@ -742,12 +761,14 @@ def _widen_matrix(data):
     (0, "matrix_rows", True, ValueError, "'matrix_rows' is True"),
     # value edits the whole dict, keeping the totals
     (None, None, _shift_member, ValueError,
-     "^certificate step 0 'extensions_built' is 35, not 36$"),
+     "^certificate step 0 'extensions_built' is 34, not 35$"),
     (None, "base_size", 11, ValueError, "^certificate 'base_size' is 11, not 10$"),
     (None, None, _negative_cleanup, ValueError,
      "^certificate step 0 'cleanup_extensions' is -1, below 0$"),
     (None, None, _widen_matrix, ValueError,
      "^certificate step 0 'matrix' rows must each have q=2 columns$"),
+    (None, None, _two_in_matrix, ValueError,
+     "^certificate step 2 'matrix' entries must be 0 or 1$"),
 ])
 def test_certificate_from_json_dict_checks_its_counts(where, key, value, error,
                                                       fragment):
@@ -817,47 +838,61 @@ def test_repeated_members_are_lifted_and_projected_once(monkeypatch):
         real(p, ext) for ext in split.extensions)
 
 
-def test_general_upper_bound_cleans_up_what_the_projection_misses(monkeypatch):
-    # every split order projects to one fixed extension, so the greedy
-    # cleanup has to reverse the rest; its members follow the projected ones
+def test_general_upper_bound_checks_what_it_projects(monkeypatch):
+    # a lossy projection (every split order to one fixed extension) must
+    # not pass: the final check guards the realizer for p
     p = random_poset(12, 0.2, seed=3)
     assert find_standard_example(p, 3) is None
     one = exact_dimension(p).witness.orders[0]
     monkeypatch.setattr(skfree, "_project_split_extension", lambda p_, ext: one)
-    res = general_upper_bound(p, 3, 2, base_threshold=8, seed=3)
-    assert res.cleanup_count > 0
-    family = res.realizer_for_p
-    assert len(family) == len(res.certificate.realizer) + res.cleanup_count
-    assert set(family.members[:len(res.certificate.realizer)]) == {0}
-    assert family.orders[0] is one
-    assert is_realizer(p, family.orders) == (True, [])
+    with pytest.raises(VerificationFailed, match="critical pairs unreversed"):
+        general_upper_bound(p, 3, 2, base_threshold=8, seed=3)
 
 
-def test_a_split_realizer_can_project_short_of_a_realizer():
-    # why the cleanup above is reachable without a patched projection:
-    # these orders realize the split of 0 < 1 beside 2, yet each projects
-    # with 2 below 1, so (2, 1) stays unreversed until the cleanup
+def test_a_split_realizer_projects_to_a_realizer():
+    # these orders realize the split of 0 < 1 beside 2; ranked by the
+    # maximal copies, each projected with 2 below 1, leaving (2, 1)
+    # unreversed; ranked by the minimal copies, the third lists 1 below 2
     p = Poset.from_relations(3, [(0, 1)])
     split = [LinearExtension(order) for order in
              [(0, 1, 3, 2, 5, 4), (1, 0, 4, 2, 5, 3), (2, 5, 0, 3, 1, 4)]]
     assert is_realizer(kimble_split(p), split) == (True, [])
     projected = [_project_split_extension(p, ext) for ext in split]
-    assert [ext.order for ext in projected] == [(0, 2, 1), (2, 0, 1), (2, 0, 1)]
-    assert is_realizer(p, projected) == (False, [(2, 1)])
-    cleanup = greedy_reversing_extensions(p, [(2, 1)])
-    assert is_realizer(p, projected + cleanup) == (True, [])
+    assert [ext.order for ext in projected] == [(0, 1, 2), (0, 1, 2), (2, 0, 1)]
+    assert is_realizer(p, projected) == (True, [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 7), st.floats(0.0, 0.6), st.data())
+def test_every_split_realizer_projects_to_a_realizer(seed, n, edge_prob, data):
+    # the split's exact witness, and a random realizer of the split (a
+    # random linear extension, then one reversing each critical pair),
+    # must each project to a realizer of p
+    p = random_poset(n, edge_prob, seed)
+    split = kimble_split(p)
+    drawn = []
+    for pair in [None, *critical_pairs(split)]:
+        cl = _Closure(split)
+        if pair is not None:
+            cl.add_below(1 << pair.y, pair.x)
+        perm = data.draw(st.permutations(range(2 * n)))
+        drawn.append(LinearExtension(ranked_topological_order(cl.down, perm)))
+    for family in (exact_dimension(split).witness.orders, drawn):
+        assert is_realizer(split, family) == (True, [])
+        projected = [_project_split_extension(p, ext) for ext in family]
+        assert is_realizer(p, projected) == (True, [])
 
 
 def _min_priority_projection(p, order):
     # the rule as specified: among the elements whose down-set is all
-    # placed, emit the one whose maximal copy n + x sits lowest in order
+    # placed, emit the one whose minimal copy x sits lowest in order
     n = p.n
     pos = {v: i for i, v in enumerate(order)}
     placed: set[int] = set()
     out = []
     while len(out) < n:
         ready = [x for x in range(n) if x not in placed and downset(p, x) <= placed]
-        best = min(ready, key=lambda x: pos[n + x])
+        best = min(ready, key=lambda x: pos[x])
         out.append(best)
         placed.add(best)
     return tuple(out)
