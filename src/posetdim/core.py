@@ -9,7 +9,7 @@ and subset tests on upsets/downsets are bitwise.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CycleError, GenerationExhausted
 
@@ -320,17 +320,38 @@ def standard_example_bipartite(m: int) -> BipartitePoset:
     return BipartitePoset(standard_example(m), range(m), range(m, 2 * m))
 
 
+def _join(masks: list[int], common: int, ux: int) -> tuple[list[int], int]:
+    above = common & ux
+    return [m & ux for m in masks] + [common ^ above], above
+
+
+def mate_masks(up: Sequence[int], elems: Iterable[int], universe: int) -> list[int]:
+    """The mates within universe of each position of an antichain elems.
+
+    A mate of x is above every other element and not above x, so it is
+    incomparable to x once elems has two.  Folded one element at a time:
+    while the positions so far all lie below common, an element with up
+    row ux (_join) keeps the mates above it and adds its own, common & ~ux.
+    Mates of different positions are distinct and incomparable, since
+    b_i <= b_j would put a_j below its own mate b_j.
+    """
+    masks, common = [], universe
+    for x in elems:
+        masks, common = _join(masks, common, up[x])
+    return masks
+
+
 def find_standard_example(p: Poset, k: int) -> Embedding | None:
     """Search for an induced standard example on 2k elements.
 
     Exhaustive backtracking over antichains for the minimal side, walking
     the candidates still incomparable to every chosen element as one
-    ascending bitmask.  A k-antichain is completed with the lowest mate
-    of each position (incomparable to it, above the others): mates of
-    different positions are distinct and incomparable, since b_i <= b_j
-    would put a_j below its own mate b_j.  Returns the lexicographically
-    first embedding under (a_elems, b_elems) order, or None when the
-    poset is free of them.
+    ascending bitmask and carrying their mate_masks.  A candidate stays
+    only while every position has a mate and, before the k-th, some
+    element is above all of them, as a partner still to come must be;
+    the k-th completes the embedding with the lowest mate of each.
+    Returns the lexicographically first embedding under (a_elems,
+    b_elems) order, or None when the poset is free of them.
     """
     if k < 2:
         raise ValueError(f"standard example size must be >= 2, got {k}")
@@ -340,43 +361,34 @@ def find_standard_example(p: Poset, k: int) -> Embedding | None:
     up = p._up
     down = p._down
     # a_i must end up below the k-1 partners of the other positions.
-    cand = 0
-    for x in range(n):
-        if up[x].bit_count() >= k - 1:
-            cand |= 1 << x
-    chosen: list[int] = []
+    cand = sum(1 << x for x in range(n) if up[x].bit_count() >= k - 1)
 
-    def extend(avail: int) -> Embedding | None:
-        if len(chosen) == k:
-            b_elems = []
-            for a in chosen:
-                m = ~up[a]
-                for other in chosen:
-                    if other != a:
-                        m &= up[other]
-                if not m:
-                    return None
-                b_elems.append((m & -m).bit_length() - 1)
-            return Embedding(tuple(chosen), tuple(b_elems))
+    def extend(avail: int, chosen: tuple[int, ...], masks: list[int],
+               common: int) -> Embedding | None:
+        last = len(chosen) == k - 1
         while avail:
             low = avail & -avail
             avail ^= low
             x = low.bit_length() - 1
             ux = up[x]
-            for a in chosen:
-                # every pair of a's needs a common cover for the third
-                # partner position, once k >= 3
-                if k >= 3 and not up[a] & ux:
+            above = common & ux
+            # x needs a mate, and before the k-th position room above it
+            if above == common or not (above or last):
+                continue
+            for m in masks:
+                if not m & ux:
                     break
             else:
-                chosen.append(x)
-                found = extend(avail & ~(ux | down[x]))
+                grown, above = _join(masks, common, ux)
+                if last:
+                    return Embedding(chosen + (x,), tuple(
+                        (m & -m).bit_length() - 1 for m in grown))
+                found = extend(avail & ~(ux | down[x]), chosen + (x,), grown, above)
                 if found is not None:
                     return found
-                chosen.pop()
         return None
 
-    return extend(cand)
+    return extend(cand, (), [], (1 << n) - 1)
 
 
 def kimble_split(p: Poset) -> Poset:

@@ -25,6 +25,7 @@ from .core import (
     find_standard_example,
     iter_bits,
     kimble_split,
+    mate_masks,
 )
 from .dimension import (
     LinearExtension,
@@ -165,31 +166,18 @@ def mates(bp: BipartitePoset, subset: Sequence[int], i: int) -> frozenset[int]:
     if not (1 <= i <= k):
         raise ValueError(f"position {i} out of range 1..{k}")
     _check_subset(bp, subset)
-    return frozenset(iter_bits(_mate_masks(bp, subset)[i - 1]))
-
-
-def _mate_masks(bp: BipartitePoset, elems: Sequence[int]) -> list[int]:
-    # mates of every position at once; elems sorted by a_order
-    up = bp.poset._up
-    k = len(elems)
-    pre = [bp.b_mask]
-    for a in elems:
-        pre.append(pre[-1] & up[a])
-    suf = [bp.b_mask] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        suf[j] = suf[j + 1] & up[elems[j]]
-    return [pre[i] & suf[i + 1] & ~up[elems[i]] for i in range(k)]
+    return frozenset(iter_bits(mate_masks(bp.poset._up, subset, bp.b_mask)[i - 1]))
 
 
 def subset_color(bp: BipartitePoset, subset: Sequence[int]) -> int:
     """First position (1-based) of the subset that has no mate.
 
-    If every position has one, the subset plus one mate per position is
-    a standard example, and NoValidColor carries that witness.
+    If every position has one (core.mate_masks within B), the subset plus
+    its lowest mate per position is a standard example, which NoValidColor carries.
     """
     elems = tuple(subset)
     _check_subset(bp, elems)
-    masks = _mate_masks(bp, elems)
+    masks = mate_masks(bp.poset._up, elems, bp.b_mask)
     for i, m in enumerate(masks, start=1):
         if not m:
             return i
@@ -206,9 +194,9 @@ def find_monochromatic(
 
     Tries colors in increasing order; within a color, greedy extension
     over A in a_order with backtracking, so the first set found wins.
-    Each k-subset read is colored once, by subset_color.  When q < k,
-    every q-set is vacuously monochromatic in color 1.  Returns
-    (elements sorted by a_order, color), or None.
+    Each k-subset read is colored once, by subset_color.  At q < k none
+    is read: every q-set is vacuously monochromatic in color 1, and
+    nothing checks that bp is S_k-free.  Returns (Q in a_order, color) or None.
     """
     if k < 2 or q < 2:
         raise ValueError(f"need k >= 2 and q >= 2, got k={k}, q={q}")
@@ -416,9 +404,10 @@ def peel_step(
         column j, and give both orders if it has a 1;
       (q, b), b in B: the lemma, which build_reversing_extensions checks;
       (b, q): B sits above A in the minimal-elements extension.
+    At q < k no color is read and t = min(k - 1, q) = q: the row with a
+    column's 1 alone reverses every (q, b) of that q, S_k-free or not.
     The step must fit in floor(3k * 2^k * ln q) extensions, else
-    BoundExceeded.  Returns the step and the extensions it spent, in
-    bp's element ids.
+    BoundExceeded.  Returns the step and its extensions, in bp's ids.
     """
     found = find_monochromatic(bp, k, q)
     if found is None:
@@ -474,22 +463,22 @@ def peel_realizer(
 ) -> PeelCertificate:
     """Iterated peeling down to a small base, then an exact base realizer.
 
-    Peels the side with more elements (the dual is peeled when |A| < |B|
-    and every extension is flipped as it is lifted).  The host keeps the
-    input's ids and loses each removed set, which every later member
-    lists at its very bottom, descending a_order; each step's distinct
-    orders are lifted once.  Stops peeling when the host has at most
-    base_threshold elements or no monochromatic set exists; the
-    remainder goes, restricted once, to the exact solver (overrunning
-    _BASE_BUDGET downgrades base_optimal rather than failing, since any
-    base realizer keeps the certificate sound).  The assembled realizer
-    is verified against the input, through its orders, before return.
+    Peels the smaller side, as q elements cost 2r + 1 members on either
+    (the dual when |A| > |B|, each extension flipped as it is lifted).
+    The host keeps the input's ids and loses each removed set, which
+    every later member lists at its very bottom, descending a_order;
+    each step's distinct orders are lifted once.  Stops peeling when the
+    host has at most base_threshold elements or no monochromatic set
+    exists; the remainder goes, restricted once, to the exact solver
+    (overrunning _BASE_BUDGET downgrades base_optimal rather than
+    failing, since any base realizer keeps the certificate sound).  The
+    assembled realizer is verified against the input before return.
     """
     if k < 2 or q < 2:
         raise ValueError(f"need k >= 2 and q >= 2, got k={k}, q={q}")
     if base_threshold < 1:
         raise ValueError("base_threshold must be >= 1")
-    dualized = len(bp.a_order) < len(bp.b_order)
+    dualized = len(bp.a_order) > len(bp.b_order)
     host = bp.dual() if dualized else bp
     prefix: tuple[int, ...] = ()  # grows bottom-up as peels stack
     collected: list[LinearExtension] = []
@@ -500,8 +489,7 @@ def peel_realizer(
         full = prefix + ext.order
         return LinearExtension(full[::-1] if dualized else full)
 
-    while (len(host.a_order) + len(host.b_order) > base_threshold
-           and len(host.a_order) >= q):
+    while len(host.a_order) + len(host.b_order) > base_threshold:
         try:
             step, exts = peel_step(host, k, q, derive_seed(seed, len(records)))
         except NoMonochromaticSet:

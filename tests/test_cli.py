@@ -414,6 +414,20 @@ def test_bad_input_exits_1_with_its_error(tmp_path, capsys, text, argv, want):
     assert {key: payload[key] for key in want} == want
 
 
+def test_q_below_k_peels_a_standard_example(tmp_path, capsys):
+    # the NoValidColor row above at q = 3, now at q = 2 < k: no color is
+    # read, so the peel succeeds on S_3 itself and the realizer verifies
+    f = str(tmp_path / "s3.poset")
+    cert = str(tmp_path / "cert.json")
+    run(capsys, "gen", "--type", "standard:3", "--seed", "1", "-o", f)
+    code, _, _ = run(capsys, "peel", f, "--k", "3", "--q", "2",
+                     "--threshold", "2", "--seed", "1", "--json", cert)
+    assert code == 0
+    assert json.loads(open(cert).read())["certificate"]["total_size"] == 37
+    code, _, _ = run(capsys, "dim", f, "--verify", cert)
+    assert code == 0
+
+
 def test_oversized_header_is_an_argument_error(tmp_path, capsys):
     f = tmp_path / "big.poset"
     f.write_text(f"poset {MAX_TEXT_N + 1}\n")

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from posetdim import (
@@ -22,7 +22,7 @@ from posetdim import (
     standard_example,
     standard_example_bipartite,
 )
-from posetdim.core import MAX_TEXT_N
+from posetdim.core import MAX_TEXT_N, mate_masks
 from posetdim.errors import CycleError, GenerationExhausted
 
 from conftest import (
@@ -185,10 +185,20 @@ def test_find_standard_example_on_itself_and_on_chains():
         find_standard_example(standard_example(2), 1)
 
 
+def _oracle_posets():
+    # sparse-to-dense random posets, then small random bipartite ones,
+    # where pruning on mates cuts most antichains short
+    yield from seeded_posets(120, 4, 8, seed=314)
+    for i in range(80):
+        side = 4 + i % 2
+        bp = random_bipartite(side, side, 0.3 + 0.1 * (i % 5), derive_seed(271, i))
+        yield ("bipartite", i), bp.poset
+
+
 def test_find_standard_example_agrees_with_exhaustive_search():
-    hits = 0
-    for i, p in seeded_posets(120, 4, 8, seed=314):
-        for k in (2, 3):
+    hits = deep = 0
+    for i, p in _oracle_posets():
+        for k in (2, 3, 4):
             got = find_standard_example(p, k)
             want = naive_find_standard(p, k)
             if want is None:
@@ -198,7 +208,17 @@ def test_find_standard_example_agrees_with_exhaustive_search():
                 assert (got.a_elems, got.b_elems) == want, (i, k)
                 assert embedding_valid(p, got)
                 hits += 1
+                deep += k > 2
     assert hits > 10  # the loop must actually exercise positives
+    assert deep > 5  # and positives past the pairwise case
+
+
+def test_find_standard_example_on_a_dense_bipartite_order():
+    # on a 2-core machine: about 7 s with only a pairwise prune, and
+    # 0.01 s pruning on mates
+    emb = find_standard_example(random_bipartite(60, 60, 0.5, 3).poset, 8)
+    assert emb == Embedding((0, 1, 2, 15, 24, 26, 44, 48),
+                            (79, 81, 106, 92, 75, 87, 97, 71))
 
 
 def _relabel(p: Poset, perm: list[int]) -> Poset:
@@ -218,6 +238,31 @@ def test_detection_is_invariant_under_dual_and_relabelling(seed, n, edge_prob,
     for q, emb in zip((p, p.dual(), _relabel(p, perm)), found):
         if emb is not None:
             assert embedding_valid(q, emb)
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2**32), st.integers(2, 12), st.floats(0.1, 0.8),
+       st.booleans(), st.data())
+def test_mate_masks_match_their_definition(seed, n, edge_prob, bipartite, data):
+    # a mate of x in an antichain is incomparable to x and above the rest
+    if bipartite:
+        bp = random_bipartite(n // 2, n - n // 2, edge_prob, seed)
+        p, universes = bp.poset, ((1 << n) - 1, bp.b_mask)
+    else:
+        p = random_poset(n, edge_prob, seed)
+        universes = ((1 << n) - 1,)
+    elems: list[int] = []
+    for x in data.draw(st.permutations(range(n)), label="order"):
+        if all(p.incomparable(x, y) for y in elems):
+            elems.append(x)
+    assume(len(elems) >= 2)
+    elems = elems[:data.draw(st.integers(2, len(elems)), label="size")]
+    for universe in universes:
+        want = [sum(1 << y for y in range(n)
+                    if (universe >> y) & 1 and p.incomparable(x, y)
+                    and all(p.lt(z, y) for z in elems if z != x))
+                for x in elems]
+        assert mate_masks(p._up, elems, universe) == want
 
 
 # -- bipartite posets --------------------------------------------------------------

@@ -62,6 +62,21 @@ def test_growth_csv_is_pinned(seed):
     assert sha(growth_records_to_csv(records)) == GROWTH[seed]
 
 
+# at q = 4 the two seeds' n=40 bases differ (278 against 347 members),
+# so these pins tell the seeds apart where GROWTH cannot
+GROWTH_Q4 = {
+    1: "81cb93d1973c72f2eb56448aa31c503726b678f75d5a04364c5f12e5cd0cec59",
+    401: "9ca979e56609bdb7dead9e8d92d136beae4a9f594490a83f7e0bf7e1cee47852",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GROWTH_Q4))
+def test_growth_csv_at_q4_is_pinned(seed):
+    assert len(set(GROWTH_Q4.values())) == len(GROWTH_Q4)
+    records = run_growth_experiment(3, [40, 80], 1, 4, None, seed)
+    assert sha(growth_records_to_csv(records)) == GROWTH_Q4[seed]
+
+
 PEEL_320 = "d9ca7dff8b772d0123ffe9c3c9136105b74c2579e0877e8ac9fbfe764e44893e"
 PEEL_320_V2 = "c54dcf0424a97ac28f34b768e78dd740bbaf0d307ee9bd2a25621b4b4a7c1451"
 

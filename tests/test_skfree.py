@@ -518,14 +518,16 @@ def test_peel_realizer_rejects_small_k_and_q():
                 peel_realizer(bp, k, q, base_threshold=threshold, seed=1)
 
 
-def test_peel_realizer_dualizes_when_b_is_larger():
-    bp = random_skfree_bipartite(4, 12, 0.35, 3, seed=5)
-    cert = peel_realizer(bp, 3, 2, base_threshold=6, seed=3)
-    ok, _ = is_realizer(bp.poset, cert.realizer.extensions)
-    assert ok
-    # the peeled side was B, so removed elements are B-side ids
-    assert all(set(s.removed) <= set(bp.b_order) for s in cert.steps)
-    assert len(cert.steps) >= 1
+def test_peel_realizer_peels_the_smaller_side():
+    small_a = random_skfree_bipartite(4, 12, 0.35, 3, seed=5)
+    # the same order with its sides swapped: the peel dualizes it back
+    for bp in (small_a, small_a.dual()):
+        cert = peel_realizer(bp, 3, 2, base_threshold=6, seed=3)
+        ok, _ = is_realizer(bp.poset, cert.realizer.extensions)
+        assert ok
+        # removed elements are ids of the four-element side
+        assert all(set(s.removed) <= set(small_a.a_order) for s in cert.steps)
+        assert len(cert.steps) >= 1
 
 
 def _reindexed(bp, host):
@@ -592,7 +594,7 @@ def test_peel_realizer_restricts_only_its_base(monkeypatch):
 @pytest.mark.parametrize("na, nb", [(6, 14), (10, 10), (14, 6)])
 def test_peeling_the_dual_realizes_both_orders(na, nb):
     # metamorphic: a realizer of the dual, each member reversed, realizes
-    # the input; (14, 6) peels the dual's dual inside peel_realizer
+    # the input; (6, 14) peels the dual's dual inside peel_realizer
     for i in range(7):
         bp = random_skfree_bipartite(na, nb, 0.25, 3, seed=derive_seed(na, i))
         cert = peel_realizer(bp.dual(), 3, 2 + i % 2, base_threshold=8, seed=i)
