@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress, count, islice
+from operator import ne
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import Poset, iter_bits
@@ -209,14 +211,23 @@ def critical_pairs(p: Poset) -> list[CriticalPair]:
 
 def listed_below(orders: Iterable[Sequence[int]], n: int) -> list[int]:
     """Bit y of below[x] is set iff some order lists y below x, i.e. the
-    family reverses (x, y).  One walk per order, so callers pass each
-    distinct order once; each must be a permutation of 0..n-1."""
+    family reverses (x, y).  Each order is a permutation of one ground
+    set within 0..n-1.  A prefix an order shares with the one before it
+    lists nothing new below its elements, so each order is walked from
+    where it first differs from its predecessor: pass distinct orders,
+    those sharing long prefixes (a peel's) next to each other."""
     below = [0] * n
+    prev: Sequence[int] = ()
+    listed_at = [0]  # listed_at[i]: the mask of prev[:i]
     for order in orders:
-        listed = 0
-        for v in order:
+        i = next(compress(count(), map(ne, order, prev)), len(prev))
+        del listed_at[i + 1:]
+        listed = listed_at[i]
+        for v in islice(order, i, None):
             below[v] |= listed
             listed |= 1 << v
+            listed_at.append(listed)
+        prev = order
     return below
 
 
@@ -251,8 +262,9 @@ def is_realizer(
 
     The family realizes p exactly when it is not empty (unless p is)
     and, for every x, its members together list below x every element
-    that is not above x and nothing above it.  Each member is walked as
-    given, so a Realizer is checked by passing its orders.
+    that is not above x and nothing above it.  listed_below walks each
+    member from where it leaves the one before it, so a Realizer is
+    checked by passing its orders.
     Returns (ok, unreversed critical pairs in lexicographic order).
     Raises NotAnExtension if a member is not a linear extension of p.
     """

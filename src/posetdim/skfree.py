@@ -14,7 +14,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .core import (
@@ -252,36 +252,39 @@ def sigma_permutations(row: int, q: int) -> tuple[tuple[int, ...], tuple[int, ..
 
 
 def extension_from_sigma(
-    bp: BipartitePoset, q_elems: Sequence[int], sigma: Sequence[int]
-) -> LinearExtension:
-    """Linear extension stacking residual upsets over a traversal of Q.
+    bp: BipartitePoset, q_elems: Sequence[int], sigmas: Iterable[Sequence[int]]
+) -> list[LinearExtension]:
+    """One linear extension per traversal of Q, stacking residual upsets.
 
     Walking Q in sigma order, each element brings the part of its upset
     not claimed earlier; top to bottom the extension reads U_1 > q_1 >
-    U_2 > q_2 > ... > R, with the leftovers R at the bottom (A-side
-    first) and ascending indices inside every block.
+    U_2 > q_2 > ... > R, with ascending indices inside every block.
+    Every traversal claims the union of Q's upsets, so the leftovers R
+    (A-side first) are one block, built once and listed at the bottom
+    of every extension.  ValueError for a sigma not permuting 0..|Q|-1.
     """
-    p = bp.poset
     q_elems = list(q_elems)
-    if sorted(sigma) != list(range(len(q_elems))):
-        raise ValueError("sigma must permute 0..len(Q)-1")
-    up = p._up
-    claimed = 0
-    blocks: list[tuple[int, int]] = []  # (q element, its residual upset mask)
-    for idx in sigma:
-        a = q_elems[idx]
-        residual = up[a] & ~claimed
-        claimed |= residual
-        blocks.append((a, residual))
-    q_mask = 0
+    up = bp.poset._up
+    q_mask = upsets = 0
     for a in q_elems:
         q_mask |= 1 << a
-    rest = ~q_mask & ~claimed
-    bottom_up = [*iter_bits(rest & bp.a_mask), *iter_bits(rest & bp.b_mask)]
-    for a, residual in reversed(blocks):
-        bottom_up.append(a)
-        bottom_up.extend(iter_bits(residual))
-    return LinearExtension(tuple(bottom_up))
+        upsets |= up[a]
+    rest = ~q_mask & ~upsets
+    leftovers = (*iter_bits(rest & bp.a_mask), *iter_bits(rest & bp.b_mask))
+    exts = []
+    for sigma in sigmas:
+        if sorted(sigma) != list(range(len(q_elems))):
+            raise ValueError("sigma must permute 0..len(Q)-1")
+        claimed = 0
+        blocks = []  # (q element, *its residual upset), top block first
+        for idx in sigma:
+            a = q_elems[idx]
+            residual = up[a] & ~claimed
+            claimed |= residual
+            blocks.append((a, *iter_bits(residual)))
+        exts.append(LinearExtension(
+            leftovers + tuple(chain.from_iterable(reversed(blocks)))))
+    return exts
 
 
 def _check_q_pairs_reversed(
@@ -325,9 +328,10 @@ def build_reversing_extensions(
     Q must be monochromatic of the given color under the upset-based
     k-subset coloring.  A matrix with the isolating-row property at
     t = max(color-1, k-color) supplies 2r extensions, two per row, via
-    the two row traversals; each distinct traversal is built once, and
-    the rows that repeat it repeat its object.  The postcondition checks
-    every such pair against one walk per distinct traversal; a miss
+    the two row traversals.  extension_from_sigma builds the distinct
+    traversals in one call, over one leftover block, and the rows that
+    repeat a traversal repeat its object.  The postcondition checks
+    every such pair against the distinct traversals' listed_below; a miss
     raises VerificationFailed with a mate-count diagnosis.  Returns the
     extensions and the matrix.
     """
@@ -340,15 +344,11 @@ def build_reversing_extensions(
     t_eff = min(t, q)
     r = math.ceil(k * (2 ** k) * math.log(q))
     mat = acquire_event_matrix(t_eff, q, r, seed)
-    exts: list[LinearExtension] = []
-    built: dict[tuple[int, ...], LinearExtension] = {}  # sigma -> extension
-    for row in mat.rows:
-        for sigma in sigma_permutations(row, q):
-            ext = built.get(sigma)
-            if ext is None:
-                ext = built[sigma] = extension_from_sigma(bp, q_elems, sigma)
-            exts.append(ext)
+    traversals = [s for row in mat.rows for s in sigma_permutations(row, q)]
+    distinct = sorted(set(traversals))
+    built = dict(zip(distinct, extension_from_sigma(bp, q_elems, distinct)))
     _check_q_pairs_reversed(bp, q_elems, built.values(), color, t_eff)
+    exts = [built[sigma] for sigma in traversals]
     return exts, mat
 
 

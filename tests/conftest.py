@@ -203,6 +203,19 @@ def naive_is_extension(p: Poset, order: tuple[int, ...]) -> bool:
     )
 
 
+def swap_inside_shared_prefix(p: Poset, orders) -> list[int]:
+    """orders[1] with one related pair of the prefix it shares with
+    orders[0] (asserted longer than half) listed the wrong way round."""
+    first, second = orders[0], orders[1]
+    shared = next(i for i, (u, v) in enumerate(zip(first, second)) if u != v)
+    assert shared > len(first) // 2
+    i, j = next((i, j) for j in range(shared) for i in range(j)
+                if p.lt(second[i], second[j]))
+    mutated = list(second)
+    mutated[i], mutated[j] = mutated[j], mutated[i]
+    return mutated
+
+
 def naive_splitmix64(seed: int, index: int) -> int:
     """Independent restatement of the seed-derivation arithmetic."""
     z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF

@@ -10,10 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from posetdim import __version__, load_poset
+from posetdim import (__version__, load_poset, peel_realizer,
+                      random_skfree_bipartite)
 from posetdim.cli import main
 from posetdim.core import MAX_TEXT_N, poset_to_text, standard_example_bipartite
 from posetdim.skfree import certificate_from_json_dict, certificate_to_json_dict
+
+from conftest import swap_inside_shared_prefix
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -164,6 +167,24 @@ def test_split_then_peel(tmp_path, capsys):
     code, out, _ = run(capsys, "peel", sp, "--k", "3", "--q", "2",
                        "--threshold", "8", "--seed", "9")
     assert code == 0
+
+
+def test_verify_refuses_a_swap_inside_a_shared_prefix(tmp_path, capsys):
+    # an n=320 peel certificate whose second order lists a related pair
+    # the wrong way round, inside the prefix it shares with the first
+    bp = random_skfree_bipartite(160, 160, 1.5 / 160, 3, seed=2)
+    cert = certificate_to_json_dict(peel_realizer(bp, 3, 3, 12, seed=2))
+    f = tmp_path / "p.poset"
+    f.write_text(poset_to_text(bp))
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"certificate": cert}))
+    assert run(capsys, "dim", str(f), "--verify", str(path))[0] == 0
+    orders = cert["realizer"]["orders"]
+    orders[1] = swap_inside_shared_prefix(bp.poset, orders)
+    path.write_text(json.dumps({"certificate": cert}))
+    code, out, err = run(capsys, "dim", str(f), "--verify", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "NotAnExtension"
 
 
 def test_verify_rejects_wrong_realizer(tmp_path, capsys):

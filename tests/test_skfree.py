@@ -62,10 +62,12 @@ from posetdim.errors import (
     ContainsSk,
     NoMonochromaticSet,
     NoValidColor,
+    NotAnExtension,
     VerificationFailed,
 )
 
-from conftest import downset, embedding_valid, relations
+from conftest import (downset, embedding_valid, relations,
+                      swap_inside_shared_prefix)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -261,22 +263,67 @@ def test_sigma_permutations_are_permutations(row):
 
 def test_extension_from_sigma_worked_example():
     bp = standard_example_bipartite(2)
-    ext = extension_from_sigma(bp, (0, 1), (0, 1))
+    ext, ext2 = extension_from_sigma(bp, (0, 1), [(0, 1), (1, 0)])
     assert ext.order == (1, 2, 0, 3)
-    ext2 = extension_from_sigma(bp, (0, 1), (1, 0))
     assert ext2.order == (0, 3, 1, 2)
-    with pytest.raises(ValueError):
-        extension_from_sigma(bp, (0, 1), (0, 0))
+    for sigmas in ([(0, 0)], [(0, 1), (1,)], [(0, 1), (1, 2)]):
+        with pytest.raises(ValueError):
+            extension_from_sigma(bp, (0, 1), sigmas)
 
 
 def test_extension_from_sigma_always_valid():
     for i in range(25):
         bp = random_skfree_bipartite(8, 8, 0.35, 3, seed=derive_seed(17, i))
         q_elems = tuple(bp.a_order[:3])
-        for sigma in ((0, 1, 2), (2, 1, 0), (1, 2, 0)):
-            ext = extension_from_sigma(bp, q_elems, sigma)
+        sigmas = ((0, 1, 2), (2, 1, 0), (1, 2, 0))
+        exts = extension_from_sigma(bp, q_elems, sigmas)
+        assert len(exts) == len(sigmas)
+        for ext in exts:
             check_extension(bp.poset, ext)
             assert sorted(ext.order) == list(range(bp.poset.n))
+
+
+def _leftover_block(bp, q_elems):
+    # everything on the host's ground that is neither in Q nor above it,
+    # A side first, each side ascending
+    above = 0
+    for a in q_elems:
+        above |= bp.poset.upset_mask(a)
+    rest = [v for v in bp.a_order + bp.b_order
+            if v not in q_elems and not (above >> v) & 1]
+    return (sorted(v for v in rest if v in bp.a_pos)
+            + sorted(v for v in rest if v not in bp.a_pos))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.data())
+def test_every_traversal_of_a_step_shares_one_leftover_block(seed, dual, data):
+    # on a host that lost some A elements (off-ground ids) or on a dual,
+    # each traversal lists the same leftovers at its bottom, then Q's
+    # residual upsets, and covers exactly the host's ground
+    bp = random_skfree_bipartite(10, 9, 0.25, 3, seed=seed)
+    host = bp.dual() if dual else bp
+    gone = data.draw(st.sets(st.sampled_from(host.a_order), max_size=5), label="gone")
+    host = host._without(gone)
+    q_elems = data.draw(st.lists(st.sampled_from(host.a_order), min_size=2,
+                                 max_size=4, unique=True), label="q")
+    q_elems = sorted(q_elems, key=host.a_pos.__getitem__)
+    sigmas = data.draw(st.lists(st.permutations(range(len(q_elems))),
+                                min_size=1, max_size=6), label="sigmas")
+    exts = extension_from_sigma(host, q_elems, sigmas)
+    block = tuple(_leftover_block(host, q_elems))
+    ground = sorted(host.a_order + host.b_order)
+    for sigma, ext in zip(sigmas, exts, strict=True):
+        assert ext.order[:len(block)] == block
+        assert sorted(ext.order) == ground
+        # above them, top down: U_1 > q_1 > U_2 > q_2 > ...
+        claimed, want = 0, []
+        for idx in sigma:
+            a = q_elems[idx]
+            residual = host.poset.upset_mask(a) & ~claimed
+            claimed |= residual
+            want[:0] = [a, *sorted(iter_bits(residual))]
+        assert list(ext.order[len(block):]) == want
 
 
 # -- reversing extensions ---------------------------------------------------------------
@@ -344,6 +391,44 @@ def test_listed_below_agrees_with_positions(n, data):
             assert (below[x] >> y) & 1 == want
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_listed_below_walks_shared_prefixes_soundly(n, data):
+    # families shaped like a peel step's: one prefix under several tails,
+    # over a ground within 0..n-1 (a host that lost elements), with
+    # repeats; the answer is the per-pair rule's whatever the member order
+    ground = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True),
+                       label="ground")
+    cut = data.draw(st.integers(0, len(ground)), label="cut")
+    tails = data.draw(st.lists(st.permutations(ground[cut:]), min_size=1,
+                               max_size=5), label="tails")
+    family = [tuple(ground[:cut]) + tuple(tail) for tail in tails]
+    family += data.draw(st.lists(st.sampled_from(family), max_size=3),
+                        label="repeats")
+    shuffled = data.draw(st.permutations(family), label="shuffled")
+    below = listed_below(family, n)
+    assert listed_below(iter(shuffled), n) == below
+    for x in range(n):
+        for y in range(n):
+            want = any(x in o and y in o and o.index(y) < o.index(x)
+                       for o in family)
+            assert (below[x] >> y) & 1 == want
+
+
+def test_a_non_extension_inside_a_shared_prefix_is_refused():
+    # two orders of the first peel step share the removed sets and the
+    # leftover block; a swap inside that prefix of the second must be
+    # caught although the walk skips what the second shares with the first
+    bp = random_skfree_bipartite(20, 20, 0.1, 3, seed=5)
+    cert = peel_realizer(bp, 3, 3, 12, seed=5)
+    orders = [ext.order for ext in cert.realizer.orders]
+    check_realizer(bp.poset, [LinearExtension(o) for o in orders])
+    orders[1] = tuple(swap_inside_shared_prefix(bp.poset, orders))
+    family = [LinearExtension(orders[m]) for m in cert.realizer.members]
+    with pytest.raises(NotAnExtension):
+        check_realizer(bp.poset, family)
+
+
 def _first_unreversed(bp, q_elems, exts):
     # the pair-by-pair rule: Q in order, then B ascending
     for a in q_elems:
@@ -394,9 +479,10 @@ def test_postcondition_raises_when_a_q_element_is_never_lifted(monkeypatch):
     a = q_elems[0]
     b = min(v for v in bp.b_order if bp.poset.incomparable(a, v))
     real = skfree.extension_from_sigma
-    monkeypatch.setattr(skfree, "extension_from_sigma", lambda bp_, q_, sigma: (
-        LinearExtension((a,) + tuple(v for v in real(bp_, q_, sigma).order if v != a))
-    ))
+    monkeypatch.setattr(skfree, "extension_from_sigma", lambda bp_, q_, sigmas: [
+        LinearExtension((a,) + tuple(v for v in e.order if v != a))
+        for e in real(bp_, q_, sigmas)
+    ])
     with pytest.raises(VerificationFailed) as exc:
         build_reversing_extensions(bp, 3, q_elems, color, seed=0)
     assert exc.value.pair == (a, b)
@@ -562,9 +648,9 @@ def test_a_host_in_input_ids_acts_like_the_reindexed_host(seed, data):
     assert [got[v] & ground for v in kept] == _lifted(want, kept)
     q_elems = [a for a in host.a_order if (mask >> a) & 1]
     sigma = data.draw(st.permutations(range(len(q_elems))), label="sigma")
-    got = extension_from_sigma(host, q_elems, sigma).order
-    want = extension_from_sigma(sub, [kept.index(a) for a in q_elems], sigma).order
-    assert got == tuple(kept[v] for v in want)
+    (got,) = extension_from_sigma(host, q_elems, [sigma])
+    (want,) = extension_from_sigma(sub, [kept.index(a) for a in q_elems], [sigma])
+    assert got.order == tuple(kept[v] for v in want.order)
     # a whole step removes and spends the same
     if len(host.a_order) >= 2:
         try:
