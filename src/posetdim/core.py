@@ -220,16 +220,14 @@ class BipartitePoset:
 
     Every related pair runs from A into B.  a_order and b_order fix a
     linear order on each side; several constructions depend on it.  The
-    sides cover poset, or only a_mask | b_mask in a host from _without.
+    sides cover poset, or only a_mask | b_mask in a host from _without,
+    whose rows are its input's: there a B element's down row is read
+    only through & a_mask.
     """
 
     __slots__ = ("poset", "a_order", "b_order", "a_mask", "b_mask", "a_pos")
 
     def __init__(self, poset: Poset, a_order: Iterable[int], b_order: Iterable[int]):
-        self._build(poset, a_order, b_order, (1 << poset.n) - 1)
-
-    def _build(self, poset: Poset, a_order: Iterable[int], b_order: Iterable[int],
-               ground: int) -> BipartitePoset:
         self.poset = poset
         self.a_order = tuple(a_order)
         self.b_order = tuple(b_order)
@@ -245,11 +243,11 @@ class BipartitePoset:
         self.a_mask, self.b_mask = masks
         # position of each A-side element in a_order
         self.a_pos = {x: i for i, x in enumerate(self.a_order)}
-        if len(self.a_order) + len(self.b_order) != ground.bit_count():
+        if len(self.a_order) + len(self.b_order) != n:
             raise ValueError("bipartition does not cover the ground set")
         if self.a_mask & self.b_mask:
             raise ValueError("bipartition sides overlap")
-        if (self.a_mask | self.b_mask) != ground:
+        if (self.a_mask | self.b_mask) != (1 << n) - 1:
             raise ValueError("bipartition misses elements")
         for x in self.a_order:
             if self.poset.downset_mask(x):
@@ -257,25 +255,24 @@ class BipartitePoset:
         for y in self.b_order:
             if self.poset.upset_mask(y):
                 raise ValueError(f"B-side element {y} has something above it")
-        return self
 
     def dual(self) -> BipartitePoset:
         """Swap the two sides and reverse the order relation."""
-        return object.__new__(BipartitePoset)._build(
-            self.poset.dual(), self.b_order, self.a_order, self.a_mask | self.b_mask)
+        return BipartitePoset(self.poset.dual(), self.b_order, self.a_order)
 
     def _without(self, elems: Iterable[int]) -> BipartitePoset:
-        """This host less some A-side elements, in the same ids: they lose
-        their relations and leave A, and the sides cover what is left."""
+        """This host less some A-side elements, sharing its poset: they
+        leave A and the ground a_mask | b_mask but keep their rows, so a
+        B element's down row is read only through & a_mask."""
         gone = sum(1 << a for a in set(elems))
         if gone & ~self.a_mask:
             raise ValueError("only A-side elements can be taken out of a host")
-        p = self.poset
-        up = [0 if (gone >> x) & 1 else row for x, row in enumerate(p._up)]
-        return object.__new__(BipartitePoset)._build(
-            Poset(p.n, up, [row & ~gone for row in p._down]),
-            (a for a in self.a_order if not (gone >> a) & 1),
-            self.b_order, (self.a_mask | self.b_mask) & ~gone)
+        host = object.__new__(BipartitePoset)
+        host.poset, host.b_order, host.b_mask = self.poset, self.b_order, self.b_mask
+        host.a_order = tuple(a for a in self.a_order if not (gone >> a) & 1)
+        host.a_mask = self.a_mask & ~gone
+        host.a_pos = {x: i for i, x in enumerate(host.a_order)}
+        return host
 
     def __eq__(self, other) -> bool:
         return (

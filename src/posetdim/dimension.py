@@ -331,18 +331,16 @@ def is_reversible(
 ) -> tuple[bool, LinearExtension | None]:
     """Can one linear extension reverse every pair in the set?
 
-    True exactly when the poset plus all reversal edges stays acyclic;
-    the witness is the lowest-index-first topological order of that
-    augmented relation.  Raises ComparablePairError if some pair is
-    comparable (reversing it is meaningless) and ValueError for an id
-    outside 0..n-1.
+    True exactly when the poset plus all reversal edges stays acyclic,
+    i.e. the first fit packs the pairs into one class; the witness is
+    that class's lowest-index-first topological order.  Raises
+    ComparablePairError if some pair is comparable (reversing it is
+    meaningless) and ValueError for an id outside 0..n-1.
     """
-    pairs = _checked_pairs(p, pairs)
-    cl = _Closure(p)
-    for x, y in pairs:
-        if not cl.add_below(1 << y, x):
-            return False, None
-    return True, LinearExtension(cl.extension())
+    classes = _first_fit(p, _x_runs(_checked_pairs(p, pairs))) or [_Closure(p)]
+    if len(classes) > 1:
+        return False, None
+    return True, LinearExtension(classes[0].extension())
 
 
 def _first_fit(p: Poset, runs: Iterable[list[int]]) -> list[_Closure]:
@@ -369,27 +367,15 @@ def _first_fit(p: Poset, runs: Iterable[list[int]]) -> list[_Closure]:
 def greedy_reversing_extensions(
     p: Poset, pairs: Sequence[tuple[int, int]]
 ) -> list[LinearExtension]:
-    """Cover the given incomparable pairs with few extensions, greedily.
-
-    Each round packs a maximal reversible subset (first come first
-    served) into one extension and drops everything that extension
-    happens to reverse.  Raises ComparablePairError for a comparable or
-    equal pair and ValueError for an id outside 0..n-1.
+    """Cover the given incomparable pairs with few extensions, greedily:
+    one extension per first-fit class.  A class refuses y < x only when
+    y lies above x, where its extension keeps it, so each class holds
+    exactly the pairs its predecessors' extensions leave unreversed.
+    Raises ComparablePairError for a comparable or equal pair and
+    ValueError for an id outside 0..n-1.
     """
     runs = _x_runs(_checked_pairs(p, pairs))
-    out: list[LinearExtension] = []
-    while runs:
-        cl = _Closure(p)
-        for x, ys in runs:
-            cl.add_below(ys, x)
-        order = cl.extension()
-        out.append(LinearExtension(order))
-        below = listed_below([order], p.n)
-        still = [[x, ys & ~below[x]] for x, ys in runs if ys & ~below[x]]
-        if still == runs:
-            raise AssertionError("greedy cover made no progress")
-        runs = still
-    return out
+    return [LinearExtension(cl.extension()) for cl in _first_fit(p, runs)]
 
 
 _CONFLICT_PAIR_CAP = 2000  # most critical pairs the search takes on
@@ -429,8 +415,10 @@ def _conflict_masks(p: Poset, cps: Sequence[CriticalPair]) -> list[int]:
 
 
 def _greedy_result(p: Poset, runs: Iterable[list[int]]) -> DimensionResult:
-    """The first fit of the x-runs as a (not yet optimal) result."""
-    exts = tuple(LinearExtension(cl.extension()) for cl in _first_fit(p, runs))
+    """The first fit of the x-runs as a (not yet optimal) result; with
+    no pairs, the one extension of p's closure."""
+    classes = _first_fit(p, runs) or [_Closure(p)]
+    exts = tuple(LinearExtension(cl.extension()) for cl in classes)
     return DimensionResult(Realizer.of(exts), False)
 
 
@@ -454,14 +442,9 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
         raise ValueError(f"budget must be >= 0, got {budget}")
     rows = critical_rows(p)
     m = sum(row.bit_count() for row in rows)
-    if not m:
-        cl = _Closure(p)
-        ext = LinearExtension(cl.extension())
-        return DimensionResult(Realizer.of((ext,)), True)
-
-    if m > _CONFLICT_PAIR_CAP:
+    if not m or m > _CONFLICT_PAIR_CAP:
         # no conflict graph and no search: first fit in lexicographic
-        # order, whose x-runs are the nonzero rows, settles only d = 2
+        # order, whose x-runs are the nonzero rows, settles only d <= 2
         greedy = _greedy_result(p, [[x, row] for x, row in enumerate(rows) if row])
         if greedy.d > 2:
             raise BudgetExceeded(

@@ -418,10 +418,10 @@ def peel_step(
     seed = derive_seed(seed, 1)
     exts, mat = build_reversing_extensions(bp, k, q_elems, color, seed)
 
-    p = bp.poset
+    down, a_mask = bp.poset._down, bp.a_mask
     q_mask = sum(1 << a for a in q_elems)
     a_rest = [a for a in reversed(bp.a_order) if not (q_mask >> a) & 1]
-    b_ids = sorted(iter_bits(bp.b_mask), key=lambda y: bool(p._down[y]))
+    b_ids = sorted(iter_bits(bp.b_mask), key=lambda y: bool(down[y] & a_mask))
     exts.append(LinearExtension((*reversed(q_elems), *a_rest, *b_ids)))
     cap = step_extension_cap(k, len(q_elems))
     if len(exts) > cap:
@@ -465,14 +465,16 @@ def peel_realizer(
 
     Peels the smaller side, as q elements cost 2r + 1 members on either
     (the dual when |A| > |B|, each extension flipped as it is lifted).
-    The host keeps the input's ids and loses each removed set, which
-    every later member lists at its very bottom, descending a_order;
-    each step's distinct orders are lifted once.  Stops peeling when the
-    host has at most base_threshold elements or no monochromatic set
-    exists; the remainder goes, restricted once, to the exact solver
-    (overrunning _BASE_BUDGET downgrades base_optimal rather than
-    failing, since any base realizer keeps the certificate sound).  The
-    assembled realizer is verified against the input before return.
+    The host keeps the input's poset and ids, and each removed set
+    leaves its A side, so a B element's down row is read only through
+    & a_mask; every later member lists the set at its very bottom,
+    descending a_order, and each step's distinct orders are lifted
+    once.  Stops peeling when the host has at most base_threshold
+    elements or no monochromatic set exists; the remainder goes,
+    restricted once, to the exact solver (overrunning _BASE_BUDGET
+    downgrades base_optimal rather than failing, since any base
+    realizer keeps the certificate sound).  The assembled realizer is
+    verified against the input before return.
     """
     if k < 2 or q < 2:
         raise ValueError(f"need k >= 2 and q >= 2, got k={k}, q={q}")

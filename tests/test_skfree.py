@@ -47,7 +47,6 @@ from posetdim.core import iter_bits
 from posetdim.dimension import (
     _Closure,
     check_realizer,
-    critical_rows,
     listed_below,
     ranked_topological_order,
 )
@@ -628,11 +627,6 @@ def _reindexed(bp, host):
     return sub, kept
 
 
-def _lifted(rows, kept):
-    # rows over renumbered ids, as masks over the original ids
-    return [sum(1 << kept[j] for j in iter_bits(row)) for row in rows]
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.data())
 def test_a_host_in_input_ids_acts_like_the_reindexed_host(seed, data):
@@ -641,11 +635,8 @@ def test_a_host_in_input_ids_acts_like_the_reindexed_host(seed, data):
     gone = data.draw(st.sets(st.sampled_from(bp.a_order), max_size=8), label="gone")
     host = bp._without(gone)
     sub, kept = _reindexed(bp, host)
-    ground = host.a_mask | host.b_mask
     mask = sum(1 << a for a in data.draw(
         st.sets(st.sampled_from(host.a_order), min_size=1, max_size=4), label="q"))
-    got, want = critical_rows(host.poset), critical_rows(sub.poset)
-    assert [got[v] & ground for v in kept] == _lifted(want, kept)
     q_elems = [a for a in host.a_order if (mask >> a) & 1]
     sigma = data.draw(st.permutations(range(len(q_elems))), label="sigma")
     (got,) = extension_from_sigma(host, q_elems, [sigma])
@@ -667,14 +658,22 @@ def test_a_host_in_input_ids_acts_like_the_reindexed_host(seed, data):
 
 
 def test_peel_realizer_restricts_only_its_base(monkeypatch):
-    calls = []
-    real = Poset.restrict
-    monkeypatch.setattr(Poset, "restrict",
-                        lambda self, keep: calls.append(self.n) or real(self, keep))
-    bp = random_skfree_bipartite(40, 40, 1.5 / 40, 3, seed=7)
-    cert = peel_realizer(bp, 3, 3, base_threshold=12, seed=7)
-    assert len(cert.steps) >= 5
-    assert calls == [80]
+    # every host shares one poset: the peel builds only the base's
+    # restriction, and the dual's when |A| > |B|, whatever its step count
+    calls, posets = [], []
+    real_restrict, real_init = Poset.restrict, Poset.__init__
+    monkeypatch.setattr(Poset, "restrict", lambda self, keep:
+                        calls.append(self.n) or real_restrict(self, keep))
+    monkeypatch.setattr(Poset, "__init__", lambda self, *args:
+                        posets.append(self) or real_init(self, *args))
+    for na, nb, built in ((40, 40, 1), (50, 30, 2)):
+        bp = random_skfree_bipartite(na, nb, 1.5 / 40, 3, seed=7)
+        calls.clear()
+        posets.clear()
+        cert = peel_realizer(bp, 3, 3, base_threshold=12, seed=7)
+        assert len(cert.steps) >= 10
+        assert calls == [80]
+        assert len(posets) == built
 
 
 @pytest.mark.parametrize("na, nb", [(6, 14), (10, 10), (14, 6)])
