@@ -95,13 +95,6 @@ class _Closure:
         self.up = list(p._up)
         self.down = list(p._down)
 
-    def copy(self) -> _Closure:
-        c = object.__new__(_Closure)
-        c.n = self.n
-        c.up = self.up[:]
-        c.down = self.down[:]
-        return c
-
     def add_below(self, los: int, hi: int) -> int:
         """Add lo < hi for every lo in the bitmask los that is neither hi
         nor above it, and return the mask of those lows; the others
@@ -385,6 +378,17 @@ class _OutOfBudget(Exception):
     pass
 
 
+def _packed_place(up: int, x: int, y: int, n: int, full: int, diag: int) -> int | None:
+    """Add y < x to a closure packed into one int, u's up-row at bit u*n;
+    None if y lies above x.  The rows at or below y, column y of up and
+    y's own, each gain x's row and x: each product term is below 2**n
+    and lands in its own row, so nothing carries."""
+    ux = (up >> x * n) & full
+    if ux >> y & 1:
+        return None
+    return up | (((up >> y) & diag) | 1 << y * n) * (ux | 1 << x)
+
+
 def _conflict_masks(p: Poset, cps: Sequence[CriticalPair]) -> list[int]:
     """Pairwise-conflict graph of critical pairs, one bitmask row each.
 
@@ -428,7 +432,9 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
     Critical pairs are assigned to color classes that must each stay
     reversible; iterative deepening runs from a clique lower bound on
     the pairwise-conflict graph, exploring pairs in descending
-    conflict-degree order with first-empty-class symmetry breaking.
+    conflict-degree order with first-empty-class symmetry breaking.  The
+    search packs each class's closure into one int, and a settled class's
+    pairs are replayed onto a _Closure for its extension.
     Above _CONFLICT_PAIR_CAP critical pairs there is no conflict graph
     and no search: the greedy first fit is returned only when it meets
     the lower bound 2.
@@ -476,18 +482,23 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
         return greedy
 
     nodes_left = budget if budget is not None else -1
+    n, full = p.n, (1 << p.n) - 1
+    diag = sum(1 << u * n for u in range(n))
 
     def search(d: int) -> list[_Closure] | None:
         # Depth-first over pair indices with an explicit trail.  Opened
         # classes are always a prefix (a pair may open only the first
         # empty class), so pair idx tries classes 0..min(used, d-1).
         nonlocal nodes_left
-        class_cl = [_Closure(p) for _ in range(d)]
+        class_up = [sum(row << u * n for u, row in enumerate(p._up))] * d
         class_conf = [0] * d
         used = 0
-        # per placed pair: its class, that class's closure and conflict
-        # mask before the placement, and whether the placement opened it
-        trail: list[tuple[int, _Closure, int, bool]] = []
+        # Each class's closure is one int (_packed_place).  Per placed
+        # pair the trail keeps its class, that class's int and conflict
+        # mask before the placement, and whether the placement opened
+        # it: undoing restores the kept int, and a settled d replays
+        # each class's pairs onto a _Closure for its extension.
+        trail: list[tuple[int, int, int, bool]] = []
         idx = c = 0
         while idx < m:
             i = order[idx]
@@ -501,12 +512,12 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
                     raise _OutOfBudget
                 if nodes_left > 0:
                     nodes_left -= 1
-                cl = class_cl[c]
-                if not (cl.up[x] >> y) & 1:  # else y < x closes a cycle
-                    trail.append((c, cl.copy(), class_conf[c], c == used))
-                    cl.add_below(1 << y, x)
+                placed = _packed_place(class_up[c], x, y, n, full, diag)
+                if placed is not None:  # else y < x closes a cycle
+                    trail.append((c, class_up[c], class_conf[c], c == used))
+                    class_up[c] = placed
                     class_conf[c] |= conf[i]
-                    used = max(used, c + 1)
+                    used += c == used  # opened it
                     break
                 c += 1
             else:
@@ -515,13 +526,16 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
                 if not trail:
                     return None
                 idx -= 1
-                c, class_cl[c], class_conf[c], opened = trail.pop()
+                c, class_up[c], class_conf[c], opened = trail.pop()
                 used -= opened
                 c += 1
                 continue
             idx += 1
             c = 0
-        return class_cl[:used]
+        classes = [_Closure(p) for _ in range(used)]
+        for (c, *_), i in zip(trail, order):
+            classes[c].add_below(1 << cps[i].y, cps[i].x)
+        return classes
 
     try:
         for d in range(lower, greedy.d):

@@ -30,6 +30,7 @@ from posetdim.dimension import (
     _Closure,
     _conflict_masks,
     _first_fit,
+    _packed_place,
     _x_runs,
     critical_rows,
     realizer_from_json,
@@ -281,9 +282,14 @@ def _bits(vs):
 def test_closure_updates_match_warshall(seed, n, edge_prob, data):
     # the closure after any sequence of updates is the transitive closure
     # of p plus the accepted edges; an edge that would close a cycle
-    # (hi at or below lo) is refused, an implied one is accepted
+    # (hi at or below lo) is refused, an implied one is accepted.  The
+    # search's packed closure takes one lo per update, never hi itself
     p = random_poset(n, edge_prob, seed)
     cl = _Closure(p)
+    packed = data.draw(st.booleans(), label="packed")
+    full = (1 << n) - 1
+    diag = sum(1 << u * n for u in range(n))
+    up = sum(row << u * n for u, row in enumerate(p._up))
     edges = relations(p)
     reach = _warshall(n, edges)
     for _ in range(data.draw(st.integers(1, 10), label="updates")):
@@ -295,13 +301,27 @@ def test_closure_updates_match_warshall(seed, n, edge_prob, data):
             or (kind == "implied" and reach[v][hi])
             or (kind == "cycle" and (v == hi or reach[hi][v]))
         ] or list(range(n))
-        los = data.draw(st.lists(st.sampled_from(pool), max_size=4), label="los")
-        want = [lo for lo in los if lo != hi and not reach[hi][lo]]
-        assert cl.add_below(_bits(los), hi) == _bits(want)
+        if packed:
+            others = [v for v in range(n) if v != hi]
+            if not others:
+                break
+            lo = data.draw(st.sampled_from([v for v in pool if v != hi] or others),
+                           label="lo")
+            placed = _packed_place(up, hi, lo, n, full, diag)
+            assert (placed is None) == reach[hi][lo]
+            want = [] if placed is None else [lo]
+            up = up if placed is None else placed
+            rows = [(up >> u * n) & full for u in range(n)]
+        else:
+            los = data.draw(st.lists(st.sampled_from(pool), max_size=4), label="los")
+            want = [lo for lo in los if lo != hi and not reach[hi][lo]]
+            assert cl.add_below(_bits(los), hi) == _bits(want)
+            rows = cl.up
         edges += [(lo, hi) for lo in want]
         reach = _warshall(n, edges)
-        assert cl.up == [_bits(b for b in range(n) if reach[a][b]) for a in range(n)]
-        assert cl.down == [_bits(a for a in range(n) if reach[a][b]) for b in range(n)]
+        assert rows == [_bits(b for b in range(n) if reach[a][b]) for a in range(n)]
+        if not packed:
+            assert cl.down == [_bits(a for a in range(n) if reach[a][b]) for b in range(n)]
 
 
 def _reaches(n, edges, a, b):
@@ -649,21 +669,32 @@ def test_budget_must_not_be_negative():
 
 
 def test_node_budget_path():
-    # an instance where the greedy family is not known optimal, so the
-    # deepening search must run and can be starved
+    # the first poset of this stream whose greedy family is not known
+    # optimal (index 13), so the deepening search must run and can be
+    # starved; its best result is still a realizer
     for i in range(200):
         p = random_poset(8, 0.25, seed=derive_seed(31337, i))
-        free = exact_dimension(p)
-        if not free.optimal:
-            continue
         try:
             exact_dimension(p, budget=1)
         except BudgetExceeded as exc:
-            ok, _ = is_realizer(p, exc.best.witness.extensions)
-            assert ok
+            best = exc.best
             break
     else:
-        pytest.skip("no search-requiring instance in this seed range")
+        pytest.fail("no search-requiring instance in this seed range")
+    ok, _ = is_realizer(p, best.witness.extensions)
+    assert ok and not best.optimal
+    assert best.d >= exact_dimension(p).d
+
+
+def test_node_budget_settles_at_the_same_try():
+    # pins the search's node accounting: one try fewer than 4,489 leaves
+    # d=5 unsettled, so the greedy d=6 is the best known
+    p = random_poset(52, 0.10, 0)
+    res = exact_dimension(p, budget=4489)
+    assert res.d == 5 and res.optimal
+    with pytest.raises(BudgetExceeded) as exc:
+        exact_dimension(p, budget=4488)
+    assert exc.value.best.d == 6
 
 
 def test_realizer_never_smaller_than_reported_dimension():
