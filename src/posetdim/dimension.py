@@ -374,10 +374,6 @@ def greedy_reversing_extensions(
 _CONFLICT_PAIR_CAP = 2000  # most critical pairs the search takes on
 
 
-class _OutOfBudget(Exception):
-    pass
-
-
 def _packed_place(up: int, x: int, y: int, n: int, full: int, diag: int) -> int | None:
     """Add y < x to a closure packed into one int, u's up-row at bit u*n;
     None if y lies above x.  The rows at or below y, column y of up and
@@ -418,14 +414,6 @@ def _conflict_masks(p: Poset, cps: Sequence[CriticalPair]) -> list[int]:
     return [y_above[x] & x_below[y] for x, y in cps]
 
 
-def _greedy_result(p: Poset, runs: Iterable[list[int]]) -> DimensionResult:
-    """The first fit of the x-runs as a (not yet optimal) result; with
-    no pairs, the one extension of p's closure."""
-    classes = _first_fit(p, runs) or [_Closure(p)]
-    exts = tuple(LinearExtension(cl.extension()) for cl in classes)
-    return DimensionResult(Realizer.of(exts), False)
-
-
 def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
     """Exact order dimension with a realizer witness.
 
@@ -435,51 +423,53 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
     conflict-degree order with first-empty-class symmetry breaking.  The
     search packs each class's closure into one int, and a settled class's
     pairs are replayed onto a _Closure for its extension.
-    Above _CONFLICT_PAIR_CAP critical pairs there is no conflict graph
-    and no search: the greedy first fit is returned only when it meets
-    the lower bound 2.
+    With no critical pairs (a chain) or more than _CONFLICT_PAIR_CAP
+    there is no conflict graph and no search, and the lower bound is 2.
+    The greedy first fit is built once and returned when it meets the
+    lower bound.
 
-    budget caps the number of search node expansions; when it runs out,
-    or the pair cap rules the search out, before optimality is settled,
-    BudgetExceeded is raised carrying the best known (valid, possibly
-    non-optimal) result in .best.  A negative budget is a ValueError.
+    budget caps the number of search node expansions.  BudgetExceeded
+    carries the greedy (valid, non-optimal) result in .best and is raised
+    where its reason is known: at the pair cap, or in the search when the
+    budget runs out.  A negative budget is a ValueError.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     rows = critical_rows(p)
     m = sum(row.bit_count() for row in rows)
-    if not m or m > _CONFLICT_PAIR_CAP:
-        # no conflict graph and no search: first fit in lexicographic
-        # order, whose x-runs are the nonzero rows, settles only d <= 2
-        greedy = _greedy_result(p, [[x, row] for x, row in enumerate(rows) if row])
-        if greedy.d > 2:
-            raise BudgetExceeded(
-                f"{m} critical pairs exceed the search cap of {_CONFLICT_PAIR_CAP}",
-                best=greedy,
-            )
-        greedy.optimal = True
-        return greedy
-
-    cps = row_pairs(rows)
-    conf = _conflict_masks(p, cps)
-    order = sorted(range(m), key=lambda i: -conf[i].bit_count())
-    # greedy first-fit: upper bound plus fallback witness
-    greedy = _greedy_result(p, _x_runs(cps[i] for i in order))
-
-    # clique on the conflict graph lower-bounds the dimension
     lower = 2
-    for seed_v in order[:12]:
-        common = conf[seed_v]
-        size = 1
-        while common:
-            v = max(iter_bits(common), key=lambda u: (conf[u] & common).bit_count())
-            common &= conf[v]
-            size += 1
-        lower = max(lower, size)
+    if not m or m > _CONFLICT_PAIR_CAP:
+        # no conflict graph (it walks every relation, a long chain's
+        # too); the x-runs of the lexicographic order are the nonzero rows
+        runs = [[x, row] for x, row in enumerate(rows) if row]
+    else:
+        cps = row_pairs(rows)
+        conf = _conflict_masks(p, cps)
+        order = sorted(range(m), key=lambda i: -conf[i].bit_count())
+        runs = _x_runs(cps[i] for i in order)
+        # a clique on the conflict graph lower-bounds the dimension
+        for seed_v in order[:12]:
+            common = conf[seed_v]
+            size = 1
+            while common:
+                v = max(iter_bits(common), key=lambda u: (conf[u] & common).bit_count())
+                common &= conf[v]
+                size += 1
+            lower = max(lower, size)
 
+    # greedy first fit: upper bound plus fallback witness; with no pairs,
+    # the one extension of p's closure
+    greedy = DimensionResult(Realizer.of(
+        LinearExtension(cl.extension()) for cl in _first_fit(p, runs) or [_Closure(p)]
+    ), False)
     if greedy.d <= lower:
         greedy.optimal = True
         return greedy
+    if m > _CONFLICT_PAIR_CAP:
+        raise BudgetExceeded(
+            f"{m} critical pairs exceed the search cap of {_CONFLICT_PAIR_CAP}",
+            best=greedy,
+        )
 
     nodes_left = budget if budget is not None else -1
     n, full = p.n, (1 << p.n) - 1
@@ -509,7 +499,11 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
                     c += 1
                     continue
                 if nodes_left == 0:
-                    raise _OutOfBudget
+                    raise BudgetExceeded(
+                        f"search budget {budget} exhausted; "
+                        f"best known dimension {greedy.d}",
+                        best=greedy,
+                    )
                 if nodes_left > 0:
                     nodes_left -= 1
                 placed = _packed_place(class_up[c], x, y, n, full, diag)
@@ -537,17 +531,11 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
             classes[c].add_below(1 << cps[i].y, cps[i].x)
         return classes
 
-    try:
-        for d in range(lower, greedy.d):
-            solution = search(d)
-            if solution is not None:
-                exts = tuple(LinearExtension(cl.extension()) for cl in solution)
-                return DimensionResult(Realizer.of(exts), True)
-    except _OutOfBudget:
-        raise BudgetExceeded(
-            f"search budget {budget} exhausted; best known dimension {greedy.d}",
-            best=greedy,
-        ) from None
+    for d in range(lower, greedy.d):
+        solution = search(d)
+        if solution is not None:
+            exts = tuple(LinearExtension(cl.extension()) for cl in solution)
+            return DimensionResult(Realizer.of(exts), True)
 
     # every smaller d failed exhaustively, so the greedy witness is optimal
     greedy.optimal = True

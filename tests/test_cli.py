@@ -372,6 +372,15 @@ def test_missing_file_is_a_domain_error(capsys):
     assert json.loads(err)["error"] == "IOError"
 
 
+def test_cyclic_input_reports_no_extra_fields(tmp_path, capsys):
+    f = tmp_path / "cycle.poset"
+    f.write_text("poset 2\nrel 0 1\nrel 1 0\n")
+    code, out, err = run(capsys, "dim", str(f))
+    assert code == 1 and out == ""
+    assert err == ('{"error": "CycleError", '
+                   '"message": "element 0 lies on or above a cycle"}\n')
+
+
 @pytest.mark.parametrize("text, fragment", [
     ("poset 2\nrel 0 1\nA: 1\nA: 0\nB: 1\n", "line 4: duplicate A: line"),
     ("poset 2\nrel 0 1\nA: 0\nB: 1\nB: 1\n", "line 5: duplicate B: line"),

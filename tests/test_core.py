@@ -390,6 +390,14 @@ def test_text_round_trip_plain_and_bipartite():
     rt = poset_from_text(poset_to_text(bp))
     assert isinstance(rt, BipartitePoset)
     assert rt.poset == bp.poset and rt.a_order == bp.a_order
+    # a value type: equal and equally hashed after the round trip, and
+    # the side orders take part in equality
+    assert rt == bp and hash(rt) == hash(bp)
+    assert hash(rt.poset) == hash(bp.poset)
+    assert repr(rt) == repr(bp) == (
+        f"BipartitePoset(|A|=3, |B|=4, relations={bp.poset.relation_count()})")
+    permuted = BipartitePoset(bp.poset, bp.a_order[::-1], bp.b_order)
+    assert permuted != bp and permuted.poset == bp.poset
 
 
 @settings(max_examples=50)

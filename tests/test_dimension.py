@@ -17,6 +17,7 @@ from posetdim import (
     check_extension,
     critical_pairs,
     derive_seed,
+    dimension,
     exact_dimension,
     greedy_reversing_extensions,
     is_realizer,
@@ -656,6 +657,20 @@ def test_above_the_pair_cap_an_unsettled_greedy_raises_at_once():
     assert best.d == 3 and not best.optimal
     orders = json.dumps([list(e.order) for e in best.witness.extensions])
     assert hashlib.sha256(orders.encode()).hexdigest() == BAND_GREEDY
+
+
+def test_no_pair_and_over_cap_entries_build_no_conflict_graph(monkeypatch):
+    # the conflict graph walks every relation, so a long chain (no
+    # critical pairs) and the 2,413-pair band must settle without it
+    def refuse(*args):
+        raise AssertionError("conflict graph built")
+
+    monkeypatch.setattr(dimension, "_conflict_masks", refuse)
+    chain = Poset.from_relations(1500, [(i, i + 1) for i in range(1499)])
+    res = exact_dimension(chain)
+    assert res.d == 1 and res.optimal
+    with pytest.raises(BudgetExceeded, match="2413 critical pairs exceed"):
+        exact_dimension(random_poset(70, 0.01, 0))
 
 
 def test_budget_must_not_be_negative():

@@ -6,11 +6,13 @@ import pytest
 
 from posetdim import (
     GrowthRecord,
+    exact_dimension,
+    experiments,
     growth_records_to_csv,
     run_growth_experiment,
     run_prob_lemma_trials,
 )
-from posetdim.errors import GenerationExhausted
+from posetdim.errors import BudgetExceeded, GenerationExhausted
 from posetdim.experiments import growth_records_to_json_dict
 
 from conftest import run_hiraguchi_scan, run_split_sandwich_scan
@@ -91,6 +93,29 @@ def test_growth_csv_format():
         digits = re.sub(r"[^\d]", "", cell).lstrip("0")
         assert len(digits) <= 6
     assert lines[2].split(",")[4] == ""  # blank mean_exact past the gate
+
+
+def test_growth_falls_back_to_bound_only_when_the_exact_budget_runs_out(
+        monkeypatch):
+    want = run_growth_experiment(3, [12], 2, 2, 0.3, seed=5)
+    assert want[0].mean_exact is not None  # 12 is within the exact gate
+
+    # the first sample settles and the second runs out: the row still
+    # drops its exact mean rather than average one sample
+    calls = []
+
+    def out_of_budget(p, budget=None):
+        calls.append(p)
+        if len(calls) > 1:
+            raise BudgetExceeded("search budget exhausted")
+        return exact_dimension(p, budget)
+
+    monkeypatch.setattr(experiments, "exact_dimension", out_of_budget)
+    (rec,) = run_growth_experiment(3, [12], 2, 2, 0.3, seed=5)
+    assert len(calls) == 2 and rec.mean_exact is None
+    assert rec.mean_bound == want[0].mean_bound
+    row = growth_records_to_csv([rec]).strip().split("\n")[1]
+    assert row.split(",")[4] == ""
 
 
 def test_growth_json_mirror():

@@ -146,6 +146,13 @@ def test_acquire_failure_is_diagnosed():
     assert exc.value.analytic_bound < 0
 
 
+def test_acquire_failure_payload_carries_the_bound():
+    with pytest.raises(AcquisitionFailed) as exc:
+        acquire_event_matrix(3, 3, 1, seed=0)
+    assert exc.value.analytic_bound == -1.625
+    assert exc.value.payload() == {"analytic_bound": exc.value.analytic_bound}
+
+
 # -- mates and coloring --------------------------------------------------------------
 
 
