@@ -133,8 +133,6 @@ class Poset:
 
     def height(self) -> int:
         """Number of elements in a longest chain (0 for the empty poset)."""
-        if self.n == 0:
-            return 0
         h = [0] * self.n
         for x in sorted(range(self.n), key=lambda v: self._down[v].bit_count()):
             best = 0
@@ -142,7 +140,7 @@ class Poset:
                 if h[y] > best:
                     best = h[y]
             h[x] = best + 1
-        return max(h)
+        return max(h, default=0)
 
     def restrict(self, keep: Iterable[int]) -> Poset:
         """Induced subposet on the given elements, reindexed in list order.

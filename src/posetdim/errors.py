@@ -34,15 +34,13 @@ class _PairError(PosetDimError):
 
 
 class _EmbeddingError(PosetDimError):
-    """An error witnessed by the standard example in .embedding, if any."""
+    """An error witnessed by the standard example in .embedding."""
 
-    def __init__(self, message, embedding=None):
+    def __init__(self, message, embedding):
         super().__init__(message)
         self.embedding = embedding
 
     def payload(self):
-        if self.embedding is None:
-            return {}
         return {
             "a_elems": list(self.embedding.a_elems),
             "b_elems": list(self.embedding.b_elems),
@@ -76,13 +74,11 @@ class NoValidColor(_EmbeddingError):
 class AcquisitionFailed(PosetDimError):
     """Could not sample a matrix with the isolating-row property."""
 
-    def __init__(self, message, analytic_bound=None):
+    def __init__(self, message, analytic_bound):
         super().__init__(message)
         self.analytic_bound = analytic_bound
 
     def payload(self):
-        if self.analytic_bound is None:
-            return {}
         return {"analytic_bound": self.analytic_bound}
 
 

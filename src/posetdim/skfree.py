@@ -463,33 +463,27 @@ def peel_realizer(
 ) -> PeelCertificate:
     """Iterated peeling down to a small base, then an exact base realizer.
 
-    Peels the smaller side, as q elements cost 2r + 1 members on either
-    (the dual when |A| > |B|, each extension flipped as it is lifted).
-    The host keeps the input's poset and ids, and each removed set
-    leaves its A side, so a B element's down row is read only through
-    & a_mask; every later member lists the set at its very bottom,
-    descending a_order, and each step's distinct orders are lifted
-    once.  Stops peeling when the host has at most base_threshold
-    elements or no monochromatic set exists; the remainder goes,
-    restricted once, to the exact solver (overrunning _BASE_BUDGET
-    downgrades base_optimal rather than failing, since any base
-    realizer keeps the certificate sound).  The assembled realizer is
-    verified against the input before return.
+    Peels the smaller side, as q elements cost 2r + 1 members on either,
+    so the host is the dual when |A| > |B|.  The host keeps that poset
+    and its ids, and each removed set leaves its A side, so a B
+    element's down row is read only through & a_mask; every later
+    member lists the set at its very bottom, descending a_order, and
+    each step's distinct orders are lifted once.  Stops peeling when the
+    host has at most base_threshold elements or no monochromatic set
+    exists; the remainder goes, restricted once, to the exact solver
+    (overrunning _BASE_BUDGET downgrades base_optimal rather than
+    failing, since any base realizer keeps the certificate sound).  The
+    members are checked against the host's poset, where they share
+    prefixes; a dual peel's orders are then reversed once to the input's.
     """
     if k < 2 or q < 2:
         raise ValueError(f"need k >= 2 and q >= 2, got k={k}, q={q}")
     if base_threshold < 1:
         raise ValueError("base_threshold must be >= 1")
-    dualized = len(bp.a_order) > len(bp.b_order)
-    host = bp.dual() if dualized else bp
+    host = bp.dual() if len(bp.a_order) > len(bp.b_order) else bp
     prefix: tuple[int, ...] = ()  # grows bottom-up as peels stack
     collected: list[LinearExtension] = []
     records: list[PeelStep] = []
-
-    def lift(ext: LinearExtension) -> LinearExtension:
-        # an extension of the host's ground, as one of the input
-        full = prefix + ext.order
-        return LinearExtension(full[::-1] if dualized else full)
 
     while len(host.a_order) + len(host.b_order) > base_threshold:
         try:
@@ -497,7 +491,7 @@ def peel_realizer(
         except NoMonochromaticSet:
             break
         spent = Realizer.of(exts)
-        lifted = [lift(ext) for ext in spent.orders]
+        lifted = [LinearExtension(prefix + ext.order) for ext in spent.orders]
         collected.extend(lifted[i] for i in spent.members)
         records.append(step)
         # removed sets stack under everything peeled later, each block
@@ -510,10 +504,14 @@ def peel_realizer(
         base = exact_dimension(host.poset.restrict(kept), budget=_BASE_BUDGET)
     except BudgetExceeded as exc:
         base = exc.best  # not optimal
-    collected.extend(lift(LinearExtension(tuple(kept[v] for v in ext.order)))
+    collected.extend(LinearExtension(prefix + tuple(kept[v] for v in ext.order))
                      for ext in base.witness.extensions)
     realizer = Realizer.of(collected)
-    check_realizer(bp.poset, realizer.orders)
+    check_realizer(host.poset, realizer.orders)
+    if host.poset is not bp.poset:
+        realizer = Realizer(
+            tuple(LinearExtension(ext.order[::-1]) for ext in realizer.orders),
+            realizer.members)
     return PeelCertificate(tuple(records), base.optimal, realizer)
 
 
@@ -620,8 +618,9 @@ _STEP_KEYS = (
 def certificate_from_json_dict(data) -> PeelCertificate:
     """Parse a certificate dict: ValueError naming the first key or type
     not shaped like one, a matrix entry other than 0 or 1, a negative
-    cleanup_extensions, or a step's q, matrix_rows or matrix width that
-    miscounts; then VerificationFailed unless the stored totals add up;
+    cleanup_extensions, a step's q, matrix_rows or matrix width that
+    miscounts, or a removed id outside the realizer's 0..n-1 or removed
+    again; then VerificationFailed unless the stored totals add up;
     then ValueError for a stored extensions_built or base_size that is
     not the derived count."""
     _require_keys(data, _CERTIFICATE_KEYS, "certificate JSON")
@@ -662,8 +661,15 @@ def certificate_from_json_dict(data) -> PeelCertificate:
         data, ("base_size", "base_dimension", "total_size"), "certificate"
     )
     (base_optimal,) = _fields(data, ("base_optimal",), "certificate", bool)
-    cert = PeelCertificate(tuple(steps), base_optimal,
-                           realizer_from_json_dict(data["realizer"])[1])
+    n, realizer, _ = realizer_from_json_dict(data["realizer"])
+    gone: set[int] = set()
+    for i, step in enumerate(steps):
+        for v in step.removed:
+            if v in gone or not 0 <= v < n:
+                why = "again" if v in gone else f"outside 0..{n - 1}"
+                raise ValueError(f"certificate step {i} removes {v} {why}")
+            gone.add(v)
+    cert = PeelCertificate(tuple(steps), base_optimal, realizer)
     claimed = [rec["extensions_built"] for rec in data["steps"]]
     spent = base_dimension + sum(claimed)
     if not total_size == spent == cert.total_size:

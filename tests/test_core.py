@@ -111,6 +111,7 @@ def test_height_and_antichain():
     assert not is_antichain(chain, range(4))
     assert is_antichain(chain, [2])
     assert standard_example(3).height() == 2
+    assert Poset.from_relations(0, []).height() == 0
 
 
 def test_restrict_induces_and_reindexes():

@@ -29,6 +29,7 @@ import pytest
 from posetdim import (
     certificate_from_json,
     certificate_to_json,
+    derive_seed,
     exact_dimension,
     find_standard_example,
     general_upper_bound,
@@ -91,6 +92,17 @@ def test_peel_certificate_n320_is_pinned():
     # 4.4 MB in v1
     assert len(json.loads(text)["realizer"]["orders"]) == 373
     assert len(json.dumps(certificate_to_json_dict(cert))) < 1_000_000
+
+
+# |A| > |B|: the peel runs on the dual and reverses its orders once
+PEEL_DUAL = "fe094d63f777d1ab6777f99c27ae1b35fe04895979fb2fa2e85ebccd2219750f"
+
+
+def test_dual_peel_certificate_is_pinned():
+    bp = random_skfree_bipartite(170, 150, 1.5 / 160, 3, derive_seed(7, 0))
+    cert = peel_realizer(bp, 3, 3, 12, 7)
+    assert sha(certificate_to_json(cert)) == PEEL_DUAL
+    assert (len(cert.realizer), len(cert.realizer.orders)) == (2752, 352)
 
 
 # the four smallest seeds of random_poset(40, 0.06, seed) that are S_3-free

@@ -698,6 +698,23 @@ def test_peeling_the_dual_realizes_both_orders(na, nb):
             s.extensions_built for s in cert.steps)
 
 
+def test_peel_realizer_checks_in_its_host_orientation(monkeypatch):
+    # a dual peel is checked against the dual, where its orders share
+    # prefixes, and only then reversed to realize the input
+    checked = []
+    real_check = skfree.check_realizer
+    monkeypatch.setattr(skfree, "check_realizer", lambda p, exts:
+                        checked.append(p) or real_check(p, exts))
+    for na, nb in ((50, 30), (30, 50)):
+        bp = random_skfree_bipartite(na, nb, 1.5 / 40, 3, seed=7)
+        cert = peel_realizer(bp, 3, 3, base_threshold=12, seed=7)
+        (got,) = checked
+        assert cert.steps
+        assert (got == bp.poset.dual()) if na > nb else (got is bp.poset)
+        check_realizer(bp.poset, cert.realizer.orders)
+        checked.clear()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 1000), st.integers(6, 12), st.sampled_from([2, 3]),
        st.data())
@@ -847,6 +864,14 @@ def _two_in_matrix(data):
     matrix[0] = "2" + matrix[0][1:]
 
 
+def _removed(step, ids):
+    # the step's removed set becomes ids(every step's removed set)
+    def edit(data):
+        steps = data["steps"]
+        steps[step]["removed"] = ids([s["removed"] for s in steps])
+    return edit
+
+
 @pytest.mark.parametrize("where, key, value, error, fragment", [
     (None, "total_size", 1, VerificationFailed, "total_size 1,"),
     (0, "extensions_built", 0, VerificationFailed, "step extensions"),
@@ -863,6 +888,15 @@ def _two_in_matrix(data):
      "^certificate step 0 'matrix' rows must each have q=2 columns$"),
     (None, None, _two_in_matrix, ValueError,
      "^certificate step 2 'matrix' entries must be 0 or 1$"),
+    # each removed id is one of the realizer's, removed once
+    (None, None, _removed(0, lambda r: [-1, r[0][1]]), ValueError,
+     "^certificate step 0 removes -1 outside 0..19$"),
+    (None, None, _removed(0, lambda r: [999, r[0][1]]), ValueError,
+     "^certificate step 0 removes 999 outside 0..19$"),
+    (None, None, _removed(0, lambda r: [r[0][0]] * 2), ValueError,
+     "^certificate step 0 removes .* again$"),
+    (None, None, _removed(1, lambda r: list(r[0])),
+     ValueError, "^certificate step 1 removes .* again$"),
 ])
 def test_certificate_from_json_dict_checks_its_counts(where, key, value, error,
                                                       fragment):
