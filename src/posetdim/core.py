@@ -220,13 +220,15 @@ class BipartitePoset:
     linear order on each side; several constructions depend on it.  The
     sides cover poset, or only a_mask | b_mask in a host from _without,
     whose rows are its input's: there a B element's down row is read
-    only through & a_mask.
+    only through & a_mask, and floor lists the elements taken out, as
+    every order built on the host begins.  Elsewhere floor is ().
     """
 
-    __slots__ = ("poset", "a_order", "b_order", "a_mask", "b_mask", "a_pos")
+    __slots__ = ("poset", "a_order", "b_order", "a_mask", "b_mask", "a_pos", "floor")
 
     def __init__(self, poset: Poset, a_order: Iterable[int], b_order: Iterable[int]):
         self.poset = poset
+        self.floor = ()
         self.a_order = tuple(a_order)
         self.b_order = tuple(b_order)
         n = poset.n
@@ -261,12 +263,16 @@ class BipartitePoset:
     def _without(self, elems: Iterable[int]) -> BipartitePoset:
         """This host less some A-side elements, sharing its poset: they
         leave A and the ground a_mask | b_mask but keep their rows, so a
-        B element's down row is read only through & a_mask."""
+        B element's down row is read only through & a_mask.  They join
+        the floor on top of this host's, in descending a_order: removed
+        sets stack bottom-up under every extension built later."""
         gone = sum(1 << a for a in set(elems))
         if gone & ~self.a_mask:
             raise ValueError("only A-side elements can be taken out of a host")
         host = object.__new__(BipartitePoset)
         host.poset, host.b_order, host.b_mask = self.poset, self.b_order, self.b_mask
+        host.floor = self.floor + tuple(
+            a for a in reversed(self.a_order) if (gone >> a) & 1)
         host.a_order = tuple(a for a in self.a_order if not (gone >> a) & 1)
         host.a_mask = self.a_mask & ~gone
         host.a_pos = {x: i for i, x in enumerate(host.a_order)}
@@ -341,12 +347,13 @@ def find_standard_example(p: Poset, k: int) -> Embedding | None:
 
     Exhaustive backtracking over antichains for the minimal side, walking
     the candidates still incomparable to every chosen element as one
-    ascending bitmask and carrying their mate_masks.  A candidate stays
-    only while every position has a mate and, before the k-th, some
-    element is above all of them, as a partner still to come must be;
-    the k-th completes the embedding with the lowest mate of each.
-    Returns the lexicographically first embedding under (a_elems,
-    b_elems) order, or None when the poset is free of them.
+    ascending bitmask and carrying their mate_masks; a stack of frames
+    (avail, chosen, masks, common) resumes each avail after the frame it
+    opened.  A candidate stays only while every position has a mate and,
+    before the k-th, some element is above all of them, as a partner
+    still to come must be; the k-th completes the embedding with the
+    lowest mate of each.  Returns the lexicographically first embedding
+    under (a_elems, b_elems) order, or None when the poset is free of them.
     """
     if k < 2:
         raise ValueError(f"standard example size must be >= 2, got {k}")
@@ -357,9 +364,9 @@ def find_standard_example(p: Poset, k: int) -> Embedding | None:
     down = p._down
     # a_i must end up below the k-1 partners of the other positions.
     cand = sum(1 << x for x in range(n) if up[x].bit_count() >= k - 1)
-
-    def extend(avail: int, chosen: tuple[int, ...], masks: list[int],
-               common: int) -> Embedding | None:
+    stack = [(cand, (), [], (1 << n) - 1)]
+    while stack:
+        avail, chosen, masks, common = stack.pop()
         last = len(chosen) == k - 1
         while avail:
             low = avail & -avail
@@ -378,12 +385,10 @@ def find_standard_example(p: Poset, k: int) -> Embedding | None:
                 if last:
                     return Embedding(chosen + (x,), tuple(
                         (m & -m).bit_length() - 1 for m in grown))
-                found = extend(avail & ~(ux | down[x]), chosen + (x,), grown, above)
-                if found is not None:
-                    return found
-        return None
-
-    return extend(cand, (), [], (1 << n) - 1)
+                stack.append((avail, chosen, masks, common))
+                stack.append((avail & ~(ux | down[x]), chosen + (x,), grown, above))
+                break  # into the frame just opened
+    return None
 
 
 def kimble_split(p: Poset) -> Poset:

@@ -193,10 +193,11 @@ def find_monochromatic(
     """Search for q elements of A whose k-subsets all share one color.
 
     Tries colors in increasing order; within a color, greedy extension
-    over A in a_order with backtracking, so the first set found wins.
-    Each k-subset read is colored once, by subset_color.  At q < k none
-    is read: every q-set is vacuously monochromatic in color 1, and
-    nothing checks that bp is S_k-free.  Returns (Q in a_order, color) or None.
+    over A in a_order, where a dead end pops the last pick and resumes
+    after it, so the first set found wins.  Each k-subset read is
+    colored once, by subset_color.  At q < k none is read: every q-set
+    is vacuously monochromatic in color 1, and nothing checks that bp is
+    S_k-free.  Returns (Q in a_order, color) or None.
     """
     if k < 2 or q < 2:
         raise ValueError(f"need k >= 2 and q >= 2, got k={k}, q={q}")
@@ -205,7 +206,6 @@ def find_monochromatic(
     if q > na:
         return None
     colors: dict[tuple[int, ...], int] = {}  # positions in a_order -> color
-    chosen: list[int] = []
 
     def color_of(positions: tuple[int, ...]) -> int:
         got = colors.get(positions)
@@ -214,23 +214,19 @@ def find_monochromatic(
             got = colors[positions] = subset_color(bp, elems)
         return got
 
-    def extend(start: int, color: int) -> bool:
-        if len(chosen) == q:
-            return True
-        for c in range(start, na):
-            if all(
-                color_of(tup + (c,)) == color
-                for tup in combinations(chosen, k - 1)
-            ):
-                chosen.append(c)
-                if extend(c + 1, color):
-                    return True
-                chosen.pop()
-        return False
-
     for color in range(1, k + 1):
-        chosen.clear()
-        if extend(0, color):
+        chosen: list[int] = []  # positions picked so far
+        c = 0  # the next position to try
+        while len(chosen) < q:
+            if c == na:  # a dead end: resume after the last pick
+                if not chosen:
+                    break
+                c = chosen.pop()
+            elif all(color_of(tup + (c,)) == color
+                     for tup in combinations(chosen, k - 1)):
+                chosen.append(c)
+            c += 1
+        else:
             return tuple(a_order[c] for c in chosen), color
     return None
 
@@ -260,8 +256,9 @@ def extension_from_sigma(
     not claimed earlier; top to bottom the extension reads U_1 > q_1 >
     U_2 > q_2 > ... > R, with ascending indices inside every block.
     Every traversal claims the union of Q's upsets, so the leftovers R
-    (A-side first) are one block, built once and listed at the bottom
-    of every extension.  ValueError for a sigma not permuting 0..|Q|-1.
+    (A-side first) are one block, built once over bp.floor and listed
+    at the bottom of every extension, which is then an order of all of
+    bp.poset.  ValueError for a sigma not permuting 0..|Q|-1.
     """
     q_elems = list(q_elems)
     up = bp.poset._up
@@ -270,7 +267,7 @@ def extension_from_sigma(
         q_mask |= 1 << a
         upsets |= up[a]
     rest = ~q_mask & ~upsets
-    leftovers = (*iter_bits(rest & bp.a_mask), *iter_bits(rest & bp.b_mask))
+    leftovers = bp.floor + (*iter_bits(rest & bp.a_mask), *iter_bits(rest & bp.b_mask))
     exts = []
     for sigma in sigmas:
         if sorted(sigma) != list(range(len(q_elems))):
@@ -392,8 +389,8 @@ def peel_step(
     """Remove one monochromatic q-set worth of dimension from bp.
 
     Finds Q, builds the matrix-driven reversing extensions and adds the
-    minimal-elements extension: Q at the very bottom, then the rest of
-    A, both in descending a_order, then B.  Every critical pair of bp
+    minimal-elements extension: bp.floor, then Q, then the rest of A,
+    both in descending a_order, then B.  Every critical pair of bp
     touching Q is then reversed, with no cleanup:
       (a, q), a in A less Q: the minimal-elements extension lists q
         below a;
@@ -407,7 +404,8 @@ def peel_step(
     At q < k no color is read and t = min(k - 1, q) = q: the row with a
     column's 1 alone reverses every (q, b) of that q, S_k-free or not.
     The step must fit in floor(3k * 2^k * ln q) extensions, else
-    BoundExceeded.  Returns the step and its extensions, in bp's ids.
+    BoundExceeded.  Returns the step and its extensions, each a linear
+    extension of bp.poset that begins with bp.floor.
     """
     found = find_monochromatic(bp, k, q)
     if found is None:
@@ -422,7 +420,7 @@ def peel_step(
     q_mask = sum(1 << a for a in q_elems)
     a_rest = [a for a in reversed(bp.a_order) if not (q_mask >> a) & 1]
     b_ids = sorted(iter_bits(bp.b_mask), key=lambda y: bool(down[y] & a_mask))
-    exts.append(LinearExtension((*reversed(q_elems), *a_rest, *b_ids)))
+    exts.append(LinearExtension((*bp.floor, *reversed(q_elems), *a_rest, *b_ids)))
     cap = step_extension_cap(k, len(q_elems))
     if len(exts) > cap:
         raise BoundExceeded(
@@ -465,23 +463,22 @@ def peel_realizer(
 
     Peels the smaller side, as q elements cost 2r + 1 members on either,
     so the host is the dual when |A| > |B|.  The host keeps that poset
-    and its ids, and each removed set leaves its A side, so a B
-    element's down row is read only through & a_mask; every later
-    member lists the set at its very bottom, descending a_order, and
-    each step's distinct orders are lifted once.  Stops peeling when the
-    host has at most base_threshold elements or no monochromatic set
-    exists; the remainder goes, restricted once, to the exact solver
-    (overrunning _BASE_BUDGET downgrades base_optimal rather than
-    failing, since any base realizer keeps the certificate sound).  The
-    members are checked against the host's poset, where they share
-    prefixes; a dual peel's orders are then reversed once to the input's.
+    and its ids, and each removed set leaves its A side for its floor,
+    which every later member lists at its very bottom; so each step's
+    members are whole orders of the host's poset as built.  Stops
+    peeling when the host has at most base_threshold elements or no
+    monochromatic set exists; the remainder goes, restricted once, to
+    the exact solver (overrunning _BASE_BUDGET downgrades base_optimal
+    rather than failing, since any base realizer keeps the certificate
+    sound), and its orders are mapped back over the floor.  The members
+    are checked against the host's poset, where they share prefixes; a
+    dual peel's orders are then reversed once to the input's.
     """
     if k < 2 or q < 2:
         raise ValueError(f"need k >= 2 and q >= 2, got k={k}, q={q}")
     if base_threshold < 1:
         raise ValueError("base_threshold must be >= 1")
     host = bp.dual() if len(bp.a_order) > len(bp.b_order) else bp
-    prefix: tuple[int, ...] = ()  # grows bottom-up as peels stack
     collected: list[LinearExtension] = []
     records: list[PeelStep] = []
 
@@ -490,13 +487,8 @@ def peel_realizer(
             step, exts = peel_step(host, k, q, derive_seed(seed, len(records)))
         except NoMonochromaticSet:
             break
-        spent = Realizer.of(exts)
-        lifted = [LinearExtension(prefix + ext.order) for ext in spent.orders]
-        collected.extend(lifted[i] for i in spent.members)
+        collected.extend(exts)
         records.append(step)
-        # removed sets stack under everything peeled later, each block
-        # in descending a_order
-        prefix += step.removed[::-1]
         host = host._without(step.removed)
 
     kept = tuple(iter_bits(host.a_mask | host.b_mask))
@@ -504,7 +496,7 @@ def peel_realizer(
         base = exact_dimension(host.poset.restrict(kept), budget=_BASE_BUDGET)
     except BudgetExceeded as exc:
         base = exc.best  # not optimal
-    collected.extend(LinearExtension(prefix + tuple(kept[v] for v in ext.order))
+    collected.extend(LinearExtension(host.floor + tuple(kept[v] for v in ext.order))
                      for ext in base.witness.extensions)
     realizer = Realizer.of(collected)
     check_realizer(host.poset, realizer.orders)

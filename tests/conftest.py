@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+from contextlib import contextmanager
 from itertools import combinations, permutations
 
 from posetdim import (
@@ -214,6 +216,22 @@ def swap_inside_shared_prefix(p: Poset, orders) -> list[int]:
     mutated = list(second)
     mutated[i], mutated[j] = mutated[j], mutated[i]
     return mutated
+
+
+@contextmanager
+def recursion_limit_near_here(headroom: int = 50):
+    """Lower the recursion limit to the current stack depth plus headroom
+    and restore it on exit: a search that recurses once per level fails
+    inside the block past about headroom levels."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def naive_splitmix64(seed: int, index: int) -> int:

@@ -33,6 +33,7 @@ from conftest import (
     naive_closure,
     naive_find_standard,
     naive_splitmix64,
+    recursion_limit_near_here,
     relations,
     seeded_posets,
 )
@@ -214,6 +215,14 @@ def test_find_standard_example_agrees_with_exhaustive_search():
     assert deep > 5  # and positives past the pairwise case
 
 
+def test_find_standard_example_runs_deeper_than_the_recursion_limit():
+    # S_100 takes one frame per position: 100 levels below a limit that
+    # leaves room for about 50
+    with recursion_limit_near_here():
+        emb = find_standard_example(standard_example(100), 100)
+    assert emb == Embedding(tuple(range(100)), tuple(range(100, 200)))
+
+
 def test_find_standard_example_on_a_dense_bipartite_order():
     # on a 2-core machine: about 7 s with only a pairwise prune, and
     # 0.01 s pruning on mates
@@ -301,6 +310,10 @@ def test_bipartite_dual_and_remove():
     assert smaller.a_mask | smaller.b_mask == 0b111101
     with pytest.raises(ValueError, match="only A-side"):
         bp._without([4])
+    # removed sets stack bottom-up in the floor, each descending a_order
+    assert bp.floor == d.floor == ()
+    assert smaller._without([0]).floor == (1, 0)
+    assert bp._without([0, 2]).floor == (2, 0)
 
 
 def test_bipartition_rules():

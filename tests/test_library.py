@@ -146,3 +146,18 @@ def test_every_public_method_is_reached_outside_the_tests():
             if not any(use.search(definition.sub("", text)) for text in texts):
                 unreached.append(f"{cls_name}.{name}")
     assert unreached == []
+
+
+def test_no_library_function_calls_itself():
+    # a search that recurses once per level fails past the recursion
+    # limit on deep inputs, so every search keeps its own stack
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            found += [f"{path.name}:{call.lineno} {node.name}"
+                      for call in ast.walk(node)
+                      if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                      and call.func.id == node.name]
+    assert not found, found

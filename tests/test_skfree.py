@@ -33,6 +33,7 @@ from posetdim import (
     mates,
     peel_realizer,
     peel_step,
+    random_bipartite,
     random_poset,
     random_skfree_bipartite,
     realizer_from_json,
@@ -65,8 +66,8 @@ from posetdim.errors import (
     VerificationFailed,
 )
 
-from conftest import (downset, embedding_valid, relations,
-                      swap_inside_shared_prefix)
+from conftest import (downset, embedding_valid, recursion_limit_near_here,
+                      relations, swap_inside_shared_prefix)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -247,6 +248,21 @@ def test_find_monochromatic_colors_each_subset_once(monkeypatch):
     assert past_color_1 > 0
 
 
+def test_find_monochromatic_runs_deeper_than_the_recursion_limit(monkeypatch):
+    # on an antichain every pair has color 1, so the search picks the
+    # first q elements of A one level at a time, reading each new
+    # element against every earlier pick
+    bp = random_bipartite(120, 4, 0.0, 0)
+    seen: list[tuple[int, ...]] = []
+    real = skfree.subset_color
+    monkeypatch.setattr(skfree, "subset_color", lambda bp_, subset:
+                        seen.append(tuple(subset)) or real(bp_, subset))
+    with recursion_limit_near_here():
+        got = find_monochromatic(bp, 2, 100)
+    assert got == (tuple(range(100)), 1)
+    assert seen == [(i, c) for c in range(1, 100) for i in range(c)]
+
+
 # -- sigma orders and extensions ------------------------------------------------------
 
 
@@ -304,24 +320,27 @@ def _leftover_block(bp, q_elems):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.booleans(), st.data())
 def test_every_traversal_of_a_step_shares_one_leftover_block(seed, dual, data):
-    # on a host that lost some A elements (off-ground ids) or on a dual,
-    # each traversal lists the same leftovers at its bottom, then Q's
-    # residual upsets, and covers exactly the host's ground
+    # on a host that lost some A elements (its floor) or on a dual, each
+    # traversal lists the floor and then the same leftovers at its
+    # bottom, then Q's residual upsets: a linear extension of the host's
+    # whole poset
     bp = random_skfree_bipartite(10, 9, 0.25, 3, seed=seed)
     host = bp.dual() if dual else bp
     gone = data.draw(st.sets(st.sampled_from(host.a_order), max_size=5), label="gone")
+    floor = tuple(a for a in reversed(host.a_order) if a in gone)
     host = host._without(gone)
+    assert host.floor == floor
     q_elems = data.draw(st.lists(st.sampled_from(host.a_order), min_size=2,
                                  max_size=4, unique=True), label="q")
     q_elems = sorted(q_elems, key=host.a_pos.__getitem__)
     sigmas = data.draw(st.lists(st.permutations(range(len(q_elems))),
                                 min_size=1, max_size=6), label="sigmas")
     exts = extension_from_sigma(host, q_elems, sigmas)
-    block = tuple(_leftover_block(host, q_elems))
-    ground = sorted(host.a_order + host.b_order)
+    block = floor + tuple(_leftover_block(host, q_elems))
     for sigma, ext in zip(sigmas, exts, strict=True):
         assert ext.order[:len(block)] == block
-        assert sorted(ext.order) == ground
+        assert sorted(ext.order) == list(range(host.poset.n))
+        check_extension(host.poset, ext)
         # above them, top down: U_1 > q_1 > U_2 > q_2 > ...
         claimed, want = 0, []
         for idx in sigma:
@@ -648,7 +667,9 @@ def test_a_host_in_input_ids_acts_like_the_reindexed_host(seed, data):
     sigma = data.draw(st.permutations(range(len(q_elems))), label="sigma")
     (got,) = extension_from_sigma(host, q_elems, [sigma])
     (want,) = extension_from_sigma(sub, [kept.index(a) for a in q_elems], [sigma])
-    assert got.order == tuple(kept[v] for v in want.order)
+    # the host's orders are sub's, in input ids, over the host's floor
+    assert got.order == host.floor + tuple(kept[v] for v in want.order)
+    check_extension(host.poset, got)
     # a whole step removes and spends the same
     if len(host.a_order) >= 2:
         try:
@@ -661,7 +682,9 @@ def test_a_host_in_input_ids_acts_like_the_reindexed_host(seed, data):
         assert step.removed == tuple(kept[v] for v in sub_step.removed)
         assert step.cleanup_count == sub_step.cleanup_count
         assert [e.order for e in exts] == [
-            tuple(kept[v] for v in e.order) for e in sub_exts]
+            host.floor + tuple(kept[v] for v in e.order) for e in sub_exts]
+        for ext in exts:
+            check_extension(host.poset, ext)
 
 
 def test_peel_realizer_restricts_only_its_base(monkeypatch):
