@@ -417,24 +417,54 @@ def _conflict_masks(p: Poset, cps: Sequence[CriticalPair]) -> list[int]:
 def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
     """Exact order dimension with a realizer witness.
 
+    Isolated elements I are split off first: with n >= 2, dim p is
+    max(2, dim core) (Hiraguchi 1951), so _exact_core solves the core
+    alone, on the whole node budget, and its flag is the result's.  Each
+    member of the witness, on p's ids, lists I ascending on top but the
+    second, which lists I descending underneath; a chain core's one
+    member serves as both, and an all-isolated p is those two, optimal.
+    BudgetExceeded carries the best known result, merged the same way,
+    in .best; a negative budget is a ValueError.
+    """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    linked = [v for v in range(p.n) if p._up[v] | p._down[v]]
+    if len(linked) == p.n or p.n < 2:
+        return _exact_core(p, budget)
+    high = tuple(v for v in range(p.n) if not p._up[v] | p._down[v])
+
+    def merged(core: DimensionResult) -> DimensionResult:
+        cores = [tuple(linked[v] for v in e.order) for e in core.witness.extensions]
+        if len(cores) == 1:
+            cores *= 2
+        return DimensionResult(Realizer.of(
+            LinearExtension(high[::-1] + order if i == 1 else order + high)
+            for i, order in enumerate(cores)), core.optimal)
+
+    if not linked:
+        return DimensionResult(Realizer.of(map(LinearExtension, (high, high[::-1]))), True)
+    try:
+        return merged(_exact_core(p.restrict(linked), budget))
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(str(exc), best=merged(exc.best)) from None
+
+
+def _exact_core(p: Poset, budget: int | None) -> DimensionResult:
+    """exact_dimension of p as it is, isolated elements and all.
+
     Critical pairs are assigned to color classes that must each stay
     reversible; iterative deepening runs from a clique lower bound on
     the pairwise-conflict graph, exploring pairs in descending
     conflict-degree order with first-empty-class symmetry breaking.  The
     search packs each class's closure into one int, and a settled class's
-    pairs are replayed onto a _Closure for its extension.
-    With no critical pairs (a chain) or more than _CONFLICT_PAIR_CAP
-    there is no conflict graph and no search, and the lower bound is 2.
-    The greedy first fit is built once and returned when it meets the
-    lower bound.
-
-    budget caps the number of search node expansions.  BudgetExceeded
-    carries the greedy (valid, non-optimal) result in .best and is raised
-    where its reason is known: at the pair cap, or in the search when the
-    budget runs out.  A negative budget is a ValueError.
+    pairs are replayed onto a _Closure for its extension.  With no
+    critical pairs (a chain) or more than _CONFLICT_PAIR_CAP there is no
+    conflict graph, no search, and the lower bound is 2.  The greedy
+    first fit is built once and returned when it meets the lower bound.
+    budget (None or >= 0) caps the search's node expansions.  The
+    greedy (valid, non-optimal) result is BudgetExceeded's .best, raised
+    where its reason is known: at the pair cap, or in the search.
     """
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
     rows = critical_rows(p)
     m = sum(row.bit_count() for row in rows)
     lower = 2

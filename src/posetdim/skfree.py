@@ -36,7 +36,6 @@ from .dimension import (
     _require_keys,
     check_realizer,
     exact_dimension,
-    listed_below,
     ranked_topological_order,
     realizer_from_json_dict,
     realizer_to_json_dict,
@@ -284,35 +283,6 @@ def extension_from_sigma(
     return exts
 
 
-def _check_q_pairs_reversed(
-    bp: BipartitePoset,
-    q_elems: Sequence[int],
-    exts: Iterable[LinearExtension],
-    color: int,
-    t: int,
-) -> None:
-    """Every incomparable (a in Q, b in B) pair, critical here, must be
-    reversed by some member; the first miss (a in Q order, then the
-    smallest b) raises VerificationFailed with a mate-count diagnosis."""
-    p = bp.poset
-    down = p._down
-    below = listed_below((ext.order for ext in exts), p.n)
-    q = len(q_elems)
-    for i, a in enumerate(q_elems, start=1):
-        missed = bp.b_mask & ~p.upset_mask(a) & ~below[a]
-        if not missed:
-            continue
-        b = (missed & -missed).bit_length() - 1
-        left = sum(1 for j in range(i - 1) if (down[b] >> q_elems[j]) & 1)
-        right = sum(1 for j in range(i, q) if (down[b] >> q_elems[j]) & 1)
-        raise VerificationFailed(
-            f"pair ({a}, {b}) not reversed; position {i} of Q sees "
-            f"{left} earlier and {right} later Q-elements below {b} "
-            f"(color {color}, t={t})",
-            pair=(a, b),
-        )
-
-
 def build_reversing_extensions(
     bp: BipartitePoset,
     k: int,
@@ -327,24 +297,21 @@ def build_reversing_extensions(
     t = max(color-1, k-color) supplies 2r extensions, two per row, via
     the two row traversals.  extension_from_sigma builds the distinct
     traversals in one call, over one leftover block, and the rows that
-    repeat a traversal repeat its object.  The postcondition checks
-    every such pair against the distinct traversals' listed_below; a miss
-    raises VerificationFailed with a mate-count diagnosis.  Returns the
-    extensions and the matrix.
+    repeat a traversal repeat its object.  The lemma is not re-checked
+    here: peel_realizer's one check_realizer covers every such pair.
+    Returns the extensions and the matrix.
     """
     q = len(q_elems)
     if q < 2:
         raise ValueError("need |Q| >= 2")
     if not (1 <= color <= k):
         raise ValueError(f"color {color} out of range 1..{k}")
-    t = max(color - 1, k - color)
-    t_eff = min(t, q)
+    t = min(max(color - 1, k - color), q)
     r = math.ceil(k * (2 ** k) * math.log(q))
-    mat = acquire_event_matrix(t_eff, q, r, seed)
+    mat = acquire_event_matrix(t, q, r, seed)
     traversals = [s for row in mat.rows for s in sigma_permutations(row, q)]
     distinct = sorted(set(traversals))
     built = dict(zip(distinct, extension_from_sigma(bp, q_elems, distinct)))
-    _check_q_pairs_reversed(bp, q_elems, built.values(), color, t_eff)
     exts = [built[sigma] for sigma in traversals]
     return exts, mat
 
@@ -399,7 +366,7 @@ def peel_step(
       (q_i, q_j): some row has a 1 in column i (isolating rows, t >= 1);
         its two traversals list q_j below q_i if the row has a 0 in
         column j, and give both orders if it has a 1;
-      (q, b), b in B: the lemma, which build_reversing_extensions checks;
+      (q, b), b in B: the lemma behind build_reversing_extensions;
       (b, q): B sits above A in the minimal-elements extension.
     At q < k no color is read and t = min(k - 1, q) = q: the row with a
     column's 1 alone reverses every (q, b) of that q, S_k-free or not.
@@ -467,12 +434,15 @@ def peel_realizer(
     which every later member lists at its very bottom; so each step's
     members are whole orders of the host's poset as built.  Stops
     peeling when the host has at most base_threshold elements or no
-    monochromatic set exists; the remainder goes, restricted once, to
-    the exact solver (overrunning _BASE_BUDGET downgrades base_optimal
-    rather than failing, since any base realizer keeps the certificate
-    sound), and its orders are mapped back over the floor.  The members
-    are checked against the host's poset, where they share prefixes; a
-    dual peel's orders are then reversed once to the input's.
+    monochromatic set exists; the remainder, nearly an antichain at
+    large n, goes restricted once to exact_dimension, which splits off
+    its isolated elements (overrunning _BASE_BUDGET downgrades
+    base_optimal rather than failing, since any base realizer keeps the
+    certificate sound), and its orders are mapped back over the floor.
+    One check_realizer against the host's poset, where the members share
+    prefixes, is the peel's only check: it covers every step's (Q, B)
+    pairs too.  A dual peel's orders are then reversed once to the
+    input's.
     """
     if k < 2 or q < 2:
         raise ValueError(f"need k >= 2 and q >= 2, got k={k}, q={q}")

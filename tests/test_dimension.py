@@ -30,6 +30,7 @@ from posetdim.dimension import (
     _CONFLICT_PAIR_CAP,
     _Closure,
     _conflict_masks,
+    _exact_core,
     _first_fit,
     _packed_place,
     _x_runs,
@@ -383,8 +384,10 @@ def test_first_fit_matches_pair_by_pair(seed, n, edge_prob, rnd):
 
 
 def _greedy_witness(p):
+    # the core solver, as these inputs have isolated elements that
+    # exact_dimension would split off before any first fit
     try:
-        return exact_dimension(p, budget=0)
+        return _exact_core(p, 0)
     except BudgetExceeded as exc:
         return exc.best
 
@@ -607,6 +610,56 @@ def test_exact_agrees_with_brute_force():
         assert res.optimal
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 7), st.floats(0.0, 0.6), st.data())
+def test_isolated_elements_give_dimension_max_2_and_the_posets(seed, n, edge_prob, data):
+    # metamorphic: j >= 1 isolated elements inserted at random ids give
+    # dimension max(2, dim p) (Hiraguchi), with p's flag and a witness
+    # that realizes the larger poset
+    p = random_poset(n, edge_prob, seed)
+    j = data.draw(st.integers(1, 4), label="isolated")
+    ids = sorted(data.draw(st.permutations(range(n + j)), label="ids")[:n])
+    wide = Poset.from_relations(n + j, [(ids[x], ids[y]) for x, y in relations(p)])
+    res = exact_dimension(wide)
+    assert res.d == max(2, brute_force_dimension(p))
+    assert res.optimal == exact_dimension(p).optimal
+    assert is_realizer(wide, res.witness.extensions)[0]
+
+
+def test_an_antichain_is_settled_without_a_first_fit(monkeypatch):
+    # 2,000 isolated elements have 3,998,000 critical pairs, which the
+    # first fit packed one class at a time for seconds; split off, they
+    # are the ascending and the descending order
+    def refuse(*args):
+        raise AssertionError("first fit run")
+
+    monkeypatch.setattr(dimension, "_first_fit", refuse)
+    res = exact_dimension(Poset.from_relations(2000, []))
+    assert res.d == 2 and res.optimal
+    assert [e.order for e in res.witness.extensions] == [
+        tuple(range(2000)), tuple(range(1999, -1, -1))]
+
+
+def test_a_budget_overrun_merges_the_isolated_elements_into_best():
+    # the core's search runs out; .best is its greedy with the isolated
+    # elements descending under the second member and ascending on top
+    # of every other one, and realizes the whole poset
+    p = random_poset(52, 0.10, 0)
+    isolated = tuple(v for v in range(p.n)
+                     if not p.upset_mask(v) | p.downset_mask(v))
+    assert isolated
+    with pytest.raises(BudgetExceeded, match="search budget 0 exhausted") as exc:
+        exact_dimension(p, budget=0)
+    best = exc.value.best
+    assert not best.optimal
+    assert is_realizer(p, best.witness.extensions)[0]
+    orders = [e.order for e in best.witness.extensions]
+    assert len(orders) > 2
+    assert orders[1][:len(isolated)] == isolated[::-1]
+    assert all(order[-len(isolated):] == isolated
+               for i, order in enumerate(orders) if i != 1)
+
+
 def test_brute_force_too_large():
     with pytest.raises(ValueError,
                        match="brute force dimension is capped at n=7, got n=8"):
@@ -645,13 +698,14 @@ BAND_GREEDY = "2e2f72757712841c37021ec28a7dc081431392ba77a2bbfbc900a0a1fd7996bc"
 
 def test_above_the_pair_cap_an_unsettled_greedy_raises_at_once():
     # 2,413 critical pairs: no conflict graph and no search, so even an
-    # unbudgeted call hands back the greedy d=3 rather than run for minutes
+    # unbudgeted call hands back the greedy d=3 rather than run for
+    # minutes; the core solver takes p whole, isolated elements and all
     p = random_poset(70, 0.01, 0)
     assert len(critical_pairs(p)) == 2413 > _CONFLICT_PAIR_CAP
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="2413 critical pairs exceed the "
                                              "search cap of 2000") as exc:
-        exact_dimension(p)
+        _exact_core(p, None)
     assert time.perf_counter() - start < 1
     best = exc.value.best
     assert best.d == 3 and not best.optimal
@@ -670,7 +724,7 @@ def test_no_pair_and_over_cap_entries_build_no_conflict_graph(monkeypatch):
     res = exact_dimension(chain)
     assert res.d == 1 and res.optimal
     with pytest.raises(BudgetExceeded, match="2413 critical pairs exceed"):
-        exact_dimension(random_poset(70, 0.01, 0))
+        _exact_core(random_poset(70, 0.01, 0), None)
 
 
 def test_budget_must_not_be_negative():
@@ -702,13 +756,13 @@ def test_node_budget_path():
 
 
 def test_node_budget_settles_at_the_same_try():
-    # pins the search's node accounting: one try fewer than 4,489 leaves
-    # d=5 unsettled, so the greedy d=6 is the best known
+    # pins the core search's node accounting on p whole: one try fewer
+    # than 4,489 leaves d=5 unsettled, so the greedy d=6 is the best known
     p = random_poset(52, 0.10, 0)
-    res = exact_dimension(p, budget=4489)
+    res = _exact_core(p, 4489)
     assert res.d == 5 and res.optimal
     with pytest.raises(BudgetExceeded) as exc:
-        exact_dimension(p, budget=4488)
+        _exact_core(p, 4488)
     assert exc.value.best.d == 6
 
 

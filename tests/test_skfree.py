@@ -52,7 +52,6 @@ from posetdim.dimension import (
     ranked_topological_order,
 )
 from posetdim.skfree import (
-    _check_q_pairs_reversed,
     _project_split_extension,
     certificate_from_json_dict,
 )
@@ -381,7 +380,7 @@ def test_build_reversing_extensions_rejects_bad_q_and_color(q, color, fragment):
 
 
 def test_build_reversing_extensions_postcondition():
-    # the constructor verifies internally; re-check here independently
+    # the lemma, checked here as the constructor no longer checks it
     hits = 0
     for i in range(40):
         bp = random_skfree_bipartite(9, 9, 0.3, 3, seed=derive_seed(3571, i))
@@ -454,64 +453,24 @@ def test_a_non_extension_inside_a_shared_prefix_is_refused():
         check_realizer(bp.poset, family)
 
 
-def _first_unreversed(bp, q_elems, exts):
-    # the pair-by-pair rule: Q in order, then B ascending
-    for a in q_elems:
-        for b in sorted(bp.b_order):
-            if bp.poset.incomparable(a, b) and not any(
-                e.positions()[b] < e.positions()[a] for e in exts
-            ):
-                return (a, b)
-    return None
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.data())
-def test_postcondition_reports_the_first_unreversed_pair(seed, data):
-    # keep some of the distinct members and mutate one (an element of Q
-    # moved to the bottom); the check must raise for the pair the
-    # pair-by-pair rule finds first, and pass when that rule finds none
-    bp = random_skfree_bipartite(8, 8, 0.3, 3, seed=seed)
-    got = find_monochromatic(bp, 3, 3)
-    if got is None:
-        return
-    q_elems, color = got
-    exts, _ = build_reversing_extensions(bp, 3, q_elems, color, seed=0)
-    distinct = list(dict.fromkeys(exts))
-    family = data.draw(st.lists(st.sampled_from(distinct), min_size=1), label="kept")
-    j = data.draw(st.integers(0, len(family) - 1), label="mutated")
-    moved = data.draw(st.sampled_from(q_elems), label="moved")
-    family[j] = LinearExtension(
-        (moved,) + tuple(v for v in family[j].order if v != moved))
-    want = _first_unreversed(bp, q_elems, family)
-    if want is None:
-        _check_q_pairs_reversed(bp, q_elems, family, color, 1)
-    else:
-        with pytest.raises(VerificationFailed) as exc:
-            _check_q_pairs_reversed(bp, q_elems, family, color, 1)
-        assert exc.value.pair == want
-
-
-def test_postcondition_raises_when_a_q_element_is_never_lifted(monkeypatch):
-    # every member lists Q's first element at the bottom: its first
-    # incomparable B element is the pair to report
-    for i in range(40):
-        bp = random_skfree_bipartite(8, 8, 0.3, 3, seed=derive_seed(41, i))
-        got = find_monochromatic(bp, 3, 3)
-        if got is not None:
-            break
-    q_elems, color = got
-    a = q_elems[0]
-    b = min(v for v in bp.b_order if bp.poset.incomparable(a, v))
+def test_the_final_check_refuses_a_step_that_never_lifts_a_q_element(monkeypatch):
+    # every matrix member lists its step's first Q element at the very
+    # bottom, so no member reverses (that element, b) for an incomparable
+    # b: peel_realizer's one check_realizer must name such a pair
+    firsts = []
     real = skfree.extension_from_sigma
-    monkeypatch.setattr(skfree, "extension_from_sigma", lambda bp_, q_, sigmas: [
-        LinearExtension((a,) + tuple(v for v in e.order if v != a))
-        for e in real(bp_, q_, sigmas)
-    ])
+
+    def sunk(bp_, q_elems, sigmas):
+        a = q_elems[0]
+        firsts.append(a)
+        return [LinearExtension((a,) + tuple(v for v in e.order if v != a))
+                for e in real(bp_, q_elems, sigmas)]
+
+    monkeypatch.setattr(skfree, "extension_from_sigma", sunk)
+    bp = random_skfree_bipartite(20, 20, 0.1, 3, seed=5)
     with pytest.raises(VerificationFailed) as exc:
-        build_reversing_extensions(bp, 3, q_elems, color, seed=0)
-    assert exc.value.pair == (a, b)
-    assert f"pair ({a}, {b}) not reversed; position 1 of Q" in str(exc.value)
+        peel_realizer(bp, 3, 3, 12, seed=5)
+    assert firsts and exc.value.pair[0] in firsts
 
 
 def test_build_reversing_extensions_shares_repeated_members():
