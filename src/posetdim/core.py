@@ -224,7 +224,7 @@ class BipartitePoset:
     every order built on the host begins.  Elsewhere floor is ().
     """
 
-    __slots__ = ("poset", "a_order", "b_order", "a_mask", "b_mask", "a_pos", "floor")
+    __slots__ = ("poset", "a_order", "b_order", "a_mask", "b_mask", "floor")
 
     def __init__(self, poset: Poset, a_order: Iterable[int], b_order: Iterable[int]):
         self.poset = poset
@@ -241,8 +241,6 @@ class BipartitePoset:
                 mask |= 1 << x
             masks.append(mask)
         self.a_mask, self.b_mask = masks
-        # position of each A-side element in a_order
-        self.a_pos = {x: i for i, x in enumerate(self.a_order)}
         if len(self.a_order) + len(self.b_order) != n:
             raise ValueError("bipartition does not cover the ground set")
         if self.a_mask & self.b_mask:
@@ -275,7 +273,6 @@ class BipartitePoset:
             a for a in reversed(self.a_order) if (gone >> a) & 1)
         host.a_order = tuple(a for a in self.a_order if not (gone >> a) & 1)
         host.a_mask = self.a_mask & ~gone
-        host.a_pos = {x: i for i, x in enumerate(host.a_order)}
         return host
 
     def __eq__(self, other) -> bool:

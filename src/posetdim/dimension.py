@@ -292,22 +292,6 @@ def check_realizer(p: Poset, extensions: Sequence[LinearExtension]) -> None:
         )
 
 
-def _checked_pairs(
-    p: Poset, pairs: Iterable[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """The pairs as a list; ValueError naming an id outside 0..n-1,
-    ComparablePairError for a comparable or equal pair."""
-    out = []
-    for x, y in pairs:
-        for v in (x, y):
-            if not 0 <= v < p.n:
-                raise ValueError(f"element id {v} is outside 0..{p.n - 1}")
-        if not p.incomparable(x, y):
-            raise ComparablePairError(f"pair ({x}, {y}) is comparable")
-        out.append((x, y))
-    return out
-
-
 def _x_runs(pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     """Consecutive pairs grouped by x, as [x, bitmask of their ys]."""
     runs: list[list[int]] = []
@@ -317,23 +301,6 @@ def _x_runs(pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
         else:
             runs.append([x, 1 << y])
     return runs
-
-
-def is_reversible(
-    p: Poset, pairs: Iterable[tuple[int, int]]
-) -> tuple[bool, LinearExtension | None]:
-    """Can one linear extension reverse every pair in the set?
-
-    True exactly when the poset plus all reversal edges stays acyclic,
-    i.e. the first fit packs the pairs into one class; the witness is
-    that class's lowest-index-first topological order.  Raises
-    ComparablePairError if some pair is comparable (reversing it is
-    meaningless) and ValueError for an id outside 0..n-1.
-    """
-    classes = _first_fit(p, _x_runs(_checked_pairs(p, pairs))) or [_Closure(p)]
-    if len(classes) > 1:
-        return False, None
-    return True, LinearExtension(classes[0].extension())
 
 
 def _first_fit(p: Poset, runs: Iterable[list[int]]) -> list[_Closure]:
@@ -365,10 +332,16 @@ def greedy_reversing_extensions(
     y lies above x, where its extension keeps it, so each class holds
     exactly the pairs its predecessors' extensions leave unreversed.
     Raises ComparablePairError for a comparable or equal pair and
-    ValueError for an id outside 0..n-1.
+    ValueError for an id outside 0..n-1, checking every pair first.
     """
-    runs = _x_runs(_checked_pairs(p, pairs))
-    return [LinearExtension(cl.extension()) for cl in _first_fit(p, runs)]
+    pairs = list(pairs)
+    for x, y in pairs:
+        for v in (x, y):
+            if not 0 <= v < p.n:
+                raise ValueError(f"element id {v} is outside 0..{p.n - 1}")
+        if not p.incomparable(x, y):
+            raise ComparablePairError(f"pair ({x}, {y}) is comparable")
+    return [LinearExtension(cl.extension()) for cl in _first_fit(p, _x_runs(pairs))]
 
 
 _CONFLICT_PAIR_CAP = 2000  # most critical pairs the search takes on
@@ -488,9 +461,10 @@ def _exact_core(p: Poset, budget: int | None) -> DimensionResult:
             lower = max(lower, size)
 
     # greedy first fit: upper bound plus fallback witness; with no pairs,
-    # the one extension of p's closure
+    # the one extension of p's closure, or none when p is empty
     greedy = DimensionResult(Realizer.of(
-        LinearExtension(cl.extension()) for cl in _first_fit(p, runs) or [_Closure(p)]
+        LinearExtension(cl.extension())
+        for cl in _first_fit(p, runs) or [_Closure(p)][:p.n]
     ), False)
     if greedy.d <= lower:
         greedy.optimal = True
@@ -642,15 +616,15 @@ def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
     rows = data[key]
     if not isinstance(rows, list) or not all(map(_is_int_list, rows)):
         raise ValueError(f"realizer {key!r} must be a list of integer lists")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(
+                f"realizer {key!r} row {i} has length {len(row)}, not n={n}"
+            )
     exts = [LinearExtension(tuple(row)) for row in rows]
     if v1:
         realizer = Realizer.of(exts)
     else:
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(
-                    f"realizer 'orders' row {i} has length {len(row)}, not n={n}"
-                )
         _require_keys(data, ("members",), "realizer JSON")
         members = data["members"]
         if not _is_int_list(members):

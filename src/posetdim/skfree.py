@@ -149,9 +149,9 @@ def acquire_event_matrix(t: int, q: int, r: int, seed: int) -> BinaryMatrix:
 
 
 def _check_subset(bp: BipartitePoset, subset: Sequence[int]) -> None:
-    # strictly increasing positions: distinct A-side elements in a_order
-    positions = [bp.a_pos.get(a, -1) for a in subset]
-    if -1 in positions or any(i >= j for i, j in zip(positions, positions[1:])):
+    # a subsequence of a_order: distinct A-side elements in its order
+    rest = iter(bp.a_order)
+    if not all(a in rest for a in subset):
         raise ValueError("subset must be distinct A-side elements sorted by a_order")
 
 
@@ -176,7 +176,12 @@ def subset_color(bp: BipartitePoset, subset: Sequence[int]) -> int:
     """
     elems = tuple(subset)
     _check_subset(bp, elems)
-    masks = mate_masks(bp.poset._up, elems, bp.b_mask)
+    return _color(bp.poset._up, elems, bp.b_mask)
+
+
+def _color(up: Sequence[int], elems: tuple[int, ...], b_mask: int) -> int:
+    # subset_color of elems, taken to be listed in a_order
+    masks = mate_masks(up, elems, b_mask)
     for i, m in enumerate(masks, start=1):
         if not m:
             return i
@@ -194,9 +199,10 @@ def find_monochromatic(
     Tries colors in increasing order; within a color, greedy extension
     over A in a_order, where a dead end pops the last pick and resumes
     after it, so the first set found wins.  Each k-subset read is
-    colored once, by subset_color.  At q < k none is read: every q-set
-    is vacuously monochromatic in color 1, and nothing checks that bp is
-    S_k-free.  Returns (Q in a_order, color) or None.
+    colored once, by _color, unchecked: the search lists it in a_order
+    itself.  At q < k none is read: every q-set is vacuously
+    monochromatic in color 1, and nothing checks that bp is S_k-free.
+    Returns (Q in a_order, color) or None.
     """
     if k < 2 or q < 2:
         raise ValueError(f"need k >= 2 and q >= 2, got k={k}, q={q}")
@@ -204,13 +210,14 @@ def find_monochromatic(
     na = len(a_order)
     if q > na:
         return None
+    up, b_mask = bp.poset._up, bp.b_mask
     colors: dict[tuple[int, ...], int] = {}  # positions in a_order -> color
 
     def color_of(positions: tuple[int, ...]) -> int:
         got = colors.get(positions)
         if got is None:
             elems = tuple(a_order[c] for c in positions)
-            got = colors[positions] = subset_color(bp, elems)
+            got = colors[positions] = _color(up, elems, b_mask)
         return got
 
     for color in range(1, k + 1):

@@ -75,6 +75,13 @@ def test_dim_budget_zero_is_a_budget(tmp_path, capsys):
     assert json.loads(err)["error"] == "ArgumentError"
 
 
+def test_dim_of_the_empty_poset_is_0(tmp_path, capsys):
+    f = tmp_path / "empty.poset"
+    f.write_text("poset 0\n")
+    code, out, _ = run(capsys, "dim", str(f))
+    assert code == 0 and out == "dimension 0\noptimal true\n"
+
+
 # -- peel / verify / split -----------------------------------------------------------
 
 

@@ -21,7 +21,6 @@ from posetdim import (
     exact_dimension,
     greedy_reversing_extensions,
     is_realizer,
-    is_reversible,
     random_bipartite,
     random_poset,
     standard_example,
@@ -229,17 +228,6 @@ def test_solver_witness_orders_are_extensions(seed, n):
         assert naive_is_extension(p, ext.order)
 
 
-def test_is_reversible_and_conflicts():
-    s2 = standard_example(2)
-    cps = critical_pairs(s2)
-    ok, ext = is_reversible(s2, [cps[0]])
-    assert ok and reverses(ext, cps[0])
-    ok, ext = is_reversible(s2, cps)  # the two pairs force a cycle
-    assert not ok and ext is None
-    with pytest.raises(ComparablePairError):
-        is_reversible(s2, [CriticalPair(0, 3)])  # 0 < 3 in S_2
-
-
 def test_greedy_reversing_extensions_cover_input():
     for i in range(30):
         p = random_poset(7, 0.3, seed=derive_seed(77, i))
@@ -249,9 +237,16 @@ def test_greedy_reversing_extensions_cover_input():
             assert any(reverses(e, c) for e in exts)
         for e in exts:
             check_extension(p, e)
+    # S_2: one pair fits one extension; the two together force a cycle
+    s2 = standard_example(2)
+    cps = critical_pairs(s2)
+    (ext,) = greedy_reversing_extensions(s2, [cps[0]])
+    assert reverses(ext, cps[0])
+    exts = greedy_reversing_extensions(s2, cps)
+    assert len(exts) == 2 and all(any(reverses(e, c) for e in exts) for c in cps)
 
 
-@pytest.mark.parametrize("fn", [greedy_reversing_extensions, is_reversible])
+@pytest.mark.parametrize("fn", [greedy_reversing_extensions])
 def test_pair_arguments_are_validated(fn):
     chain = Poset.from_relations(3, [(0, 1), (1, 2)])
     for pair in [(0, 1), (2, 0), (2, 2)]:  # comparable, then equal
@@ -581,6 +576,15 @@ def test_realizer_json_stores_each_order_once():
     assert back.orders == (a,) and back.members == (0, 0)
 
 
+@pytest.mark.parametrize("key, rows, bad", [("extensions", [[0, 1], [2]], 0),
+                                            ("orders", [[0, 1, 2], [2, 1]], 1)])
+def test_realizer_rows_of_the_wrong_length_are_refused(key, rows, bad):
+    # v1 rows were once taken at any length; both name the key and row
+    data = {"n": 3, key: rows, "members": [0, 1], "optimal": False}
+    with pytest.raises(ValueError, match=f"realizer '{key}' row {bad} has length 2, not n=3"):
+        realizer_from_json(json.dumps(data))
+
+
 # -- exact and brute-force solvers --------------------------------------------------
 
 
@@ -599,6 +603,9 @@ def test_dimension_small_shapes():
     assert exact_dimension(anti).d == 2
     single = Poset.from_relations(1, [])
     assert exact_dimension(single).d == 1
+    # the empty family realizes the empty poset
+    empty = exact_dimension(Poset.from_relations(0, []))
+    assert empty.d == 0 and empty.optimal and empty.witness == Realizer((), ())
     vee = Poset.from_relations(3, [(0, 1), (0, 2)])
     assert exact_dimension(vee).d == 2
 

@@ -4,6 +4,7 @@ import ast
 import inspect
 import re
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import posetdim
@@ -120,9 +121,29 @@ def test_every_public_name_is_reached_outside_the_tests():
         if not any(use.search(definition.sub("", text)) for text in texts):
             unreached.append(name)
     assert sorted(unreached) == [
-        "certificate_from_json", "certificate_to_json", "is_reversible",
-        "realizer_from_json", "realizer_to_json",
+        "certificate_from_json", "certificate_to_json", "realizer_from_json",
+        "realizer_to_json",
     ]
+
+
+def test_every_private_name_is_reached_by_the_library():
+    # the private counterpart of the rule above: a private function or
+    # class that no library code outside its own body names is kept
+    # alive only by the tests
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))]
+
+    def names(root):
+        return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                       for node in ast.walk(root)
+                       if isinstance(node, (ast.Name, ast.Attribute)))
+
+    everywhere = sum(map(names, trees), Counter())
+    unreached = [node.name for tree in trees for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and node.name.startswith("_") and not node.name.endswith("__")
+                 and everywhere[node.name] == names(node)[node.name]]
+    assert unreached == []
 
 
 def test_every_public_method_is_reached_outside_the_tests():

@@ -226,13 +226,13 @@ def test_find_monochromatic_colors_each_subset_once(monkeypatch):
     # the search keeps the colors it read, so no k-subset is colored
     # twice within one call, even when it tries several colors
     seen: list[tuple[int, ...]] = []
-    real = skfree.subset_color
+    real = skfree._color
 
-    def counted(bp_, subset):
-        seen.append(tuple(subset))
-        return real(bp_, subset)
+    def counted(up, elems, b_mask):
+        seen.append(tuple(elems))
+        return real(up, elems, b_mask)
 
-    monkeypatch.setattr(skfree, "subset_color", counted)
+    monkeypatch.setattr(skfree, "_color", counted)
     past_color_1 = 0
     for i in range(8):
         bp = random_skfree_bipartite(9, 9, 0.3, 3, seed=derive_seed(61, i))
@@ -253,13 +253,47 @@ def test_find_monochromatic_runs_deeper_than_the_recursion_limit(monkeypatch):
     # element against every earlier pick
     bp = random_bipartite(120, 4, 0.0, 0)
     seen: list[tuple[int, ...]] = []
-    real = skfree.subset_color
-    monkeypatch.setattr(skfree, "subset_color", lambda bp_, subset:
-                        seen.append(tuple(subset)) or real(bp_, subset))
+    real = skfree._color
+    monkeypatch.setattr(skfree, "_color", lambda up, elems, b_mask:
+                        seen.append(tuple(elems)) or real(up, elems, b_mask))
     with recursion_limit_near_here():
         got = find_monochromatic(bp, 2, 100)
     assert got == (tuple(range(100)), 1)
     assert seen == [(i, c) for c in range(1, 100) for i in range(c)]
+
+
+def test_find_monochromatic_reads_colors_unchecked(monkeypatch):
+    # the search lists each k-subset in a_order itself, so it never asks
+    # for the check that subset_color and mates make
+    cases = [(random_skfree_bipartite(9, 9, 0.3, 3, seed=derive_seed(47, i)), q)
+             for i in range(6) for q in (2, 3, 4, 5)]
+    want = [find_monochromatic(bp, 3, q) for bp, q in cases]
+    assert any(got is not None and len(got[0]) >= 3 for got in want)
+
+    def refuse(bp_, subset):
+        raise AssertionError("subset checked")
+
+    monkeypatch.setattr(skfree, "_check_subset", refuse)
+    assert [find_monochromatic(bp, 3, q) for bp, q in cases] == want
+
+
+def test_colors_and_mates_on_a_smaller_host():
+    # a host from _without keeps its input's rows: the checked entry
+    # points refuse a removed element and take what is left, in order
+    bp = random_skfree_bipartite(8, 8, 0.3, 3, seed=23)
+    gone = bp.a_order[1]
+    host = bp._without([gone])
+    for subset in ((bp.a_order[0], gone), (gone, bp.a_order[2])):
+        with pytest.raises(ValueError, match="sorted by a_order"):
+            subset_color(host, subset)
+        with pytest.raises(ValueError, match="sorted by a_order"):
+            mates(host, subset, 1)
+    for subset in combinations(host.a_order, 3):
+        color = subset_color(host, subset)
+        assert color == subset_color(bp, subset)
+        assert mates(host, subset, color) == frozenset()
+    with pytest.raises(ValueError, match="sorted by a_order"):
+        subset_color(host, host.a_order[:3][::-1])
 
 
 # -- sigma orders and extensions ------------------------------------------------------
@@ -312,8 +346,8 @@ def _leftover_block(bp, q_elems):
         above |= bp.poset.upset_mask(a)
     rest = [v for v in bp.a_order + bp.b_order
             if v not in q_elems and not (above >> v) & 1]
-    return (sorted(v for v in rest if v in bp.a_pos)
-            + sorted(v for v in rest if v not in bp.a_pos))
+    return (sorted(v for v in rest if (bp.a_mask >> v) & 1)
+            + sorted(v for v in rest if not (bp.a_mask >> v) & 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -331,7 +365,7 @@ def test_every_traversal_of_a_step_shares_one_leftover_block(seed, dual, data):
     assert host.floor == floor
     q_elems = data.draw(st.lists(st.sampled_from(host.a_order), min_size=2,
                                  max_size=4, unique=True), label="q")
-    q_elems = sorted(q_elems, key=host.a_pos.__getitem__)
+    q_elems = sorted(q_elems, key=host.a_order.index)
     sigmas = data.draw(st.lists(st.permutations(range(len(q_elems))),
                                 min_size=1, max_size=6), label="sigmas")
     exts = extension_from_sigma(host, q_elems, sigmas)
