@@ -364,7 +364,7 @@ def _conflict_masks(p: Poset, cps: Sequence[CriticalPair]) -> list[int]:
     Pairs i and j clash iff the only possible cycle through both
     reversal edges exists: x_i <= y_j and x_j <= y_i.  Row i is the AND
     of "pairs whose y is at or above x_i" and "pairs whose x is at or
-    below y_i", each gathered per element from the pairs sitting on it.
+    below y_i", gathered only at pairs' xs and ys (no pairs, no rows).
     """
     n = p.n
     on_y = [0] * n  # pairs whose y is this element
@@ -373,17 +373,17 @@ def _conflict_masks(p: Poset, cps: Sequence[CriticalPair]) -> list[int]:
         on_y[y] |= 1 << j
         on_x[x] |= 1 << j
 
-    def gather(rows: Sequence[int], on: list[int]) -> list[int]:
-        out = []
-        for u in range(n):
+    def gather(rows: Sequence[int], on: list[int], at: list[int]) -> dict[int, int]:
+        out = {}
+        for u in compress(range(n), at):
             acc = on[u]
             for v in iter_bits(rows[u]):
                 acc |= on[v]
-            out.append(acc)
+            out[u] = acc
         return out
 
-    y_above = gather(p._up, on_y)
-    x_below = gather(p._down, on_x)
+    y_above = gather(p._up, on_y, on_x)
+    x_below = gather(p._down, on_x, on_y)
     return [y_above[x] & x_below[y] for x, y in cps]
 
 
@@ -430,10 +430,10 @@ def _exact_core(p: Poset, budget: int | None) -> DimensionResult:
     the pairwise-conflict graph, exploring pairs in descending
     conflict-degree order with first-empty-class symmetry breaking.  The
     search packs each class's closure into one int, and a settled class's
-    pairs are replayed onto a _Closure for its extension.  With no
-    critical pairs (a chain) or more than _CONFLICT_PAIR_CAP there is no
-    conflict graph, no search, and the lower bound is 2.  The greedy
-    first fit is built once and returned when it meets the lower bound.
+    pairs are replayed onto a _Closure for its extension.  Only more than
+    _CONFLICT_PAIR_CAP critical pairs skip the conflict graph (no search,
+    lower bound 2; a chain's graph is empty, so its bound is 2 too).  The
+    greedy first fit is built once and returned if it meets the bound.
     budget (None or >= 0) caps the search's node expansions.  The
     greedy (valid, non-optimal) result is BudgetExceeded's .best, raised
     where its reason is known: at the pair cap, or in the search.
@@ -441,9 +441,8 @@ def _exact_core(p: Poset, budget: int | None) -> DimensionResult:
     rows = critical_rows(p)
     m = sum(row.bit_count() for row in rows)
     lower = 2
-    if not m or m > _CONFLICT_PAIR_CAP:
-        # no conflict graph (it walks every relation, a long chain's
-        # too); the x-runs of the lexicographic order are the nonzero rows
+    if m > _CONFLICT_PAIR_CAP:
+        # no conflict graph; the lexicographic x-runs are the nonzero rows
         runs = [[x, row] for x, row in enumerate(rows) if row]
     else:
         cps = row_pairs(rows)
@@ -596,12 +595,19 @@ def _fields(data: dict, keys: Sequence[str], what: str, kind: type = int) -> lis
     return [data[key] for key in keys]
 
 
+def _check_count(what: str, data: dict, key: str, want: int) -> None:
+    """ValueError unless data[key], when present, is exactly the int want."""
+    got = data.get(key, want)
+    if type(got) is not int or got != want:
+        raise ValueError(f"{what} {key!r} is {got!r}, not {want}")
+
+
 def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
     """Parse a realizer dict, v2 ("orders" and "members") or v1 (one
-    order per member in "extensions"); ValueError if it is not shaped
-    like one, if a v2 order is no member's, or if its optional
-    "dimension" is not its member count.  A v2 realizer holds the file's
-    orders and members as they are; a v1 one goes through Realizer.of."""
+    order per member in "extensions", through Realizer.of); ValueError
+    if it is not shaped like one, if a v2 order is no member's, or if a
+    stored count ("dimension", optional) is not the one derived again.
+    A v2 realizer holds the file's orders and members as they are."""
     _require_keys(data, ("n", "optimal"), "realizer JSON")
     v1 = "extensions" in data
     if v1 == ("orders" in data):
@@ -635,11 +641,7 @@ def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
                 f"realizer 'members' must be indices naming all {len(rows)} 'orders'"
             )
         realizer = Realizer(tuple(exts), tuple(members))
-    dimension = data.get("dimension", len(realizer))
-    if type(dimension) is not int or dimension != len(realizer):
-        raise ValueError(
-            f"realizer 'dimension' is {dimension!r}, not its {len(realizer)} members"
-        )
+    _check_count("realizer", data, "dimension", len(realizer))
     (optimal,) = _fields(data, ("optimal",), "realizer", bool)
     return n, realizer, optimal
 

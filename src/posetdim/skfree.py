@@ -30,6 +30,7 @@ from .core import (
 from .dimension import (
     LinearExtension,
     Realizer,
+    _check_count,
     _fields,
     _is_int_list,
     _parse_json,
@@ -169,12 +170,15 @@ def mates(bp: BipartitePoset, subset: Sequence[int], i: int) -> frozenset[int]:
 
 
 def subset_color(bp: BipartitePoset, subset: Sequence[int]) -> int:
-    """First position (1-based) of the subset that has no mate.
+    """First position (1-based) of the subset that has no mate; ValueError
+    below 2 elements, as no standard example is smaller.
 
     If every position has one (core.mate_masks within B), the subset plus
     its lowest mate per position is a standard example, which NoValidColor carries.
     """
     elems = tuple(subset)
+    if len(elems) < 2:
+        raise ValueError(f"subset must have at least 2 elements, got {len(elems)}")
     _check_subset(bp, elems)
     return _color(bp.poset._up, elems, bp.b_mask)
 
@@ -502,7 +506,7 @@ class GeneralBoundResult:
     def cleanup_count(self) -> int:
         """Members appended to realize p, past the projected ones: 0,
         since the projected members realize p by themselves."""
-        return len(self.realizer_for_p) - self.bound
+        return 0
 
 
 def _project_split_extension(p: Poset, ext: LinearExtension) -> LinearExtension:
@@ -587,11 +591,11 @@ _STEP_KEYS = (
 def certificate_from_json_dict(data) -> PeelCertificate:
     """Parse a certificate dict: ValueError naming the first key or type
     not shaped like one, a matrix entry other than 0 or 1, a negative
-    cleanup_extensions, a step's q, matrix_rows or matrix width that
-    miscounts, or a removed id outside the realizer's 0..n-1 or removed
-    again; then VerificationFailed unless the stored totals add up;
-    then ValueError for a stored extensions_built or base_size that is
-    not the derived count."""
+    cleanup_extensions, a matrix row not len(removed) wide, or a removed
+    id outside the realizer's 0..n-1 or removed again; VerificationFailed
+    unless the stored totals add up; then ValueError for a stored count
+    (each step's q, matrix_rows, extensions_built; base_size) that is
+    not the one derived again from what it counts."""
     _require_keys(data, _CERTIFICATE_KEYS, "certificate JSON")
     if not isinstance(data["steps"], list):
         raise ValueError(
@@ -602,7 +606,7 @@ def certificate_from_json_dict(data) -> PeelCertificate:
     for i, rec in enumerate(data["steps"]):
         what = f"certificate step {i}"
         _require_keys(rec, _STEP_KEYS, what)
-        q, color, _, cleanup = _fields(
+        _, color, _, cleanup = _fields(
             rec, ("q", "color", "extensions_built", "cleanup_extensions"), what
         )
         if not _is_int_list(rec["removed"]):
@@ -612,11 +616,7 @@ def certificate_from_json_dict(data) -> PeelCertificate:
             isinstance(row, str) for row in matrix
         ):
             raise ValueError(f"{what} 'matrix' must be a list of strings")
-        if q != len(rec["removed"]):
-            raise ValueError(f"{what} 'q' is {q}, not {len(rec['removed'])}")
-        rows = rec.get("matrix_rows", len(matrix))
-        if type(rows) is not int or rows != len(matrix):
-            raise ValueError(f"{what} 'matrix_rows' is {rows!r}, not {len(matrix)}")
+        q = len(rec["removed"])
         if any(len(row) != q for row in matrix):
             raise ValueError(f"{what} 'matrix' rows must each have q={q} columns")
         if cleanup < 0:
@@ -626,7 +626,7 @@ def certificate_from_json_dict(data) -> PeelCertificate:
         except ValueError as exc:
             raise ValueError(f"{what} 'matrix' {exc}") from None
         steps.append(PeelStep(tuple(rec["removed"]), color, mat, cleanup))
-    base_size, base_dimension, total_size = _fields(
+    _, base_dimension, total_size = _fields(
         data, ("base_size", "base_dimension", "total_size"), "certificate"
     )
     (base_optimal,) = _fields(data, ("base_optimal",), "certificate", bool)
@@ -646,13 +646,11 @@ def certificate_from_json_dict(data) -> PeelCertificate:
             f"total_size {total_size}, base dimension plus step "
             f"extensions {spent}, realizer members {cert.total_size}"
         )
-    for i, (step, built) in enumerate(zip(steps, claimed)):
-        if built != step.extensions_built:
-            raise ValueError(f"certificate step {i} 'extensions_built' is "
-                             f"{built}, not {step.extensions_built}")
-    if base_size != cert.base_size:
-        raise ValueError(
-            f"certificate 'base_size' is {base_size}, not {cert.base_size}")
+    for i, (rec, step) in enumerate(zip(data["steps"], steps)):
+        for key, want in (("q", step.q), ("matrix_rows", step.matrix.r),
+                          ("extensions_built", step.extensions_built)):
+            _check_count(f"certificate step {i}", rec, key, want)
+    _check_count("certificate", data, "base_size", cert.base_size)
     return cert
 
 

@@ -247,9 +247,9 @@ def test_verify_rejects_wrong_realizer(tmp_path, capsys):
      "VerificationFailed", "empty"),
     # a "dimension" that is not the member count
     ({"n": 3, "dimension": 99, "orders": [[0, 1, 2]], "members": [0],
-      "optimal": True}, "ArgumentError", "'dimension' is 99, not its 1 members"),
+      "optimal": True}, "ArgumentError", "'dimension' is 99, not 1"),
     ({"n": 3, "dimension": 99, "extensions": [[0, 1, 2]], "optimal": True},
-     "ArgumentError", "'dimension' is 99, not its 1 members"),
+     "ArgumentError", "'dimension' is 99, not 1"),
     ({"n": 3, "dimension": True, "orders": [[0, 1, 2]], "members": [0],
       "optimal": True}, "ArgumentError", "'dimension' is True"),
     ({"n": -1, "optimal": False, "orders": [], "members": []},

@@ -74,6 +74,18 @@ def test_conflict_masks_match_pairwise_rule(seed, n, edge_prob):
     assert _conflict_masks(p, cps) == want
 
 
+def test_conflict_masks_read_no_row_without_pairs():
+    # gather reads rows only at the pairs' ends, so a chain's empty
+    # graph costs no walk over its relations
+    class Unread(tuple):
+        def __getitem__(self, i):
+            raise AssertionError(f"row {i} read")
+
+    chain = Poset.from_relations(1500, [(i, i + 1) for i in range(1499)])
+    chain._up, chain._down = Unread(chain._up), Unread(chain._down)
+    assert _conflict_masks(chain, []) == []
+
+
 def test_critical_pairs_agree_with_definition():
     for i, p in seeded_posets(150, 2, 8, seed=2718):
         got = [(c.x, c.y) for c in critical_pairs(p)]
@@ -721,10 +733,12 @@ def test_above_the_pair_cap_an_unsettled_greedy_raises_at_once():
 
 
 def test_no_pair_and_over_cap_entries_build_no_conflict_graph(monkeypatch):
-    # the conflict graph walks every relation, so a long chain (no
-    # critical pairs) and the 2,413-pair band must settle without it
-    def refuse(*args):
-        raise AssertionError("conflict graph built")
+    # a long chain (no critical pairs) gets an empty conflict graph, and
+    # the 2,413-pair band must settle without one
+    def refuse(p, cps):
+        if cps:
+            raise AssertionError("conflict graph built")
+        return []
 
     monkeypatch.setattr(dimension, "_conflict_masks", refuse)
     chain = Poset.from_relations(1500, [(i, i + 1) for i in range(1499)])

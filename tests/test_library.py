@@ -182,3 +182,25 @@ def test_no_library_function_calls_itself():
                       if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                       and call.func.id == node.name]
     assert not found, found
+
+
+def test_every_error_class_is_raised():
+    # an error class in errors.py that no library module raises, and
+    # that is no base of one that is, is dead weight in the error JSON
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in trees.pop("errors.py").body if isinstance(node, ast.ClassDef)}
+    todo = []
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                todo.append(getattr(exc, "id", None))
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in bases and name not in reached:
+            reached.add(name)
+            todo += bases[name]
+    assert sorted(set(bases) - reached) == []

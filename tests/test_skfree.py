@@ -177,6 +177,15 @@ def test_subset_color_raises_with_witness_on_standard_example():
     assert str(exc.value) == "every position of (0, 1, 2) has a mate"
 
 
+def test_subset_color_refuses_subsets_below_two():
+    # no standard example has fewer than 2 elements a side, so neither
+    # the empty subset nor a single element gets a color or a witness
+    bp = standard_example_bipartite(3)
+    for subset in ((), (0,), (2,)):
+        with pytest.raises(ValueError, match="at least 2 elements"):
+            subset_color(bp, subset)
+
+
 def test_colors_on_free_posets():
     # the color is the first position without a mate; freeness means
     # some position lacks one
