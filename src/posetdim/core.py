@@ -9,6 +9,7 @@ and subset tests on upsets/downsets are bitwise.
 from __future__ import annotations
 
 import random
+from itertools import compress, count
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CycleError, GenerationExhausted
@@ -30,6 +31,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_BIT_TABLE = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask: int) -> list[int]:
+    """list(iter_bits(mask)) for mask >= 0, read in C off its digits: far
+    faster on a dense mask, slower on a sparse one.  Use iter_bits for a
+    sparse mask or where the first bits are enough."""
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_TABLE)))
 
 
 def _shuffled(items: list, rng: random.Random) -> list:
@@ -426,20 +437,21 @@ def random_poset(n: int, edge_prob: float, seed: int) -> Poset:
 def random_bipartite(na: int, nb: int, edge_prob: float, seed: int) -> BipartitePoset:
     """Random bipartite order on A = 0..na-1, B = na..na+nb-1: each pair
     (a, b) is related with probability edge_prob, drawn in ascending
-    (a, b) order from the seeded generator."""
+    (a, b) order from the seeded generator.  The rows are built as
+    drawn: relations of height 2 are already closed and acyclic."""
     if na < 0 or nb < 0:
         raise ValueError("side sizes must be >= 0")
     if not (0.0 <= edge_prob <= 1.0):
         raise ValueError("edge_prob must lie in [0, 1]")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     n = na + nb
-    pairs = []
+    up, down = [0] * n, [0] * n
     for a in range(na):
         for b in range(na, n):
-            if rng.random() < edge_prob:
-                pairs.append((a, b))
-    poset = Poset.from_relations(n, pairs)
-    return BipartitePoset(poset, range(na), range(na, n))
+            if draw() < edge_prob:
+                up[a] |= 1 << b
+                down[b] |= 1 << a
+    return BipartitePoset(Poset(n, up, down), range(na), range(na, n))
 
 
 _SKFREE_TRIES = 200  # draws random_skfree_bipartite rejects at most

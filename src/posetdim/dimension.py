@@ -224,15 +224,13 @@ def listed_below(orders: Iterable[Sequence[int]], n: int) -> list[int]:
     return below
 
 
-def _is_permutation(order: Sequence[int], everyone: frozenset[int]) -> bool:
-    """Is order a permutation of everyone, which is frozenset(range(n))?"""
-    return len(order) == len(everyone) and everyone == set(order)
-
-
 def check_extension(p: Poset, ext: LinearExtension) -> None:
-    """Raise NotAnExtension unless ext is a linear extension of p."""
+    """Raise NotAnExtension unless ext is a linear extension of p: a
+    permutation of 0..n-1 in exact ints (not 2.0 or True, as in the
+    JSON readers) listing every element after everything below it."""
     order = ext.order
-    if not _is_permutation(order, frozenset(range(p.n))):
+    if not (len(order) == p.n and set(map(type, order)) <= {int}
+            and set(order) == set(range(p.n))):
         raise NotAnExtension(
             f"order of length {len(order)} is not a permutation of 0..{p.n - 1}"
         )
@@ -256,21 +254,29 @@ def is_realizer(
     The family realizes p exactly when it is not empty (unless p is)
     and, for every x, its members together list below x every element
     that is not above x and nothing above it.  listed_below walks each
-    member from where it leaves the one before it, so a Realizer is
-    checked by passing its orders.
+    member, checked only for length, from where it leaves the one
+    before it, so a Realizer is checked by passing its orders.
     Returns (ok, unreversed critical pairs in lexicographic order).
     Raises NotAnExtension if a member is not a linear extension of p.
     """
     n = p.n
     orders = [ext.order for ext in extensions]
-    elements = frozenset(range(n))
-    if all(_is_permutation(order, elements) for order in orders):
-        below = listed_below(orders, n)
-        everyone = (1 << n) - 1
-        if (orders or not n) and all(
-            below[x] == everyone & ~(up | 1 << x) for x, up in enumerate(p._up)
-        ):
-            return True, []
+    # An order of length n that is no permutation repeats some v: at its
+    # second listing v is in the prefix mask, so below[v] gains bit v and
+    # the test below fails.  An id of n or more raises IndexError, a
+    # negative one IndexError or ValueError at 1 << v, a float TypeError.
+    # Every failure falls through to check_extension, which raises.
+    if all(len(order) == n for order in orders):
+        try:
+            below = listed_below(orders, n)
+        except (IndexError, TypeError, ValueError):
+            pass
+        else:
+            everyone = (1 << n) - 1
+            if (orders or not n) and all(
+                below[x] == everyone & ~(up | 1 << x) for x, up in enumerate(p._up)
+            ):
+                return True, []
     for ext in extensions:
         check_extension(p, ext)
     # every member is an extension, so (x, y) is reversed in some member

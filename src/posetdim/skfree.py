@@ -21,6 +21,7 @@ from .core import (
     BipartitePoset,
     Embedding,
     Poset,
+    _bits,
     derive_seed,
     find_standard_example,
     iter_bits,
@@ -268,7 +269,8 @@ def extension_from_sigma(
     Every traversal claims the union of Q's upsets, so the leftovers R
     (A-side first) are one block, built once over bp.floor and listed
     at the bottom of every extension, which is then an order of all of
-    bp.poset.  ValueError for a sigma not permuting 0..|Q|-1.
+    bp.poset.  R is dense, so _bits lists it.  ValueError for a sigma
+    not permuting 0..|Q|-1.
     """
     q_elems = list(q_elems)
     up = bp.poset._up
@@ -277,7 +279,7 @@ def extension_from_sigma(
         q_mask |= 1 << a
         upsets |= up[a]
     rest = ~q_mask & ~upsets
-    leftovers = bp.floor + (*iter_bits(rest & bp.a_mask), *iter_bits(rest & bp.b_mask))
+    leftovers = bp.floor + (*_bits(rest & bp.a_mask), *_bits(rest & bp.b_mask))
     exts = []
     for sigma in sigmas:
         if sorted(sigma) != list(range(len(q_elems))):
@@ -306,10 +308,11 @@ def build_reversing_extensions(
     Q must be monochromatic of the given color under the upset-based
     k-subset coloring.  A matrix with the isolating-row property at
     t = max(color-1, k-color) supplies 2r extensions, two per row, via
-    the two row traversals.  extension_from_sigma builds the distinct
-    traversals in one call, over one leftover block, and the rows that
-    repeat a traversal repeat its object.  The lemma is not re-checked
-    here: peel_realizer's one check_realizer covers every such pair.
+    the two row traversals, taken once per distinct row.
+    extension_from_sigma builds the distinct traversals in one call,
+    over one leftover block, and the rows that repeat a traversal repeat
+    its object.  The lemma is not re-checked here: peel_realizer's one
+    check_realizer covers every such pair.
     Returns the extensions and the matrix.
     """
     q = len(q_elems)
@@ -320,7 +323,8 @@ def build_reversing_extensions(
     t = min(max(color - 1, k - color), q)
     r = math.ceil(k * (2 ** k) * math.log(q))
     mat = acquire_event_matrix(t, q, r, seed)
-    traversals = [s for row in mat.rows for s in sigma_permutations(row, q)]
+    sigmas = {row: sigma_permutations(row, q) for row in set(mat.rows)}
+    traversals = [s for row in mat.rows for s in sigmas[row]]
     distinct = sorted(set(traversals))
     built = dict(zip(distinct, extension_from_sigma(bp, q_elems, distinct)))
     exts = [built[sigma] for sigma in traversals]
@@ -368,8 +372,9 @@ def peel_step(
 
     Finds Q, builds the matrix-driven reversing extensions and adds the
     minimal-elements extension: bp.floor, then Q, then the rest of A,
-    both in descending a_order, then B.  Every critical pair of bp
-    touching Q is then reversed, with no cleanup:
+    both in descending a_order, then B, the elements outside every A
+    upset first.  Every critical pair of bp touching Q is then reversed,
+    with no cleanup:
       (a, q), a in A less Q: the minimal-elements extension lists q
         below a;
       (q, a): every matrix member lists its leftovers, a among them,
@@ -394,10 +399,13 @@ def peel_step(
     seed = derive_seed(seed, 1)
     exts, mat = build_reversing_extensions(bp, k, q_elems, color, seed)
 
-    down, a_mask = bp.poset._down, bp.a_mask
+    up, b_mask = bp.poset._up, bp.b_mask
     q_mask = sum(1 << a for a in q_elems)
     a_rest = [a for a in reversed(bp.a_order) if not (q_mask >> a) & 1]
-    b_ids = sorted(iter_bits(bp.b_mask), key=lambda y: bool(down[y] & a_mask))
+    covered = 0
+    for a in bp.a_order:
+        covered |= up[a]
+    b_ids = _bits(b_mask & ~covered) + _bits(b_mask & covered)
     exts.append(LinearExtension((*bp.floor, *reversed(q_elems), *a_rest, *b_ids)))
     cap = step_extension_cap(k, len(q_elems))
     if len(exts) > cap:
@@ -591,11 +599,12 @@ _STEP_KEYS = (
 def certificate_from_json_dict(data) -> PeelCertificate:
     """Parse a certificate dict: ValueError naming the first key or type
     not shaped like one, a matrix entry other than 0 or 1, a negative
-    cleanup_extensions, a matrix row not len(removed) wide, or a removed
-    id outside the realizer's 0..n-1 or removed again; VerificationFailed
-    unless the stored totals add up; then ValueError for a stored count
-    (each step's q, matrix_rows, extensions_built; base_size) that is
-    not the one derived again from what it counts."""
+    cleanup_extensions or a color below 1, a matrix row not len(removed)
+    wide, or a removed id outside the realizer's 0..n-1 or removed
+    again; VerificationFailed unless the stored totals add up; then
+    ValueError for a stored count (each step's q, matrix_rows,
+    extensions_built; base_size) that is not the one derived again from
+    what it counts."""
     _require_keys(data, _CERTIFICATE_KEYS, "certificate JSON")
     if not isinstance(data["steps"], list):
         raise ValueError(
@@ -621,6 +630,8 @@ def certificate_from_json_dict(data) -> PeelCertificate:
             raise ValueError(f"{what} 'matrix' rows must each have q={q} columns")
         if cleanup < 0:
             raise ValueError(f"{what} 'cleanup_extensions' is {cleanup}, below 0")
+        if color < 1:
+            raise ValueError(f"{what} 'color' is {color}, below 1")
         try:
             mat = BinaryMatrix.from_strings(matrix)
         except ValueError as exc:

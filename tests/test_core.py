@@ -22,7 +22,8 @@ from posetdim import (
     standard_example,
     standard_example_bipartite,
 )
-from posetdim.core import MAX_TEXT_N, mate_masks
+from posetdim import core
+from posetdim.core import MAX_TEXT_N, iter_bits, mate_masks
 from posetdim.errors import CycleError, GenerationExhausted
 
 from conftest import (
@@ -368,6 +369,38 @@ def test_random_bipartite_shape():
     assert bp.a_order == (0, 1, 2, 3) and bp.b_order == (4, 5, 6, 7, 8)
     assert bp.poset.height() <= 2
     assert random_bipartite(4, 5, 0.5, 3) .poset == bp.poset
+
+
+def _pairwise_random_bipartite(na, nb, edge_prob, seed):
+    # the draw as first written: one pair list, closed by from_relations
+    rng = random.Random(seed)
+    pairs = [(a, b) for a in range(na) for b in range(na, na + nb)
+             if rng.random() < edge_prob]
+    return Poset.from_relations(na + nb, pairs)
+
+
+_SEED = 5
+_rng = random.Random(_SEED)
+_rng.random()
+_OWN_DRAW = _rng.random()  # the second draw, so (0, na + 1) sits on the threshold
+
+
+@pytest.mark.parametrize("edge_prob", [0.0, 1e-9, 0.0094, 0.075, 0.5, 1.0, _OWN_DRAW])
+def test_random_bipartite_rows_match_the_pairwise_draw(edge_prob):
+    sides = (0, 1, 5, 20, 160)
+    for na in sides:
+        for nb in sides:
+            bp = random_bipartite(na, nb, edge_prob, _SEED)
+            want = _pairwise_random_bipartite(na, nb, edge_prob, _SEED)
+            assert bp.poset._up == want._up and bp.poset._down == want._down
+            assert bp.a_order == tuple(range(na))
+            assert bp.b_order == tuple(range(na, na + nb))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**1000))
+def test_bits_lists_what_iter_bits_yields(mask):
+    assert core._bits(mask) == list(iter_bits(mask))
 
 
 def test_random_skfree_is_free_and_deterministic():

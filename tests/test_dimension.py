@@ -472,6 +472,30 @@ def test_is_realizer_basics():
     assert not is_realizer(Poset.from_relations(1, []), [])[0]
 
 
+@pytest.mark.parametrize("bad, message", [
+    ((0, 0, 2), "order of length 3 is not a permutation of 0..2"),
+    ((0, 1, 3), "order of length 3 is not a permutation of 0..2"),
+    ((0, 1, -1), "order of length 3 is not a permutation of 0..2"),
+    ((0, 1, 2.0), "order of length 3 is not a permutation of 0..2"),
+    ((True, 0, 2), "order of length 3 is not a permutation of 0..2"),
+    ((0, 1), "order of length 2 is not a permutation of 0..2"),
+    ((0, 1, 2, 2), "order of length 4 is not a permutation of 0..2"),
+])
+@pytest.mark.parametrize("first", [True, False])
+def test_is_realizer_names_a_malformed_member(bad, message, first):
+    # only lengths gate the walk; a malformed member of the right length
+    # fails it or makes it raise, and check_extension names it, first
+    # member or second
+    p = Poset.from_relations(3, [(0, 1)])
+    good = (2, 0, 1)
+    family = [LinearExtension(o) for o in ((bad, good) if first else (good, bad))]
+    with pytest.raises(NotAnExtension) as exc:
+        is_realizer(p, family)
+    assert str(exc.value) == message and exc.value.pair is None
+    with pytest.raises(NotAnExtension, match=f"^{message}$"):
+        check_extension(p, LinearExtension(bad))
+
+
 def test_is_realizer_vectorized_path_matches_plain():
     # a large family with many repeated members, as peeling produces
     bp = random_bipartite(40, 40, 0.15, seed=9)

@@ -537,6 +537,19 @@ def test_build_reversing_extensions_shares_repeated_members():
     assert checked >= 20
 
 
+def test_a_step_traverses_each_distinct_row_once(monkeypatch):
+    # at k = q = 3 the matrix is the 3x3 identity padded with zero rows
+    # to r = 27: four distinct rows, so four calls rather than 27
+    calls = []
+    real = skfree.sigma_permutations
+    monkeypatch.setattr(skfree, "sigma_permutations",
+                        lambda row, q: calls.append(row) or real(row, q))
+    bp = random_skfree_bipartite(12, 12, 0.2, 3, seed=4)
+    step, _ = peel_step(bp, 3, 3, seed=4)
+    assert step.matrix.r == 27 and len(set(step.matrix.rows)) == 4
+    assert sorted(calls) == [0, 1, 2, 4]
+
+
 def test_step_extension_cap_frozen():
     assert step_extension_cap(3, 2) == 49   # floor(72 ln 2)
     assert step_extension_cap(3, 3) == 79   # floor(72 ln 3)
@@ -934,6 +947,19 @@ def test_certificate_from_json_dict_checks_its_counts(where, key, value, error,
     else:
         (data if where is None else data["steps"][where])[key] = value
     with pytest.raises(error, match=fragment):
+        certificate_from_json_dict(data)
+
+
+@pytest.mark.parametrize("color", [0, -1])
+def test_certificate_reader_refuses_a_color_below_1(color):
+    # a peel writes colors 1..k; k is not stored, so only the floor is
+    # refusable from the file alone
+    cert = peel_realizer(random_skfree_bipartite(10, 10, 0.3, 3, seed=19),
+                         3, 2, base_threshold=8, seed=6)
+    data = json.loads(certificate_to_json(cert))
+    data["steps"][1]["color"] = color
+    with pytest.raises(ValueError,
+                       match=f"^certificate step 1 'color' is {color}, below 1$"):
         certificate_from_json_dict(data)
 
 
