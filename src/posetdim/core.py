@@ -39,7 +39,8 @@ _BIT_TABLE = bytes.maketrans(b"01", b"\0\1")
 def _bits(mask: int) -> list[int]:
     """list(iter_bits(mask)) for mask >= 0, read in C off its digits: far
     faster on a dense mask, slower on a sparse one.  Use iter_bits for a
-    sparse mask or where the first bits are enough."""
+    sparse mask or where the first bits are enough; rows of mixed
+    density, as in the conflict graph's gather, are not slower."""
     return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_TABLE)))
 
 

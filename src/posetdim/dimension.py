@@ -10,10 +10,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import compress, count, islice
-from operator import ne
+from functools import reduce
+from operator import ne, or_
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import Poset, iter_bits
+from .core import Poset, _bits, iter_bits
 from .errors import (BudgetExceeded, ComparablePairError, NotAnExtension,
                      VerificationFailed)
 
@@ -298,24 +299,15 @@ def check_realizer(p: Poset, extensions: Sequence[LinearExtension]) -> None:
         )
 
 
-def _x_runs(pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Consecutive pairs grouped by x, as [x, bitmask of their ys]."""
-    runs: list[list[int]] = []
-    for x, y in pairs:
-        if runs and runs[-1][0] == x:
-            runs[-1][1] |= 1 << y
-        else:
-            runs.append([x, 1 << y])
-    return runs
-
-
 def _first_fit(p: Poset, runs: Iterable[list[int]]) -> list[_Closure]:
-    """Incomparable pairs, as x-runs [x, bitmask of ys], packed first-fit
+    """Incomparable pairs, as runs [x, bitmask of ys], packed first-fit
     into reversible classes.
 
     Each pair (x, y) joins the first class that can take y < x, else
     opens a new one.  Taking some y < x never changes a class's up[x],
-    so a run is decided per class by one mask and added in one update.
+    so a run of several ys (above the pair cap, a whole critical row)
+    is decided per class by one mask and added in one update, as its
+    pairs one by one would be.
     """
     classes: list[_Closure] = []
     for x, ys in runs:
@@ -347,7 +339,8 @@ def greedy_reversing_extensions(
                 raise ValueError(f"element id {v} is outside 0..{p.n - 1}")
         if not p.incomparable(x, y):
             raise ComparablePairError(f"pair ({x}, {y}) is comparable")
-    return [LinearExtension(cl.extension()) for cl in _first_fit(p, _x_runs(pairs))]
+    runs = [[x, 1 << y] for x, y in pairs]
+    return [LinearExtension(cl.extension()) for cl in _first_fit(p, runs)]
 
 
 _CONFLICT_PAIR_CAP = 2000  # most critical pairs the search takes on
@@ -370,7 +363,8 @@ def _conflict_masks(p: Poset, cps: Sequence[CriticalPair]) -> list[int]:
     Pairs i and j clash iff the only possible cycle through both
     reversal edges exists: x_i <= y_j and x_j <= y_i.  Row i is the AND
     of "pairs whose y is at or above x_i" and "pairs whose x is at or
-    below y_i", gathered only at pairs' xs and ys (no pairs, no rows).
+    below y_i", gathered only at pairs' xs and ys (no pairs, no rows),
+    each an OR over the element's whole up- or down-row read by _bits.
     """
     n = p.n
     on_y = [0] * n  # pairs whose y is this element
@@ -380,13 +374,8 @@ def _conflict_masks(p: Poset, cps: Sequence[CriticalPair]) -> list[int]:
         on_x[x] |= 1 << j
 
     def gather(rows: Sequence[int], on: list[int], at: list[int]) -> dict[int, int]:
-        out = {}
-        for u in compress(range(n), at):
-            acc = on[u]
-            for v in iter_bits(rows[u]):
-                acc |= on[v]
-            out[u] = acc
-        return out
+        return {u: reduce(or_, map(on.__getitem__, _bits(rows[u])), on[u])
+                for u in compress(range(n), at)}
 
     y_above = gather(p._up, on_y, on_x)
     x_below = gather(p._down, on_x, on_y)
@@ -448,13 +437,13 @@ def _exact_core(p: Poset, budget: int | None) -> DimensionResult:
     m = sum(row.bit_count() for row in rows)
     lower = 2
     if m > _CONFLICT_PAIR_CAP:
-        # no conflict graph; the lexicographic x-runs are the nonzero rows
+        # no conflict graph; each nonzero row is one run of its x's pairs
         runs = [[x, row] for x, row in enumerate(rows) if row]
     else:
         cps = row_pairs(rows)
         conf = _conflict_masks(p, cps)
         order = sorted(range(m), key=lambda i: -conf[i].bit_count())
-        runs = _x_runs(cps[i] for i in order)
+        runs = [[cps[i].x, 1 << cps[i].y] for i in order]
         # a clique on the conflict graph lower-bounds the dimension
         for seed_v in order[:12]:
             common = conf[seed_v]

@@ -387,8 +387,10 @@ def peel_step(
     At q < k no color is read and t = min(k - 1, q) = q: the row with a
     column's 1 alone reverses every (q, b) of that q, S_k-free or not.
     The step must fit in floor(3k * 2^k * ln q) extensions, else
-    BoundExceeded.  Returns the step and its extensions, each a linear
-    extension of bp.poset that begins with bp.floor.
+    BoundExceeded; it spends 2r + 1 with r = ceil(k * 2^k * ln q), which
+    fits for every k, q >= 2, so that check cannot fire.  Returns the
+    step and its extensions, each a linear extension of bp.poset that
+    begins with bp.floor.
     """
     found = find_monochromatic(bp, k, q)
     if found is None:
@@ -598,7 +600,8 @@ _STEP_KEYS = (
 
 def certificate_from_json_dict(data) -> PeelCertificate:
     """Parse a certificate dict: ValueError naming the first key or type
-    not shaped like one, a matrix entry other than 0 or 1, a negative
+    not shaped like one, a step removing fewer than 2 elements or with
+    no matrix rows, a matrix entry other than 0 or 1, a negative
     cleanup_extensions or a color below 1, a matrix row not len(removed)
     wide, or a removed id outside the realizer's 0..n-1 or removed
     again; VerificationFailed unless the stored totals add up; then
@@ -626,6 +629,10 @@ def certificate_from_json_dict(data) -> PeelCertificate:
         ):
             raise ValueError(f"{what} 'matrix' must be a list of strings")
         q = len(rec["removed"])
+        if q < 2:  # a peel removes q >= 2 elements and spends r >= 6 rows
+            raise ValueError(f"{what} 'removed' lists {q} elements, fewer than 2")
+        if not matrix:
+            raise ValueError(f"{what} 'matrix' has no rows")
         if any(len(row) != q for row in matrix):
             raise ValueError(f"{what} 'matrix' rows must each have q={q} columns")
         if cleanup < 0:

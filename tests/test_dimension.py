@@ -4,6 +4,7 @@ import hashlib
 import json
 import sys
 import time
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,6 @@ from posetdim.dimension import (
     _exact_core,
     _first_fit,
     _packed_place,
-    _x_runs,
     critical_rows,
     realizer_from_json,
     realizer_to_json,
@@ -383,7 +383,9 @@ def test_first_fit_matches_pair_by_pair(seed, n, edge_prob, rnd):
     else:
         rnd.shuffle(pairs)
     want = _reference_first_fit(p, pairs)
-    got = _first_fit(p, _x_runs(pairs))
+    # consecutive pairs of one x as one run, as above the pair cap
+    runs = [[x, sum(1 << y for _, y in run)] for x, run in groupby(pairs, lambda xy: xy[0])]
+    got = _first_fit(p, runs)
     assert [cl.up for cl in got] == [
         [_bits(b for b in range(n) if r[a][b]) for a in range(n)] for r in want
     ]
@@ -448,6 +450,17 @@ def test_greedy_cover_matches_pair_by_pair(seed, n, edge_prob, rnd):
     pairs += rnd.sample(pairs, min(2, len(pairs)))  # repeated pairs
     got = [e.order for e in greedy_reversing_extensions(p, pairs)]
     assert got == _reference_greedy_cover(p, pairs)
+
+
+def test_exact_dimension_of_a_tall_weak_order():
+    # 750 levels {2i, 2i+1}, each below every later one: 1,500 critical
+    # pairs, under the pair cap, so the conflict graph gathers full rows
+    n = 1500
+    p = Poset(n, [(1 << n) - (2 << (v | 1)) for v in range(n)],
+              [(1 << (v & ~1)) - 1 for v in range(n)])
+    got = exact_dimension(p)
+    assert (got.d, got.optimal) == (2, True)
+    assert is_realizer(p, got.witness.orders) == (True, [])
 
 
 def test_exact_dimension_leaves_the_recursion_limit_alone():

@@ -1,6 +1,7 @@
 """Peeling machinery: matrices, coloring, reversing extensions, certificates."""
 
 import json
+import math
 from itertools import combinations
 from pathlib import Path
 
@@ -555,6 +556,14 @@ def test_step_extension_cap_frozen():
     assert step_extension_cap(3, 3) == 79   # floor(72 ln 3)
 
 
+def test_step_extension_cap_holds_every_step():
+    # a step spends 2r + 1 members, r = ceil(k 2^k ln q) matrix rows
+    for k in range(2, 60):
+        for q in range(2, 200):
+            r = math.ceil(k * 2 ** k * math.log(q))
+            assert 2 * r + 1 <= step_extension_cap(k, q), (k, q)
+
+
 # -- peel steps and certificates ----------------------------------------------------------
 
 
@@ -902,6 +911,22 @@ def _two_in_matrix(data):
     matrix[0] = "2" + matrix[0][1:]
 
 
+def _empty_matrix(data):
+    # the rows' members moved to cleanup: the totals hold
+    step = data["steps"][0]
+    step["cleanup_extensions"] += 2 * len(step["matrix"])
+    step["matrix"] = []
+    step["matrix_rows"] = 0
+
+
+def _empty_step(data):
+    # one member moved from the base to a step that removes nothing
+    data["steps"][:0] = [{"removed": [], "q": 0, "color": 1, "matrix": [],
+                          "matrix_rows": 0, "extensions_built": 1,
+                          "cleanup_extensions": 0}]
+    data["base_dimension"] -= 1
+
+
 def _removed(step, ids):
     # the step's removed set becomes ids(every step's removed set)
     def edit(data):
@@ -926,6 +951,11 @@ def _removed(step, ids):
      "^certificate step 0 'matrix' rows must each have q=2 columns$"),
     (None, None, _two_in_matrix, ValueError,
      "^certificate step 2 'matrix' entries must be 0 or 1$"),
+    # every peel step removes q >= 2 elements and spends r >= 6 rows
+    (None, None, _empty_matrix, ValueError,
+     "^certificate step 0 'matrix' has no rows$"),
+    (None, None, _empty_step, ValueError,
+     "^certificate step 0 'removed' lists 0 elements, fewer than 2$"),
     # each removed id is one of the realizer's, removed once
     (None, None, _removed(0, lambda r: [-1, r[0][1]]), ValueError,
      "^certificate step 0 removes -1 outside 0..19$"),
