@@ -26,6 +26,7 @@ from .core import (
     standard_example_bipartite,
 )
 from .dimension import (
+    _fields,
     _parse_json,
     check_realizer,
     exact_dimension,
@@ -108,13 +109,21 @@ def _cmd_dim(args) -> int:
     p = _underlying(obj)
     if args.verify:
         data = _parse_json(Path(args.verify).read_text())
-        # a CLI wrapper holds a certificate; a certificate is read whole,
-        # so its steps and totals are checked along with its realizer
+        # a CLI wrapper holds a certificate, and the k and q its steps keep;
+        # a certificate is read whole, so its steps and totals are checked
+        params = data.get("parameters") if isinstance(data, dict) else None
         if isinstance(data, dict) and "certificate" in data:
             data = data["certificate"]
         if isinstance(data, dict) and ("steps" in data or "realizer" in data):
-            realizer = certificate_from_json_dict(data).realizer
-            n = data["realizer"]["n"]
+            cert = certificate_from_json_dict(data)
+            if isinstance(params, dict) and {"k", "q"} <= params.keys():
+                k, q = _fields(params, ("k", "q"), "certificate parameters")
+                for i, step in enumerate(cert.steps):
+                    if step.color > k or step.q != q:
+                        raise VerificationFailed(
+                            f"certificate step {i} removes {step.q} elements in "
+                            f"color {step.color}, but its parameters are k={k}, q={q}")
+            n, realizer = data["realizer"]["n"], cert.realizer
         else:
             n, realizer, _ = realizer_from_json_dict(data)
         if n != p.n:

@@ -141,12 +141,13 @@ class _Closure:
 
 
 def ranked_topological_order(
-    down: Sequence[int], ranked: Iterable[int]
+    down: Sequence[int], ranked: Iterable[int], start: Sequence[int] = ()
 ) -> tuple[int, ...]:
     """Topological order that always emits the earliest element of the
-    ranked list whose down-set (bitmask rows in down) is all emitted."""
-    emitted = 0
-    order = []
+    ranked list whose down-set (bitmask rows in down) is all emitted,
+    resuming after start, emissions already made, which ranked leaves out."""
+    emitted = sum(1 << v for v in start)
+    order = list(start)
     todo = list(ranked)
     while todo:
         for k, v in enumerate(todo):
@@ -203,6 +204,11 @@ def critical_pairs(p: Poset) -> list[CriticalPair]:
     return row_pairs(critical_rows(p))
 
 
+def _common(a: Sequence, b: Sequence) -> int:
+    """Length of the longest common prefix of a and b."""
+    return next(compress(count(), map(ne, a, b)), min(len(a), len(b)))
+
+
 def listed_below(orders: Iterable[Sequence[int]], n: int) -> list[int]:
     """Bit y of below[x] is set iff some order lists y below x, i.e. the
     family reverses (x, y).  Each order is a permutation of one ground
@@ -214,7 +220,7 @@ def listed_below(orders: Iterable[Sequence[int]], n: int) -> list[int]:
     prev: Sequence[int] = ()
     listed_at = [0]  # listed_at[i]: the mask of prev[:i]
     for order in orders:
-        i = next(compress(count(), map(ne, order, prev)), len(prev))
+        i = _common(order, prev)
         del listed_at[i + 1:]
         listed = listed_at[i]
         for v in islice(order, i, None):
@@ -262,6 +268,10 @@ def is_realizer(
     """
     n = p.n
     orders = [ext.order for ext in extensions]
+    # orders sharing suffixes (a dual peel's) are walked reversed, on the dual
+    two = orders[:2]
+    flip = len(two) == 2 and _common(*(o[::-1] for o in two)) > _common(*two)
+    walked, rows = ([o[::-1] for o in orders], p._down) if flip else (orders, p._up)
     # An order of length n that is no permutation repeats some v: at its
     # second listing v is in the prefix mask, so below[v] gains bit v and
     # the test below fails.  An id of n or more raises IndexError, a
@@ -269,19 +279,20 @@ def is_realizer(
     # Every failure falls through to check_extension, which raises.
     if all(len(order) == n for order in orders):
         try:
-            below = listed_below(orders, n)
+            below = listed_below(walked, n)
         except (IndexError, TypeError, ValueError):
             pass
         else:
             everyone = (1 << n) - 1
             if (orders or not n) and all(
-                below[x] == everyone & ~(up | 1 << x) for x, up in enumerate(p._up)
+                below[x] == everyone & ~(up | 1 << x) for x, up in enumerate(rows)
             ):
                 return True, []
     for ext in extensions:
         check_extension(p, ext)
     # every member is an extension, so (x, y) is reversed in some member
-    # exactly when y is in below[x]
+    # exactly when y is in below[x], walked in p's orientation
+    below = listed_below(orders, n) if flip else below
     return False, row_pairs(r & ~b for r, b in zip(critical_rows(p), below))
 
 

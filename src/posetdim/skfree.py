@@ -14,7 +14,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, takewhile
 from typing import Iterable, Sequence
 
 from .core import (
@@ -32,6 +32,7 @@ from .dimension import (
     LinearExtension,
     Realizer,
     _check_count,
+    _common,
     _fields,
     _is_int_list,
     _parse_json,
@@ -519,19 +520,30 @@ class GeneralBoundResult:
         return 0
 
 
-def _project_split_extension(p: Poset, ext: LinearExtension) -> LinearExtension:
-    """Order p by ascending position of the minimal copies in a split
-    extension, repaired to a valid extension by always emitting the
-    available element whose minimal copy sits lowest.
+def _project_split_orders(p: Poset, orders: Iterable) -> Iterable[LinearExtension]:
+    """Each split extension's projection onto p: p ordered by ascending
+    position of the minimal copies, repaired to a valid extension by
+    always emitting the available element whose minimal copy sits lowest.
 
     A realizer of the split projects to a realizer of p.  For a critical
     pair (x, y) of p, (x', y'') is critical in the split, so some member
     lists y'' below x'; every w <= y has w' < y'' there, so all of
     D[y] and y rank below x.  Were x emitted first, a minimal unemitted
     element of D[y] and y would be available and rank lower than x.
+
+    Each run resumes the last: where the ranked list shares its first L
+    elements with the last one, that run's emissions before its first
+    from outside them are kept, since each was the earliest available
+    element of a shared prefix, after the same emissions.
     """
-    ranked = [v for v in ext.order if v < p.n]
-    return LinearExtension(ranked_topological_order(p._down, ranked))
+    n, down = p.n, p._down
+    ranked, order = [], ()
+    for ext in orders:
+        prev, ranked = ranked, [v for v in ext.order if v < n]
+        kept = set(takewhile(set(ranked[:_common(ranked, prev)]).__contains__, order))
+        order = ranked_topological_order(
+            down, [v for v in ranked if v not in kept], order[:len(kept)])
+        yield LinearExtension(order)
 
 
 def general_upper_bound(
@@ -555,9 +567,10 @@ def general_upper_bound(
     bp = BipartitePoset(kimble_split(p), range(p.n), range(p.n, 2 * p.n))
     cert = peel_realizer(bp, k, q, base_threshold, derive_seed(seed, 0))
 
-    # distinct split orders can project to one order of p
-    projected = [_project_split_extension(p, ext) for ext in cert.realizer.orders]
-    family = Realizer.of([projected[i] for i in cert.realizer.members])
+    # Realizer.of of the projected members: they name orders in index order
+    distinct = Realizer.of(_project_split_orders(p, cert.realizer.orders))
+    family = Realizer(distinct.orders, tuple(map(distinct.members.__getitem__,
+                                                 cert.realizer.members)))
     check_realizer(p, family.orders)
     return GeneralBoundResult(cert, family)
 

@@ -316,6 +316,35 @@ def test_verify_reads_v1_and_v2_alike(tmp_path, capsys):
     assert run(capsys, "dim", poset, "--verify", str(v2)) == (0, out, "")
 
 
+@pytest.mark.parametrize("where, key, value, step", [
+    ("step", "color", 4, 0),  # k + 1 for the legacy file's k = 3
+    ("step", "color", 4, 3),
+    ("parameters", "q", 3, 0),
+])
+def test_verify_refuses_steps_its_parameters_rule_out(tmp_path, capsys, where,
+                                                      key, value, step):
+    # the legacy file was peeled at k = 3, q = 2: a step in color k + 1, or
+    # a q that no step removes, contradicts the wrapper's own parameters;
+    # the bare certificate states no k or q and keeps reading back
+    poset = str(DATA / "legacy_v1.poset")
+    legacy = json.loads((DATA / "legacy_v1.cert.json").read_text())
+    assert legacy["parameters"]["k"] == 3 and legacy["parameters"]["q"] == 2
+    body = legacy["certificate"]["steps"][step] if where == "step" else (
+        legacy["parameters"])
+    body[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(legacy))
+    code, out, err = run(capsys, "dim", poset, "--verify", str(bad))
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "VerificationFailed"
+    assert report["message"].startswith(f"certificate step {step} ")
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(legacy["certificate"]))
+    assert run(capsys, "dim", poset, "--verify", str(bare)) == (
+        0, "verified 144 extensions realize the poset\n", "")
+
+
 def test_a_fresh_peel_certificate_verifies(tmp_path, capsys):
     poset = str(DATA / "legacy_v1.poset")
     cert = str(tmp_path / "cert.json")

@@ -44,7 +44,7 @@ from posetdim import (
     step_extension_cap,
     subset_color,
 )
-from posetdim import skfree
+from posetdim import dimension, skfree
 from posetdim.core import iter_bits
 from posetdim.dimension import (
     _Closure,
@@ -53,7 +53,7 @@ from posetdim.dimension import (
     ranked_topological_order,
 )
 from posetdim.skfree import (
-    _project_split_extension,
+    _project_split_orders,
     certificate_from_json_dict,
 )
 from posetdim.errors import (
@@ -762,6 +762,40 @@ def test_peel_realizer_checks_in_its_host_orientation(monkeypatch):
         checked.clear()
 
 
+@pytest.mark.parametrize("na, nb", [(50, 30), (30, 50)])
+def test_is_realizer_gives_the_same_answer_in_either_orientation(
+        na, nb, monkeypatch):
+    # metamorphic: a peel's orders share prefixes in its host's
+    # orientation, so a dual peel's (na > nb) share suffixes in the
+    # input's; either way round, and reversed against the dual, a passing
+    # or failing family gives the same (ok, pairs), which is the one read
+    # off every member's positions, while the walk runs where they share
+    walks = []
+    real_walk = dimension.listed_below
+    monkeypatch.setattr(dimension, "listed_below", lambda orders, n:
+                        walks.append(orders[0]) or real_walk(orders, n))
+    bp = random_skfree_bipartite(na, nb, 1.5 / 40, 3, seed=7)
+    p = bp.poset
+    orders = list(peel_realizer(bp, 3, 3, base_threshold=12, seed=7).realizer.orders)
+    critical = critical_pairs(p)
+    families = [orders] + [orders[:i] for i in (2, 5, 20, len(orders) // 2, -1)]
+    failing = 0
+    for family in families:
+        pos = [e.positions() for e in family]
+        want = [c for c in critical if not any(q[c.y] < q[c.x] for q in pos)]
+        failing += bool(want)
+        host_first = family[0].order[::-1] if na > nb else family[0].order
+        back = [LinearExtension(e.order[::-1]) for e in family]
+        for poset, given, transpose in ((p, family, False), (p.dual(), back, True)):
+            walks.clear()
+            ok, pairs = is_realizer(poset, given)
+            assert walks[0] == host_first
+            assert ok == (not want)
+            got = sorted((y, x) for x, y in pairs) if transpose else pairs
+            assert got == [tuple(c) for c in want]
+    assert failing >= 3
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 1000), st.integers(6, 12), st.sampled_from([2, 3]),
        st.data())
@@ -1027,9 +1061,9 @@ def test_general_upper_bound_on_random_free_posets():
 
 def test_repeated_members_are_lifted_and_projected_once(monkeypatch):
     calls = []
-    real = skfree._project_split_extension
-    monkeypatch.setattr(skfree, "_project_split_extension",
-                        lambda p_, ext: calls.append(ext) or real(p_, ext))
+    real = skfree._project_split_orders
+    monkeypatch.setattr(skfree, "_project_split_orders",
+                        lambda p_, orders: calls.append(orders) or real(p_, orders))
     p = random_poset(40, 0.06, seed=12)  # free of the 6-element example
     res = general_upper_bound(p, 3, 3, base_threshold=12, seed=12)
     split = res.certificate.realizer
@@ -1041,10 +1075,11 @@ def test_repeated_members_are_lifted_and_projected_once(monkeypatch):
         chunk = split.members[start:start + step.extensions_built]
         assert len(set(chunk)) == len({split.orders[i].order for i in chunk})
         start += step.extensions_built
-    # each distinct order of the split's realizer is projected once
-    assert len(calls) == len(split.orders)
+    # the distinct orders of the split's realizer are projected in one
+    # pass, each once, and each member's projection is its order's own
+    assert len(calls) == 1 and calls[0] is split.orders
     assert res.realizer_for_p.extensions[:len(split)] == tuple(
-        real(p, ext) for ext in split.extensions)
+        next(real(p, [ext])) for ext in split.extensions)
 
 
 def test_general_upper_bound_checks_what_it_projects(monkeypatch):
@@ -1053,7 +1088,8 @@ def test_general_upper_bound_checks_what_it_projects(monkeypatch):
     p = random_poset(12, 0.2, seed=3)
     assert find_standard_example(p, 3) is None
     one = exact_dimension(p).witness.orders[0]
-    monkeypatch.setattr(skfree, "_project_split_extension", lambda p_, ext: one)
+    monkeypatch.setattr(skfree, "_project_split_orders",
+                        lambda p_, orders: [one for _ in orders])
     with pytest.raises(VerificationFailed, match="critical pairs unreversed"):
         general_upper_bound(p, 3, 2, base_threshold=8, seed=3)
 
@@ -1066,7 +1102,7 @@ def test_a_split_realizer_projects_to_a_realizer():
     split = [LinearExtension(order) for order in
              [(0, 1, 3, 2, 5, 4), (1, 0, 4, 2, 5, 3), (2, 5, 0, 3, 1, 4)]]
     assert is_realizer(kimble_split(p), split) == (True, [])
-    projected = [_project_split_extension(p, ext) for ext in split]
+    projected = list(_project_split_orders(p, split))
     assert [ext.order for ext in projected] == [(0, 1, 2), (0, 1, 2), (2, 0, 1)]
     assert is_realizer(p, projected) == (True, [])
 
@@ -1088,7 +1124,7 @@ def test_every_split_realizer_projects_to_a_realizer(seed, n, edge_prob, data):
         drawn.append(LinearExtension(ranked_topological_order(cl.down, perm)))
     for family in (exact_dimension(split).witness.orders, drawn):
         assert is_realizer(split, family) == (True, [])
-        projected = [_project_split_extension(p, ext) for ext in family]
+        projected = list(_project_split_orders(p, family))
         assert is_realizer(p, projected) == (True, [])
 
 
@@ -1112,9 +1148,41 @@ def _min_priority_projection(p, order):
 def test_split_projection_matches_min_priority_rule(seed, n, edge_prob, data):
     p = random_poset(n, edge_prob, seed)
     order = data.draw(st.permutations(range(2 * n)))
-    got = _project_split_extension(p, LinearExtension(tuple(order)))
+    (got,) = _project_split_orders(p, [LinearExtension(tuple(order))])
     assert got.order == _min_priority_projection(p, order)
     check_extension(p, got)
+
+
+def _shared_prefix_orders(p, rnd, count):
+    # split orders sharing a prefix of the elements of p listed top down,
+    # so that its elements wait on those of the shuffled tail below them
+    top_down = sorted(range(p.n), key=lambda v: -p.downset_mask(v).bit_count())
+    base = top_down + list(range(p.n, 2 * p.n))
+    cut = rnd.randint(0, p.n)
+    orders = []
+    for _ in range(count):
+        tail = base[cut:]
+        rnd.shuffle(tail)
+        orders.append(LinearExtension(tuple(base[:cut] + tail)))
+    return orders
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 10), st.floats(0.0, 0.5), st.randoms())
+def test_resumed_projection_matches_min_priority_rule(seed, n, edge_prob, rnd):
+    # the resumed pass projects each order as the rule does from scratch:
+    # on a peel's orders, on orders sharing a prefix whose elements wait
+    # on a shuffled tail, and on each in a shuffled sequence
+    p = random_poset(n, edge_prob, seed)
+    families = [_shared_prefix_orders(p, rnd, 6) for _ in range(2)]
+    families.append(families[0] + families[1])
+    if find_standard_example(p, 3) is None:
+        families.append(general_upper_bound(
+            p, 3, 2, base_threshold=6, seed=seed).certificate.realizer.orders)
+    for family in families:
+        for orders in (list(family), rnd.sample(list(family), len(family))):
+            got = [ext.order for ext in _project_split_orders(p, orders)]
+            assert got == [_min_priority_projection(p, ext.order) for ext in orders]
 
 
 def test_general_upper_bound_on_chain():
