@@ -90,9 +90,5 @@ class NoMonochromaticSet(PosetDimError):
     """Direct search found no monochromatic subset of the requested size."""
 
 
-class BoundExceeded(PosetDimError):
-    """A peel step produced more extensions than its guarantee allows."""
-
-
 class ContainsSk(_EmbeddingError):
     """The poset contains a standard example; .embedding is the witness."""

@@ -45,7 +45,6 @@ from .dimension import (
 )
 from .errors import (
     AcquisitionFailed,
-    BoundExceeded,
     BudgetExceeded,
     ContainsSk,
     NoMonochromaticSet,
@@ -336,7 +335,9 @@ def build_reversing_extensions(
 
 
 def step_extension_cap(k: int, q: int) -> int:
-    """Most extensions one peel of a q-set may spend: floor(3k * 2^k * ln q)."""
+    """Most extensions one peel of a q-set may spend: floor(3x), x = k 2^k ln q.
+    peel_step spends 2 ceil(x) + 1 < 2x + 3 <= 3x, as x >= 8 ln 2 > 3 at k,
+    q >= 2; so, an integer, at most floor(3x)."""
     return math.floor(3 * k * (2 ** k) * math.log(q))
 
 
@@ -387,11 +388,8 @@ def peel_step(
       (b, q): B sits above A in the minimal-elements extension.
     At q < k no color is read and t = min(k - 1, q) = q: the row with a
     column's 1 alone reverses every (q, b) of that q, S_k-free or not.
-    The step must fit in floor(3k * 2^k * ln q) extensions, else
-    BoundExceeded; it spends 2r + 1 with r = ceil(k * 2^k * ln q), which
-    fits for every k, q >= 2, so that check cannot fire.  Returns the
-    step and its extensions, each a linear extension of bp.poset that
-    begins with bp.floor.
+    Returns the step and its 2r + 1 extensions (within step_extension_cap),
+    each a linear extension of bp.poset that begins with bp.floor.
     """
     found = find_monochromatic(bp, k, q)
     if found is None:
@@ -410,12 +408,6 @@ def peel_step(
         covered |= up[a]
     b_ids = _bits(b_mask & ~covered) + _bits(b_mask & covered)
     exts.append(LinearExtension((*bp.floor, *reversed(q_elems), *a_rest, *b_ids)))
-    cap = step_extension_cap(k, len(q_elems))
-    if len(exts) > cap:
-        raise BoundExceeded(
-            f"peel spent {len(exts)} extensions, cap is {cap} "
-            f"(k={k}, q={len(q_elems)})"
-        )
     return PeelStep(q_elems, color, mat, 0), tuple(exts)
 
 
@@ -461,10 +453,9 @@ def peel_realizer(
     its isolated elements (overrunning _BASE_BUDGET downgrades
     base_optimal rather than failing, since any base realizer keeps the
     certificate sound), and its orders are mapped back over the floor.
-    One check_realizer against the host's poset, where the members share
-    prefixes, is the peel's only check: it covers every step's (Q, B)
-    pairs too.  A dual peel's orders are then reversed once to the
-    input's.
+    A dual peel's orders are reversed to the input's, and one check_realizer
+    of the orders returned, against bp.poset, is the peel's only check: it
+    covers every step's (Q, B) pairs too.
     """
     if k < 2 or q < 2:
         raise ValueError(f"need k >= 2 and q >= 2, got k={k}, q={q}")
@@ -491,11 +482,10 @@ def peel_realizer(
     collected.extend(LinearExtension(host.floor + tuple(kept[v] for v in ext.order))
                      for ext in base.witness.extensions)
     realizer = Realizer.of(collected)
-    check_realizer(host.poset, realizer.orders)
     if host.poset is not bp.poset:
-        realizer = Realizer(
-            tuple(LinearExtension(ext.order[::-1]) for ext in realizer.orders),
-            realizer.members)
+        orders = tuple(LinearExtension(ext.order[::-1]) for ext in realizer.orders)
+        realizer = Realizer(orders, realizer.members)
+    check_realizer(bp.poset, realizer.orders)
     return PeelCertificate(tuple(records), base.optimal, realizer)
 
 
@@ -660,6 +650,8 @@ def certificate_from_json_dict(data) -> PeelCertificate:
     _, base_dimension, total_size = _fields(
         data, ("base_size", "base_dimension", "total_size"), "certificate"
     )
+    if base_dimension < 0:
+        raise ValueError(f"certificate 'base_dimension' is {base_dimension}, below 0")
     (base_optimal,) = _fields(data, ("base_optimal",), "certificate", bool)
     n, realizer, _ = realizer_from_json_dict(data["realizer"])
     gone: set[int] = set()

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from posetdim import (__version__, load_poset, peel_realizer,
-                      random_skfree_bipartite)
+                      random_skfree_bipartite, step_extension_cap)
 from posetdim.cli import main
 from posetdim.core import MAX_TEXT_N, poset_to_text, standard_example_bipartite
 from posetdim.skfree import certificate_from_json_dict, certificate_to_json_dict
@@ -343,6 +343,41 @@ def test_verify_refuses_steps_its_parameters_rule_out(tmp_path, capsys, where,
     bare.write_text(json.dumps(legacy["certificate"]))
     assert run(capsys, "dim", poset, "--verify", str(bare)) == (
         0, "verified 144 extensions realize the poset\n", "")
+
+
+def test_verify_refuses_a_step_over_its_cap(tmp_path, capsys):
+    # step_extension_cap(3, 2) is 49: step 1 (36 members) gets 14 more
+    # cleanup members at the end of its block, so every count agrees but
+    # the step spends 50; the bare certificate states no k or q and keeps
+    # reading back, as does the wrapper at a k whose cap it fits
+    poset = str(DATA / "legacy_v1.poset")
+    legacy = json.loads((DATA / "legacy_v1.cert.json").read_text())
+    cert = legacy["certificate"]
+    step = cert["steps"][1]
+    assert step["extensions_built"] == 36 and step_extension_cap(3, 2) == 49
+    step["extensions_built"] += 14
+    step["cleanup_extensions"] += 14
+    end = sum(s["extensions_built"] for s in cert["steps"][:2]) - 14
+    exts = cert["realizer"]["extensions"]
+    exts[end:end] = [exts[end - 1]] * 14
+    cert["total_size"] += 14
+    cert["realizer"]["dimension"] += 14
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(legacy))
+    code, out, err = run(capsys, "dim", poset, "--verify", str(bad))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "VerificationFailed", "pair": None,
+        "message": "certificate step 1 spends 50 extensions, over the cap "
+                   "of 49 for k=3, q=2"}
+    verified = (0, "verified 158 extensions realize the poset\n", "")
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(cert))
+    assert run(capsys, "dim", poset, "--verify", str(bare)) == verified
+    for k in (4, 10 ** 100):  # a huge k is never raised to a power
+        legacy["parameters"]["k"] = k
+        bad.write_text(json.dumps(legacy))
+        assert run(capsys, "dim", poset, "--verify", str(bad)) == verified
 
 
 def test_a_fresh_peel_certificate_verifies(tmp_path, capsys):

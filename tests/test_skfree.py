@@ -58,7 +58,6 @@ from posetdim.skfree import (
 )
 from posetdim.errors import (
     AcquisitionFailed,
-    BoundExceeded,
     ContainsSk,
     NoMonochromaticSet,
     NoValidColor,
@@ -593,24 +592,6 @@ def test_peel_step_covers_all_pairs_touching_q(k, q):
     assert peeled >= 15
 
 
-def test_peel_step_over_its_cap_raises_bound_exceeded(monkeypatch):
-    bp = random_skfree_bipartite(10, 10, 0.3, 3, seed=derive_seed(41, 0))
-    step, _ = peel_step(bp, 3, 2, seed=0)
-    spent = step.extensions_built
-    seen = []
-    monkeypatch.setattr(skfree, "step_extension_cap",
-                        lambda k, q: seen.append((k, q)) or spent - 1)
-    with pytest.raises(BoundExceeded) as exc:
-        peel_step(bp, 3, 2, seed=0)
-    assert seen == [(3, 2)]
-    assert str(exc.value) == (
-        f"peel spent {spent} extensions, cap is {spent - 1} (k=3, q=2)")
-    # the peel passes the error on rather than stopping early
-    monkeypatch.setattr(skfree, "step_extension_cap", lambda k, q: 0)
-    with pytest.raises(BoundExceeded):
-        peel_realizer(bp, 3, 2, base_threshold=8, seed=0)
-
-
 def test_peel_step_needs_enough_a_elements():
     bp = random_skfree_bipartite(3, 6, 0.3, 3, seed=2)
     with pytest.raises(NoMonochromaticSet):
@@ -746,20 +727,25 @@ def test_peeling_the_dual_realizes_both_orders(na, nb):
 
 
 def test_peel_realizer_checks_in_its_host_orientation(monkeypatch):
-    # a dual peel is checked against the dual, where its orders share
-    # prefixes, and only then reversed to realize the input
-    checked = []
-    real_check = skfree.check_realizer
-    monkeypatch.setattr(skfree, "check_realizer", lambda p, exts:
-                        checked.append(p) or real_check(p, exts))
+    # the one check is of the orders returned, against the input; a dual
+    # peel's (na > nb) share suffixes there, so is_realizer walks them
+    # reversed, in the host's orientation, where they share prefixes
+    checked, walks = [], []
+    real_check, real_walk = skfree.check_realizer, dimension.listed_below
+    monkeypatch.setattr(skfree, "check_realizer", lambda p, orders:
+                        checked.append((p, orders)) or real_check(p, orders))
+    monkeypatch.setattr(dimension, "listed_below", lambda orders, n:
+                        walks.append(orders[0]) or real_walk(orders, n))
     for na, nb in ((50, 30), (30, 50)):
         bp = random_skfree_bipartite(na, nb, 1.5 / 40, 3, seed=7)
         cert = peel_realizer(bp, 3, 3, base_threshold=12, seed=7)
-        (got,) = checked
+        ((got, orders),) = checked
         assert cert.steps
-        assert (got == bp.poset.dual()) if na > nb else (got is bp.poset)
-        check_realizer(bp.poset, cert.realizer.orders)
+        assert got is bp.poset and orders is cert.realizer.orders
+        first = cert.realizer.orders[0].order
+        assert walks == [first[::-1] if na > nb else first]
         checked.clear()
+        walks.clear()
 
 
 @pytest.mark.parametrize("na, nb", [(50, 30), (30, 50)])
@@ -961,6 +947,15 @@ def _empty_step(data):
     data["base_dimension"] -= 1
 
 
+def _negative_base(data):
+    # the base's members and one more moved to step 0's cleanup: the
+    # totals hold, and the base is left with -1 members
+    step, moved = data["steps"][0], data["base_dimension"] + 1
+    step["cleanup_extensions"] += moved
+    step["extensions_built"] += moved
+    data["base_dimension"] -= moved
+
+
 def _removed(step, ids):
     # the step's removed set becomes ids(every step's removed set)
     def edit(data):
@@ -981,6 +976,8 @@ def _removed(step, ids):
     (None, "base_size", 11, ValueError, "^certificate 'base_size' is 11, not 10$"),
     (None, None, _negative_cleanup, ValueError,
      "^certificate step 0 'cleanup_extensions' is -1, below 0$"),
+    (None, None, _negative_base, ValueError,
+     "^certificate 'base_dimension' is -1, below 0$"),
     (None, None, _widen_matrix, ValueError,
      "^certificate step 0 'matrix' rows must each have q=2 columns$"),
     (None, None, _two_in_matrix, ValueError,
