@@ -39,7 +39,7 @@ from .experiments import (
     run_growth_experiment,
     run_prob_lemma_trials,
 )
-from .skfree import (certificate_from_json_dict, certificate_to_json_dict,
+from .skfree import (_k_2k_ln_q, certificate_from_json_dict, certificate_to_json_dict,
                      peel_realizer, step_extension_cap)
 
 _DEFAULT_DIM_BUDGET = 1_000_000
@@ -124,9 +124,13 @@ def _cmd_dim(args) -> int:
                         raise VerificationFailed(
                             f"certificate step {i} removes {step.q} elements in "
                             f"color {step.color}, but its parameters are k={k}, q={q}")
-                    # the cap passes 2^k, so a huge k is never raised to a power
-                    spent = step.extensions_built
-                    if spent.bit_length() > k and spent > step_extension_cap(k, q):
+                    # rows = ceil(k 2^k ln q) >= 2^k, so a huge k is refused uncomputed
+                    rows, spent = step.matrix.r, step.extensions_built
+                    if rows.bit_length() <= k or not rows - 1 < _k_2k_ln_q(k, q) <= rows:
+                        raise VerificationFailed(
+                            f"certificate step {i} has {rows} matrix rows, not "
+                            f"ceil(k 2^k ln q) for k={k}, q={q}")
+                    if spent > step_extension_cap(k, q):
                         raise VerificationFailed(
                             f"certificate step {i} spends {spent} extensions, over the "
                             f"cap of {step_extension_cap(k, q)} for k={k}, q={q}")

@@ -357,15 +357,18 @@ def greedy_reversing_extensions(
 _CONFLICT_PAIR_CAP = 2000  # most critical pairs the search takes on
 
 
-def _packed_place(up: int, x: int, y: int, n: int, full: int, diag: int) -> int | None:
-    """Add y < x to a closure packed into one int, u's up-row at bit u*n;
-    None if y lies above x.  The rows at or below y, column y of up and
-    y's own, each gain x's row and x: each product term is below 2**n
-    and lands in its own row, so nothing carries."""
-    ux = (up >> x * n) & full
-    if ux >> y & 1:
+def _packed_place(up: int, row: int, col: int, own: int, x_bit: int,
+                  full: int, diag: int) -> int | None:
+    """Add y < x to a closure packed into one int, None if y lies above x.
+    Each of the pairs' xs has an up-row of w = full.bit_length() bits, the
+    pairs' ys' columns; diag is bit 0 of every row, x's row starts at bit
+    row, y's column is col, own is bit 0 of y's row and x_bit x's column
+    bit, each 0 where there is none.  The rows at or below y gain x's row
+    and x: each product term is below 2**w, in its own row, so no carry."""
+    ux = up >> row & full
+    if ux >> col & 1:
         return None
-    return up | (((up >> y) & diag) | 1 << y * n) * (ux | 1 << x)
+    return up | ((up >> col & diag) | own) * (ux | x_bit)
 
 
 def _conflict_masks(p: Poset, cps: Sequence[CriticalPair]) -> list[int]:
@@ -481,15 +484,22 @@ def _exact_core(p: Poset, budget: int | None) -> DimensionResult:
         )
 
     nodes_left = budget if budget is not None else -1
-    n, full = p.n, (1 << p.n) - 1
-    diag = sum(1 << u * n for u in range(n))
+    # _packed_place's layout, p's closure cut to the pairs' xs and ys (a
+    # placement reads only x's row and column y), and each pair's step
+    col = {y: j for j, y in enumerate(sorted({y for _, y in cps}))}
+    shift = {x: r * len(col) for r, x in enumerate(sorted({x for x, _ in cps}))}
+    full, diag = (1 << len(col)) - 1, sum(1 << s for s in shift.values())
+    start = sum(sum(1 << col[v] for v in iter_bits(p._up[x]) if v in col) << s
+                for x, s in shift.items())
+    steps = [(1 << i, shift[x], col[y], 1 << shift[y] if y in shift else 0,
+              1 << col[x] if x in col else 0, conf[i]) for i in order for x, y in [cps[i]]]
 
     def search(d: int) -> list[_Closure] | None:
         # Depth-first over pair indices with an explicit trail.  Opened
         # classes are always a prefix (a pair may open only the first
         # empty class), so pair idx tries classes 0..min(used, d-1).
         nonlocal nodes_left
-        class_up = [sum(row << u * n for u, row in enumerate(p._up))] * d
+        class_up = [start] * d
         class_conf = [0] * d
         used = 0
         # Each class's closure is one int (_packed_place).  Per placed
@@ -500,9 +510,7 @@ def _exact_core(p: Poset, budget: int | None) -> DimensionResult:
         trail: list[tuple[int, int, int, bool]] = []
         idx = c = 0
         while idx < m:
-            i = order[idx]
-            x, y = cps[i]
-            bit = 1 << i
+            bit, row, col_y, own, x_bit, pair_conf = steps[idx]
             while c < d and c <= used:
                 if c < used and class_conf[c] & bit:
                     c += 1
@@ -515,11 +523,11 @@ def _exact_core(p: Poset, budget: int | None) -> DimensionResult:
                     )
                 if nodes_left > 0:
                     nodes_left -= 1
-                placed = _packed_place(class_up[c], x, y, n, full, diag)
+                placed = _packed_place(class_up[c], row, col_y, own, x_bit, full, diag)
                 if placed is not None:  # else y < x closes a cycle
                     trail.append((c, class_up[c], class_conf[c], c == used))
                     class_up[c] = placed
-                    class_conf[c] |= conf[i]
+                    class_conf[c] |= pair_conf
                     used += c == used  # opened it
                     break
                 c += 1

@@ -321,7 +321,7 @@ def build_reversing_extensions(
     if not (1 <= color <= k):
         raise ValueError(f"color {color} out of range 1..{k}")
     t = min(max(color - 1, k - color), q)
-    r = math.ceil(k * (2 ** k) * math.log(q))
+    r = math.ceil(_k_2k_ln_q(k, q))
     mat = acquire_event_matrix(t, q, r, seed)
     sigmas = {row: sigma_permutations(row, q) for row in set(mat.rows)}
     traversals = [s for row in mat.rows for s in sigmas[row]]
@@ -334,11 +334,19 @@ def build_reversing_extensions(
 # -- peeling ------------------------------------------------------------------
 
 
+def _k_2k_ln_q(k: int, q: int, times: int = 1) -> float:
+    """times k 2^k ln q, as int * float rounds it; ValueError naming k past floats."""
+    try:
+        return math.ldexp(times * k * math.log(q), k)
+    except OverflowError:
+        raise ValueError(f"k={k} is too large: k 2^k ln q passes the float range") from None
+
+
 def step_extension_cap(k: int, q: int) -> int:
     """Most extensions one peel of a q-set may spend: floor(3x), x = k 2^k ln q.
     peel_step spends 2 ceil(x) + 1 < 2x + 3 <= 3x, as x >= 8 ln 2 > 3 at k,
     q >= 2; so, an integer, at most floor(3x)."""
-    return math.floor(3 * k * (2 ** k) * math.log(q))
+    return math.floor(_k_2k_ln_q(k, q, 3))
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,18 @@ def test_peel_rejects_small_k_and_q(tmp_path, capsys, k, q):
     assert json.loads(err)["error"] == "ArgumentError"
 
 
+def test_peel_at_a_k_past_the_float_range_exits_1(tmp_path, capsys):
+    # k 2^k ln q overflows a float: a domain error naming k, no traceback
+    f = str(tmp_path / "free.poset")
+    run(capsys, "gen", "--type", "skfree:12,12,0.2,3", "--seed", "4", "-o", f)
+    code, out, err = run(capsys, "peel", f, "--k", "1030", "--q", "2",
+                         "--threshold", "6", "--seed", "1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ArgumentError",
+        "message": "k=1030 is too large: k 2^k ln q passes the float range"}
+
+
 def test_peel_requires_sides(tmp_path, capsys):
     f = str(tmp_path / "plain.poset")
     run(capsys, "gen", "--type", "random:6,0.3", "--seed", "2", "-o", f)
@@ -374,10 +386,43 @@ def test_verify_refuses_a_step_over_its_cap(tmp_path, capsys):
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(cert))
     assert run(capsys, "dim", poset, "--verify", str(bare)) == verified
-    for k in (4, 10 ** 100):  # a huge k is never raised to a power
+    for k in (4, 10 ** 100):  # 17 rows fit k = 3 only; a huge k is not computed
         legacy["parameters"]["k"] = k
         bad.write_text(json.dumps(legacy))
-        assert run(capsys, "dim", poset, "--verify", str(bad)) == verified
+        code, out, err = run(capsys, "dim", poset, "--verify", str(bad))
+        assert code == 1 and out == ""
+        assert json.loads(err)["message"] == (
+            f"certificate step 0 has 17 matrix rows, not ceil(k 2^k ln q) "
+            f"for k={k}, q=2")
+
+
+def test_verify_refuses_a_step_whose_rows_its_parameters_rule_out(tmp_path, capsys):
+    # ceil(3 2^3 ln 2) = 17: step 0 drops one of its zero rows, and its
+    # two members move to the base, so every stored count still agrees
+    poset = str(DATA / "legacy_v1.poset")
+    legacy = json.loads((DATA / "legacy_v1.cert.json").read_text())
+    cert = legacy["certificate"]
+    step = cert["steps"][0]
+    assert step["matrix_rows"] == 17 and step["matrix"][-1] == "00"
+    del step["matrix"][-1]
+    step["matrix_rows"] -= 1
+    step["extensions_built"] -= 2
+    cert["base_dimension"] += 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(legacy))
+    code, out, err = run(capsys, "dim", poset, "--verify", str(bad))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "VerificationFailed", "pair": None,
+        "message": "certificate step 0 has 16 matrix rows, not ceil(k 2^k ln q) "
+                   "for k=3, q=2"}
+    verified = (0, "verified 144 extensions realize the poset\n", "")
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(cert))
+    assert run(capsys, "dim", poset, "--verify", str(bare)) == verified
+    legacy = json.loads((DATA / "legacy_v1.cert.json").read_text())
+    bad.write_text(json.dumps(legacy))
+    assert run(capsys, "dim", poset, "--verify", str(bad)) == verified
 
 
 def test_a_fresh_peel_certificate_verifies(tmp_path, capsys):

@@ -292,17 +292,29 @@ def test_closure_updates_match_warshall(seed, n, edge_prob, data):
     # the closure after any sequence of updates is the transitive closure
     # of p plus the accepted edges; an edge that would close a cycle
     # (hi at or below lo) is refused, an implied one is accepted.  The
-    # search's packed closure takes one lo per update, never hi itself
+    # search's packed closure takes one lo per update, never hi itself,
+    # hi one of its rows and lo one of its columns: every element for
+    # both ("identity"), or a cut with some row that is no column and
+    # some column that is no row, so own and x_bit are 0 in some steps
     p = random_poset(n, edge_prob, seed)
     cl = _Closure(p)
-    packed = data.draw(st.booleans(), label="packed")
-    full = (1 << n) - 1
-    diag = sum(1 << u * n for u in range(n))
-    up = sum(row << u * n for u, row in enumerate(p._up))
+    layout = data.draw(st.sampled_from(["closure", "identity", "cut"]), label="layout")
+    xs = ys = list(range(n))
+    if layout == "cut" and n >= 2:
+        only_x, only_y = data.draw(st.permutations(range(n)), label="outside")[:2]
+        roles = data.draw(st.lists(st.sampled_from(["x", "y", "xy", ""]),
+                                   min_size=n, max_size=n), label="roles")
+        xs = [v for v in range(n) if v == only_x or "x" in roles[v] and v != only_y]
+        ys = [v for v in range(n) if v == only_y or "y" in roles[v] and v != only_x]
+    shift = {x: r * len(ys) for r, x in enumerate(xs)}
+    col = {y: j for j, y in enumerate(ys)}
+    full, diag = (1 << len(ys)) - 1, sum(1 << s for s in shift.values())
+    up = sum(_bits(col[v] for v in ys if p._up[x] >> v & 1) << shift[x] for x in xs)
     edges = relations(p)
     reach = _warshall(n, edges)
+    packed = layout != "closure"
     for _ in range(data.draw(st.integers(1, 10), label="updates")):
-        hi = data.draw(st.integers(0, n - 1), label="hi")
+        hi = data.draw(st.sampled_from(xs if packed else range(n)), label="hi")
         kind = data.draw(st.sampled_from(["any", "implied", "cycle"]))
         pool = [
             v for v in range(n)
@@ -311,16 +323,18 @@ def test_closure_updates_match_warshall(seed, n, edge_prob, data):
             or (kind == "cycle" and (v == hi or reach[hi][v]))
         ] or list(range(n))
         if packed:
-            others = [v for v in range(n) if v != hi]
+            others = [v for v in ys if v != hi]
             if not others:
                 break
-            lo = data.draw(st.sampled_from([v for v in pool if v != hi] or others),
+            lo = data.draw(st.sampled_from([v for v in pool if v in others] or others),
                            label="lo")
-            placed = _packed_place(up, hi, lo, n, full, diag)
+            own = 1 << shift[lo] if lo in shift else 0
+            x_bit = 1 << col[hi] if hi in col else 0
+            placed = _packed_place(up, shift[hi], col[lo], own, x_bit, full, diag)
             assert (placed is None) == reach[hi][lo]
             want = [] if placed is None else [lo]
             up = up if placed is None else placed
-            rows = [(up >> u * n) & full for u in range(n)]
+            rows = [(up >> shift[a]) & full for a in xs]
         else:
             los = data.draw(st.lists(st.sampled_from(pool), max_size=4), label="los")
             want = [lo for lo in los if lo != hi and not reach[hi][lo]]
@@ -328,7 +342,7 @@ def test_closure_updates_match_warshall(seed, n, edge_prob, data):
             rows = cl.up
         edges += [(lo, hi) for lo in want]
         reach = _warshall(n, edges)
-        assert rows == [_bits(b for b in range(n) if reach[a][b]) for a in range(n)]
+        assert rows == [_bits(col[b] for b in ys if reach[a][b]) for a in xs]
         if not packed:
             assert cl.down == [_bits(a for a in range(n) if reach[a][b]) for b in range(n)]
 

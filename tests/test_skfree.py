@@ -422,6 +422,18 @@ def test_build_reversing_extensions_rejects_bad_q_and_color(q, color, fragment):
         build_reversing_extensions(bp, 3, bp.a_order[:q], color, seed=0)
 
 
+def test_a_k_past_the_float_range_is_a_value_error():
+    # k 2^k ln q overflows a float near k = 1,020: both of its users
+    # raise a ValueError naming k, not a bare OverflowError
+    bp = random_skfree_bipartite(5, 5, 0.3, 3, seed=7)
+    for k in (1030, 10 ** 100):
+        with pytest.raises(ValueError, match=f"k={k} is too large"):
+            step_extension_cap(k, 2)
+        with pytest.raises(ValueError, match=f"k={k} is too large"):
+            build_reversing_extensions(bp, k, bp.a_order[:2], 1, seed=0)
+    assert step_extension_cap(1000, 2) == math.floor(3 * 1000 * 2 ** 1000 * math.log(2))
+
+
 def test_build_reversing_extensions_postcondition():
     # the lemma, checked here as the constructor no longer checks it
     hits = 0
