@@ -39,8 +39,8 @@ from .experiments import (
     run_growth_experiment,
     run_prob_lemma_trials,
 )
-from .skfree import (_k_2k_ln_q, certificate_from_json_dict, certificate_to_json_dict,
-                     peel_realizer, step_extension_cap)
+from .skfree import (certificate_from_json_dict, certificate_to_json_dict,
+                     check_certificate_parameters, peel_realizer)
 
 _DEFAULT_DIM_BUDGET = 1_000_000
 
@@ -113,27 +113,12 @@ def _cmd_dim(args) -> int:
         # a CLI wrapper holds a certificate, and the k and q its steps keep;
         # a certificate is read whole, so its steps and totals are checked
         params = data.get("parameters") if isinstance(data, dict) else None
-        if isinstance(data, dict) and "certificate" in data:
-            data = data["certificate"]
+        data = data.get("certificate", data) if isinstance(data, dict) else data
         if isinstance(data, dict) and ("steps" in data or "realizer" in data):
             cert = certificate_from_json_dict(data)
             if isinstance(params, dict) and {"k", "q"} <= params.keys():
-                k, q = _fields(params, ("k", "q"), "certificate parameters")
-                for i, step in enumerate(cert.steps):
-                    if step.color > k or step.q != q:
-                        raise VerificationFailed(
-                            f"certificate step {i} removes {step.q} elements in "
-                            f"color {step.color}, but its parameters are k={k}, q={q}")
-                    # rows = ceil(k 2^k ln q) >= 2^k, so a huge k is refused uncomputed
-                    rows, spent = step.matrix.r, step.extensions_built
-                    if rows.bit_length() <= k or not rows - 1 < _k_2k_ln_q(k, q) <= rows:
-                        raise VerificationFailed(
-                            f"certificate step {i} has {rows} matrix rows, not "
-                            f"ceil(k 2^k ln q) for k={k}, q={q}")
-                    if spent > step_extension_cap(k, q):
-                        raise VerificationFailed(
-                            f"certificate step {i} spends {spent} extensions, over the "
-                            f"cap of {step_extension_cap(k, q)} for k={k}, q={q}")
+                check_certificate_parameters(
+                    cert, *_fields(params, ("k", "q"), "certificate parameters"))
             n, realizer = data["realizer"]["n"], cert.realizer
         else:
             n, realizer, _ = realizer_from_json_dict(data)

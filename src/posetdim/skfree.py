@@ -321,8 +321,7 @@ def build_reversing_extensions(
     if not (1 <= color <= k):
         raise ValueError(f"color {color} out of range 1..{k}")
     t = min(max(color - 1, k - color), q)
-    r = math.ceil(_k_2k_ln_q(k, q))
-    mat = acquire_event_matrix(t, q, r, seed)
+    mat = acquire_event_matrix(t, q, _k_2k_ln_q(k, q), seed)
     sigmas = {row: sigma_permutations(row, q) for row in set(mat.rows)}
     traversals = [s for row in mat.rows for s in sigmas[row]]
     distinct = sorted(set(traversals))
@@ -334,10 +333,11 @@ def build_reversing_extensions(
 # -- peeling ------------------------------------------------------------------
 
 
-def _k_2k_ln_q(k: int, q: int, times: int = 1) -> float:
-    """times k 2^k ln q, as int * float rounds it; ValueError naming k past floats."""
+def _k_2k_ln_q(k: int, q: int, times: int = 1, rounded=math.ceil) -> int:
+    """rounded(times k 2^k ln q), as int * float rounds it; ValueError naming k
+    past floats.  By default ceil(k 2^k ln q): the rows one peel's matrix draws."""
     try:
-        return math.ldexp(times * k * math.log(q), k)
+        return rounded(math.ldexp(times * k * math.log(q), k))
     except OverflowError:
         raise ValueError(f"k={k} is too large: k 2^k ln q passes the float range") from None
 
@@ -346,7 +346,24 @@ def step_extension_cap(k: int, q: int) -> int:
     """Most extensions one peel of a q-set may spend: floor(3x), x = k 2^k ln q.
     peel_step spends 2 ceil(x) + 1 < 2x + 3 <= 3x, as x >= 8 ln 2 > 3 at k,
     q >= 2; so, an integer, at most floor(3x)."""
-    return math.floor(_k_2k_ln_q(k, q, 3))
+    return _k_2k_ln_q(k, q, 3, math.floor)
+
+
+def check_certificate_parameters(cert: PeelCertificate, k: int, q: int) -> None:
+    """VerificationFailed naming the first step k and q rule out: a color above k,
+    other than q removed elements or ceil(k 2^k ln q) rows, or over the step cap."""
+    for i, step in enumerate(cert.steps):
+        at, rows, spent = f"certificate step {i}", step.matrix.r, step.extensions_built
+        if step.color > k or step.q != q:
+            raise VerificationFailed(f"{at} removes {step.q} elements in color "
+                                     f"{step.color}, but its parameters are k={k}, q={q}")
+        # rows = ceil(k 2^k ln q) >= 2^k, so a huge k is refused uncomputed
+        if rows.bit_length() <= k or rows != _k_2k_ln_q(k, q):
+            raise VerificationFailed(f"{at} has {rows} matrix rows, not ceil(k 2^k ln q) "
+                                     f"for k={k}, q={q}")
+        if spent > step_extension_cap(k, q):
+            raise VerificationFailed(f"{at} spends {spent} extensions, over the cap of "
+                                     f"{step_extension_cap(k, q)} for k={k}, q={q}")
 
 
 @dataclass(frozen=True)

@@ -445,6 +445,10 @@ def test_text_round_trip_plain_and_bipartite():
     assert permuted != bp and permuted.poset == bp.poset
 
 
+def test_poset_repr_names_its_size_and_relations():
+    assert repr(Poset.from_relations(3, [(0, 1), (1, 2)])) == "Poset(n=3, relations=3)"
+
+
 @settings(max_examples=50)
 @given(st.integers(0, 10_000), st.integers(1, 9))
 def test_text_round_trip_property(seed, n):

@@ -34,6 +34,7 @@ from posetdim.dimension import (
     _first_fit,
     _packed_place,
     critical_rows,
+    ranked_topological_order,
     realizer_from_json,
     realizer_to_json,
 )
@@ -229,6 +230,14 @@ def test_check_extension_and_reverses():
         check_extension(p, LinearExtension((0, 1)))  # wrong ground set
     with pytest.raises(NotAnExtension):
         check_extension(p, LinearExtension((0, 1, 7)))  # id outside 0..n-1
+
+
+def test_ranked_topological_order_refuses_a_cycle():
+    # each element waits on the other: the scan finds none to emit and
+    # raises instead of looping
+    assert ranked_topological_order([0b10, 0b00], range(2)) == (1, 0)
+    with pytest.raises(AssertionError, match="cycle in the relation"):
+        ranked_topological_order([0b10, 0b01], range(2))
 
 
 @settings(max_examples=40)

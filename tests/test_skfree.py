@@ -18,6 +18,7 @@ from posetdim import (
     build_reversing_extensions,
     certificate_from_json,
     certificate_to_json,
+    check_certificate_parameters,
     check_extension,
     critical_pairs,
     derive_seed,
@@ -624,6 +625,22 @@ def test_peel_realizer_verifies_and_accounts():
         cap = step_extension_cap(3, 2)
         assert all(s.extensions_built <= cap for s in cert.steps)
         assert cert.base_optimal
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_certificate_parameters_agree_with_the_builder(k, q):
+    # a peel at (k, q) keeps every rule its k and q state; one more k
+    # changes the row count and one more q the removed-set size, so
+    # step 0 is refused either way (denser draws hold S_2 at k = 2)
+    p = 0.03 if k == 2 else 0.15
+    bp = random_skfree_bipartite(10, 10, p, k, seed=derive_seed(7, 10 * k + q))
+    cert = peel_realizer(bp, k, q, base_threshold=4, seed=q)
+    assert cert.steps
+    check_certificate_parameters(cert, k, q)
+    for bad_k, bad_q in ((k + 1, q), (k, q + 1)):
+        with pytest.raises(VerificationFailed, match="^certificate step 0 "):
+            check_certificate_parameters(cert, bad_k, bad_q)
 
 
 def test_certificate_counts_duplicate_extensions():
