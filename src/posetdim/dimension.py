@@ -357,20 +357,6 @@ def greedy_reversing_extensions(
 _CONFLICT_PAIR_CAP = 2000  # most critical pairs the search takes on
 
 
-def _packed_place(up: int, row: int, col: int, own: int, x_bit: int,
-                  full: int, diag: int) -> int | None:
-    """Add y < x to a closure packed into one int, None if y lies above x.
-    Each of the pairs' xs has an up-row of w = full.bit_length() bits, the
-    pairs' ys' columns; diag is bit 0 of every row, x's row starts at bit
-    row, y's column is col, own is bit 0 of y's row and x_bit x's column
-    bit, each 0 where there is none.  The rows at or below y gain x's row
-    and x: each product term is below 2**w, in its own row, so no carry."""
-    ux = up >> row & full
-    if ux >> col & 1:
-        return None
-    return up | ((up >> col & diag) | own) * (ux | x_bit)
-
-
 def _conflict_masks(p: Poset, cps: Sequence[CriticalPair]) -> list[int]:
     """Pairwise-conflict graph of critical pairs, one bitmask row each.
 
@@ -406,16 +392,18 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
     second, which lists I descending underneath; a chain core's one
     member serves as both, and an all-isolated p is those two, optimal.
     BudgetExceeded carries the best known result, merged the same way,
-    in .best; a negative budget is a ValueError.
+    in .best; a negative budget is a ValueError.  The witness, or .best,
+    passes check_realizer against p before it is returned or raised.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     linked = [v for v in range(p.n) if p._up[v] | p._down[v]]
-    if len(linked) == p.n or p.n < 2:
-        return _exact_core(p, budget)
     high = tuple(v for v in range(p.n) if not p._up[v] | p._down[v])
+    whole = len(linked) == p.n or p.n < 2
 
     def merged(core: DimensionResult) -> DimensionResult:
+        if whole:
+            return core
         cores = [tuple(linked[v] for v in e.order) for e in core.witness.extensions]
         if len(cores) == 1:
             cores *= 2
@@ -423,12 +411,17 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
             LinearExtension(high[::-1] + order if i == 1 else order + high)
             for i, order in enumerate(cores)), core.optimal)
 
-    if not linked:
-        return DimensionResult(Realizer.of(map(LinearExtension, (high, high[::-1]))), True)
-    try:
-        return merged(_exact_core(p.restrict(linked), budget))
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(str(exc), best=merged(exc.best)) from None
+    if not (whole or linked):
+        res = DimensionResult(Realizer.of(map(LinearExtension, (high, high[::-1]))), True)
+    else:
+        try:
+            res = merged(_exact_core(p if whole else p.restrict(linked), budget))
+        except BudgetExceeded as exc:
+            best = merged(exc.best)
+            check_realizer(p, best.witness.orders)
+            raise BudgetExceeded(str(exc), best=best) from None
+    check_realizer(p, res.witness.orders)
+    return res
 
 
 def _exact_core(p: Poset, budget: int | None) -> DimensionResult:
@@ -483,9 +476,14 @@ def _exact_core(p: Poset, budget: int | None) -> DimensionResult:
             best=greedy,
         )
 
-    nodes_left = budget if budget is not None else -1
-    # _packed_place's layout, p's closure cut to the pairs' xs and ys (a
-    # placement reads only x's row and column y), and each pair's step
+    nodes_left = budget if budget is not None else -1  # -1 never reaches 0
+    # Each search class's closure is one int: p's up-rows of the pairs'
+    # xs at their shifts, cut to w = len(col) columns, the pairs' ys; diag
+    # is bit 0 of every row.  A try reads only x's row and column y, so the
+    # cut loses nothing.  Adding y < x ORs in (column y | own) * (x's row
+    # | x_bit), own being bit 0 of y's row and x_bit x's column bit (0 if
+    # none): the rows at or below y gain x's row and x, each term below
+    # 2**w in its own row, so no carry.
     col = {y: j for j, y in enumerate(sorted({y for _, y in cps}))}
     shift = {x: r * len(col) for r, x in enumerate(sorted({x for x, _ in cps}))}
     full, diag = (1 << len(col)) - 1, sum(1 << s for s in shift.values())
@@ -502,17 +500,17 @@ def _exact_core(p: Poset, budget: int | None) -> DimensionResult:
         class_up = [start] * d
         class_conf = [0] * d
         used = 0
-        # Each class's closure is one int (_packed_place).  Per placed
-        # pair the trail keeps its class, that class's int and conflict
-        # mask before the placement, and whether the placement opened
-        # it: undoing restores the kept int, and a settled d replays
-        # each class's pairs onto a _Closure for its extension.
+        # Per placed pair the trail keeps its class, that class's int and
+        # conflict mask before the placement, and whether the placement
+        # opened it: undoing restores them (so an unopened class's mask
+        # stays 0), and a settled d replays each class's pairs onto a
+        # _Closure for its extension.
         trail: list[tuple[int, int, int, bool]] = []
         idx = c = 0
         while idx < m:
             bit, row, col_y, own, x_bit, pair_conf = steps[idx]
             while c < d and c <= used:
-                if c < used and class_conf[c] & bit:
+                if class_conf[c] & bit:
                     c += 1
                     continue
                 if nodes_left == 0:
@@ -521,12 +519,12 @@ def _exact_core(p: Poset, budget: int | None) -> DimensionResult:
                         f"best known dimension {greedy.d}",
                         best=greedy,
                     )
-                if nodes_left > 0:
-                    nodes_left -= 1
-                placed = _packed_place(class_up[c], row, col_y, own, x_bit, full, diag)
-                if placed is not None:  # else y < x closes a cycle
-                    trail.append((c, class_up[c], class_conf[c], c == used))
-                    class_up[c] = placed
+                nodes_left -= 1
+                up = class_up[c]
+                ux = up >> row & full
+                if not ux >> col_y & 1:  # else y < x closes a cycle
+                    trail.append((c, up, class_conf[c], c == used))
+                    class_up[c] = up | ((up >> col_y & diag) | own) * (ux | x_bit)
                     class_conf[c] |= pair_conf
                     used += c == used  # opened it
                     break

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from posetdim import (__version__, load_poset, peel_realizer,
-                      random_skfree_bipartite, step_extension_cap)
+from posetdim import (DimensionResult, Realizer, __version__, dimension,
+                      load_poset, peel_realizer, random_skfree_bipartite,
+                      step_extension_cap)
 from posetdim.cli import main
 from posetdim.core import MAX_TEXT_N, poset_to_text, standard_example_bipartite
+from posetdim.errors import BudgetExceeded
 from posetdim.skfree import certificate_from_json_dict, certificate_to_json_dict
 
 from conftest import swap_inside_shared_prefix
@@ -80,6 +82,27 @@ def test_dim_of_the_empty_poset_is_0(tmp_path, capsys):
     f.write_text("poset 0\n")
     code, out, _ = run(capsys, "dim", str(f))
     assert code == 0 and out == "dimension 0\noptimal true\n"
+
+
+@pytest.mark.parametrize("overrun", [False, True])
+def test_dim_prints_no_unchecked_bound(tmp_path, monkeypatch, capsys, overrun):
+    # the core solver's witness with a member dropped, returned or raised
+    # as BudgetExceeded's .best: dim prints nothing and one JSON error
+    core = dimension._exact_core
+
+    def dropped(p, budget):
+        short = DimensionResult(Realizer.of(core(p, budget).witness.extensions[1:]), False)
+        if overrun:
+            raise BudgetExceeded("search budget exhausted", best=short)
+        return short
+
+    monkeypatch.setattr(dimension, "_exact_core", dropped)
+    f = str(tmp_path / "s3.poset")
+    run(capsys, "gen", "--type", "standard:3", "--seed", "1", "-o", f)
+    code, out, err = run(capsys, "dim", f, "--budget", "100")
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "VerificationFailed"
 
 
 # -- peel / verify / split -----------------------------------------------------------

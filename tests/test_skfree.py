@@ -758,13 +758,14 @@ def test_peeling_the_dual_realizes_both_orders(na, nb):
 def test_peel_realizer_checks_in_its_host_orientation(monkeypatch):
     # the one check is of the orders returned, against the input; a dual
     # peel's (na > nb) share suffixes there, so is_realizer walks them
-    # reversed, in the host's orientation, where they share prefixes
+    # reversed, in the host's orientation, where they share prefixes (the
+    # other walk is exact_dimension's check of the smaller base)
     checked, walks = [], []
     real_check, real_walk = skfree.check_realizer, dimension.listed_below
     monkeypatch.setattr(skfree, "check_realizer", lambda p, orders:
                         checked.append((p, orders)) or real_check(p, orders))
     monkeypatch.setattr(dimension, "listed_below", lambda orders, n:
-                        walks.append(orders[0]) or real_walk(orders, n))
+                        walks.append((n, orders[0])) or real_walk(orders, n))
     for na, nb in ((50, 30), (30, 50)):
         bp = random_skfree_bipartite(na, nb, 1.5 / 40, 3, seed=7)
         cert = peel_realizer(bp, 3, 3, base_threshold=12, seed=7)
@@ -772,7 +773,9 @@ def test_peel_realizer_checks_in_its_host_orientation(monkeypatch):
         assert cert.steps
         assert got is bp.poset and orders is cert.realizer.orders
         first = cert.realizer.orders[0].order
-        assert walks == [first[::-1] if na > nb else first]
+        assert [w for n, w in walks if n == bp.poset.n] == [
+            first[::-1] if na > nb else first]
+        assert len(walks) == 2
         checked.clear()
         walks.clear()
 
