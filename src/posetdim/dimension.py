@@ -561,11 +561,15 @@ def _exact_core(p: Poset, budget: int | None) -> DimensionResult:
 
 
 def realizer_to_json_dict(n: int, realizer: Realizer, optimal: bool) -> dict:
-    """The v2 realizer dict: the realizer's orders and members as held."""
+    """The v3 realizer dict: each held order as the length it shares with
+    the one before ("shared", 0 for the first) and the rest ("tails")."""
+    orders = [ext.order for ext in realizer.orders]
+    shared = list(map(_common, orders, [(), *orders]))
     return {
         "n": n,
         "dimension": len(realizer),
-        "orders": [list(ext.order) for ext in realizer.orders],
+        "shared": shared,
+        "tails": [list(order[i:]) for order, i in zip(orders, shared)],
         "members": list(realizer.members),
         "optimal": bool(optimal),
     }
@@ -615,32 +619,38 @@ def _check_count(what: str, data: dict, key: str, want: int) -> None:
 
 
 def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
-    """Parse a realizer dict, v2 ("orders" and "members") or v1 (one
-    order per member in "extensions", through Realizer.of); ValueError
-    if it is not shaped like one, if a v2 order is no member's, or if a
-    stored count ("dimension", optional) is not the one derived again.
-    A v2 realizer holds the file's orders and members as they are."""
+    """Parse a realizer dict: v3 ("shared", "tails", "members"), each order
+    the one before's first "shared" elements plus its tail; v2, "orders" as
+    tails sharing nothing; or v1, one order per member in "extensions",
+    through Realizer.of.  ValueError if it is not shaped like one, if an
+    order is no member's, or if "dimension" (optional) is not the member count."""
     _require_keys(data, ("n", "optimal"), "realizer JSON")
-    v1 = "extensions" in data
-    if v1 == ("orders" in data):
+    keys = [key for key in ("tails", "orders", "extensions") if key in data]
+    if len(keys) != 1:
         raise ValueError(
-            "realizer JSON has both 'orders' and v1 'extensions'" if v1 else
-            "realizer JSON lacks the 'orders' key (or the v1 'extensions' key)"
+            f"realizer JSON has both {keys[0]!r} and {keys[1]!r}" if keys else
+            "realizer JSON lacks the 'tails' key (or v2 'orders' or v1 'extensions')"
         )
     (n,) = _fields(data, ("n",), "realizer")
     if n < 0:
         raise ValueError(f"realizer 'n' must be non-negative, got {n}")
-    key = "extensions" if v1 else "orders"
+    (key,) = keys
     rows = data[key]
     if not isinstance(rows, list) or not all(map(_is_int_list, rows)):
         raise ValueError(f"realizer {key!r} must be a list of integer lists")
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(
-                f"realizer {key!r} row {i} has length {len(row)}, not n={n}"
-            )
-    exts = [LinearExtension(tuple(row)) for row in rows]
-    if v1:
+    shared = data.get("shared") if key == "tails" else [0] * len(rows)
+    if not _is_int_list(shared) or len(shared) != len(rows):
+        raise ValueError("realizer 'shared' must be a list of integers, one per tail")
+    exts, prev = [], ()
+    for i, (k, row) in enumerate(zip(shared, rows)):
+        if not 0 <= k <= len(prev):  # a negative k would slice from the end
+            raise ValueError(f"realizer 'shared' {i} is {k}, not in 0..{len(prev)}")
+        if len(row) != n - k:
+            want = f"n-shared={n - k}" if k else f"n={n}"
+            raise ValueError(f"realizer {key!r} row {i} has length {len(row)}, not {want}")
+        prev = prev[:k] + tuple(row)
+        exts.append(LinearExtension(prev))
+    if key == "extensions":
         realizer = Realizer.of(exts)
     else:
         _require_keys(data, ("members",), "realizer JSON")
@@ -650,7 +660,7 @@ def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
         # an order no member names would be checked but never counted
         if set(members) != set(range(len(rows))):
             raise ValueError(
-                f"realizer 'members' must be indices naming all {len(rows)} 'orders'"
+                f"realizer 'members' must be indices naming all {len(rows)} {key!r}"
             )
         realizer = Realizer(tuple(exts), tuple(members))
     _check_count("realizer", data, "dimension", len(realizer))

@@ -5,9 +5,9 @@ Everything here is implemented independently of the package internals
 fast paths have something honest to agree with: the reference
 dimension by exhausting linear extensions, the theorem scans of the
 acceptance criteria, and small relation helpers read through Poset.lt.
-The v1 renderers at the end write a decoded realizer or certificate
-back in the layout the old JSON writer used, so hashes pinned on v1
-text keep checking content.
+The v1 and v2 renderers at the end write a decoded realizer or
+certificate back in the layouts the older JSON writers used, so hashes
+pinned on v1 and v2 text keep checking content.
 """
 
 from __future__ import annotations
@@ -305,8 +305,21 @@ def v1_realizer_dict(n: int, realizer, optimal: bool) -> dict:
     }
 
 
-def v1_certificate_dict(cert) -> dict:
-    """A peel certificate in the v1 JSON layout, key for key."""
+def v2_realizer_dict(n: int, realizer, optimal: bool) -> dict:
+    """A realizer in the v2 JSON layout: each distinct order whole, and
+    per member its index."""
+    return {
+        "n": n,
+        "dimension": len(realizer),
+        "orders": [list(ext.order) for ext in realizer.orders],
+        "members": list(realizer.members),
+        "optimal": bool(optimal),
+    }
+
+
+def _certificate_dict(cert, realizer_dict) -> dict:
+    """A peel certificate, key for key, its realizer in realizer_dict's
+    layout."""
     exts = cert.realizer.extensions
     return {
         "steps": [
@@ -325,9 +338,19 @@ def v1_certificate_dict(cert) -> dict:
         "base_dimension": cert.base_dimension,
         "base_optimal": cert.base_optimal,
         "total_size": cert.total_size,
-        "realizer": v1_realizer_dict(len(exts[0]) if exts else 0,
-                                     cert.realizer, False),
+        "realizer": realizer_dict(len(exts[0]) if exts else 0,
+                                  cert.realizer, False),
     }
+
+
+def v1_certificate_dict(cert) -> dict:
+    """A peel certificate in the v1 JSON layout, key for key."""
+    return _certificate_dict(cert, v1_realizer_dict)
+
+
+def v2_certificate_dict(cert) -> dict:
+    """A peel certificate in the v2 JSON layout, key for key."""
+    return _certificate_dict(cert, v2_realizer_dict)
 
 
 def v1_realizer_json(n: int, realizer, optimal: bool) -> str:
@@ -338,3 +361,13 @@ def v1_realizer_json(n: int, realizer, optimal: bool) -> str:
 def v1_certificate_json(cert) -> str:
     """Text the v1 writer gave for a certificate (indent 2)."""
     return json.dumps(v1_certificate_dict(cert), indent=2)
+
+
+def v2_realizer_json(n: int, realizer, optimal: bool) -> str:
+    """Text the v2 writer gave for a realizer (indent 2)."""
+    return json.dumps(v2_realizer_dict(n, realizer, optimal), indent=2)
+
+
+def v2_certificate_json(cert) -> str:
+    """Text the v2 writer gave for a certificate (indent 2)."""
+    return json.dumps(v2_certificate_dict(cert), indent=2)

@@ -18,7 +18,7 @@ from posetdim.core import MAX_TEXT_N, poset_to_text, standard_example_bipartite
 from posetdim.errors import BudgetExceeded
 from posetdim.skfree import certificate_from_json_dict, certificate_to_json_dict
 
-from conftest import swap_inside_shared_prefix
+from conftest import swap_inside_shared_prefix, v2_certificate_dict
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -221,12 +221,19 @@ def test_verify_refuses_a_swap_inside_a_shared_prefix(tmp_path, capsys):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps({"certificate": cert}))
     assert run(capsys, "dim", str(f), "--verify", str(path))[0] == 0
-    orders = cert["realizer"]["orders"]
-    orders[1] = swap_inside_shared_prefix(bp.poset, orders)
-    path.write_text(json.dumps({"certificate": cert}))
-    code, out, err = run(capsys, "dim", str(f), "--verify", str(path))
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "NotAnExtension"
+    v2 = v2_certificate_dict(certificate_from_json_dict(cert))
+    orders = v2["realizer"]["orders"]
+    swapped = swap_inside_shared_prefix(bp.poset, orders)
+    orders[1] = swapped
+    # in v3 the second entry claims to share nothing and carries the
+    # swapped order whole: the claim only sets where the rebuild starts
+    v3 = copy.deepcopy(cert)
+    v3["realizer"]["shared"][1], v3["realizer"]["tails"][1] = 0, swapped
+    for bad in (v2, v3):
+        path.write_text(json.dumps({"certificate": bad}))
+        code, out, err = run(capsys, "dim", str(f), "--verify", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "NotAnExtension"
 
 
 def test_verify_rejects_wrong_realizer(tmp_path, capsys):
@@ -306,6 +313,39 @@ def test_verify_rejects_wrong_realizer(tmp_path, capsys):
      "ArgumentError", "naming all 1 'orders'"),
     ({"n": 3, "orders": [[0, 1, 2], [0, 2, 1]], "members": [0, 0],
       "optimal": False}, "ArgumentError", "naming all 2 'orders'"),
+    # v3: each distinct order as the prefix length it shares with the
+    # order before it and the tail after that prefix
+    ({"n": 3, "optimal": False, "tails": [[0, 1, 2]], "members": [0]},
+     "ArgumentError", "'shared'"),
+    ({"n": 3, "optimal": False, "shared": [0], "tails": [[0, 1, 2]],
+      "orders": [[0, 1, 2]], "members": [0]},
+     "ArgumentError", "both 'tails' and 'orders'"),
+    ({"n": 3, "optimal": False, "shared": [0], "tails": [[0, 1, 2]],
+      "extensions": [[0, 1, 2]], "members": [0]},
+     "ArgumentError", "both 'tails' and 'extensions'"),
+    ({"n": 3, "optimal": False, "shared": [0], "tails": [[0, 1, 2], [2]],
+      "members": [0, 1]},
+     "ArgumentError", "'shared' must be a list of integers, one per tail"),
+    ({"n": 3, "optimal": False, "shared": [0, True], "tails": [[0, 1, 2], [2]],
+      "members": [0, 1]}, "ArgumentError", "'shared' must be a list of integers"),
+    ({"n": 3, "optimal": False, "shared": [0], "tails": [[0, 1, 2.0]],
+      "members": [0]}, "ArgumentError", "'tails' must be a list of integer lists"),
+    ({"n": 3, "optimal": False, "shared": [0, -1], "tails": [[0, 1, 2], [2]],
+      "members": [0, 1]}, "ArgumentError", "'shared' 1 is -1, not in 0..3"),
+    ({"n": 3, "optimal": False, "shared": [1], "tails": [[1, 2]],
+      "members": [0]}, "ArgumentError", "'shared' 0 is 1, not in 0..0"),
+    ({"n": 3, "optimal": False, "shared": [0, 4], "tails": [[0, 1, 2], []],
+      "members": [0, 1]}, "ArgumentError", "'shared' 1 is 4, not in 0..3"),
+    ({"n": 3, "optimal": False, "shared": [0], "tails": [[0, 1]],
+      "members": [0]}, "ArgumentError", "'tails' row 0 has length 2, not n=3"),
+    ({"n": 3, "optimal": False, "shared": [0, 1], "tails": [[0, 1, 2], [2]],
+      "members": [0, 1]},
+     "ArgumentError", "'tails' row 1 has length 1, not n-shared=2"),
+    ({"n": 3, "optimal": False, "shared": [0], "tails": [[0, 1, 2]],
+      "members": []}, "ArgumentError", "naming all 1 'tails'"),
+    # a rebuilt order goes through every check a whole one does
+    ({"n": 3, "optimal": False, "shared": [0, 2], "tails": [[0, 1, 2], [1]],
+      "members": [0, 1]}, "NotAnExtension", "not a permutation"),
 ])
 def test_verify_reports_malformed_realizers(tmp_path, capsys, realizer,
                                              error, fragment):
@@ -336,19 +376,21 @@ def test_verify_reports_over_nested_json(tmp_path, capsys, depth):
 
 def test_verify_reads_v1_and_v2_alike(tmp_path, capsys):
     # the legacy file, written before v2 by a peel that still spent
-    # cleanup members, against its own v2 rendering
+    # cleanup members, against its own v3 and v2 renderings
     poset = str(DATA / "legacy_v1.poset")
     legacy = json.loads((DATA / "legacy_v1.cert.json").read_text())
     code, out, err = run(capsys, "dim", poset, "--verify",
                          str(DATA / "legacy_v1.cert.json"))
     assert code == 0 and err == ""
     assert out == "verified 144 extensions realize the poset\n"
-    v2 = tmp_path / "v2.json"
-    legacy["certificate"] = certificate_to_json_dict(
-        certificate_from_json_dict(legacy["certificate"]))
-    assert "orders" in legacy["certificate"]["realizer"]
-    v2.write_text(json.dumps(legacy))
-    assert run(capsys, "dim", poset, "--verify", str(v2)) == (0, out, "")
+    cert = certificate_from_json_dict(legacy["certificate"])
+    path = tmp_path / "rendered.json"
+    for render, key in ((certificate_to_json_dict, "tails"),
+                        (v2_certificate_dict, "orders")):
+        legacy["certificate"] = render(cert)
+        assert key in legacy["certificate"]["realizer"]
+        path.write_text(json.dumps(legacy))
+        assert run(capsys, "dim", poset, "--verify", str(path)) == (0, out, "")
 
 
 @pytest.mark.parametrize("where, key, value, step", [
@@ -454,7 +496,7 @@ def test_a_fresh_peel_certificate_verifies(tmp_path, capsys):
     code, _, _ = run(capsys, "peel", poset, "--k", "3", "--q", "2",
                      "--threshold", "6", "--seed", "5", "--json", cert)
     assert code == 0
-    assert "orders" in json.loads(open(cert).read())["certificate"]["realizer"]
+    assert "tails" in json.loads(open(cert).read())["certificate"]["realizer"]
     code, out, err = run(capsys, "dim", poset, "--verify", cert)
     assert code == 0 and err == ""
     assert out.startswith("verified ")

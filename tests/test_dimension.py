@@ -36,7 +36,9 @@ from posetdim.dimension import (
     critical_rows,
     ranked_topological_order,
     realizer_from_json,
+    realizer_from_json_dict,
     realizer_to_json,
+    realizer_to_json_dict,
 )
 from posetdim.errors import (BudgetExceeded, ComparablePairError, NotAnExtension,
                              VerificationFailed)
@@ -50,6 +52,7 @@ from conftest import (
     relations,
     reverses,
     seeded_posets,
+    v2_realizer_dict,
 )
 
 
@@ -600,9 +603,9 @@ def test_realizer_json_stores_each_order_once():
     assert family.members == (0, 1, 0, 1, 0) and len(family) == 5
     text = realizer_to_json(3, family, False)
     data = json.loads(text)
-    assert data["orders"] == [[0, 1, 2], [2, 1, 0]]
+    assert data["shared"] == [0, 0] and data["tails"] == [[0, 1, 2], [2, 1, 0]]
     assert data["members"] == [0, 1, 0, 1, 0]
-    assert data["dimension"] == 5 and "extensions" not in data
+    assert data["dimension"] == 5 and not {"orders", "extensions"} & data.keys()
     _, back, _ = realizer_from_json(text)
     assert back == family
     # members naming one order share one object
@@ -610,8 +613,14 @@ def test_realizer_json_stores_each_order_once():
     assert back.extensions[1] is back.extensions[3]
     # the writer emits the orders and members as held, in their order
     held = json.loads(realizer_to_json(3, Realizer((b, a), (1, 0, 1)), False))
-    assert held["orders"] == [[2, 1, 0], [0, 1, 2]]
+    assert held["tails"] == [[2, 1, 0], [0, 1, 2]]
     assert held["members"] == [1, 0, 1] and held["dimension"] == 3
+    # an order stores only the tail after the prefix it shares with the
+    # order before it, and reads back whole
+    c = LinearExtension((0, 2, 1))
+    tails = json.loads(realizer_to_json(3, Realizer((a, c, c), (0, 1, 2)), False))
+    assert tails["shared"] == [0, 1, 3] and tails["tails"] == [[0, 1, 2], [2, 1], []]
+    assert realizer_from_json(json.dumps(tails))[1].orders == (a, c, c)
     # a v1 file that repeats an order reads back as one order, two members
     v1 = {"n": 3, "extensions": [[0, 1, 2], [0, 1, 2]], "optimal": False}
     _, back, _ = realizer_from_json(json.dumps(v1))
@@ -625,6 +634,38 @@ def test_realizer_rows_of_the_wrong_length_are_refused(key, rows, bad):
     data = {"n": 3, key: rows, "members": [0, 1], "optimal": False}
     with pytest.raises(ValueError, match=f"realizer '{key}' row {bad} has length 2, not n=3"):
         realizer_from_json(json.dumps(data))
+
+
+@st.composite
+def _order_families(draw):
+    """n and a list of permutations of 0..n-1, repeats included, each
+    after the first keeping some prefix of an earlier one."""
+    n = draw(st.integers(0, 7))
+    orders = [draw(st.permutations(range(n)))]
+    for _ in range(draw(st.integers(0, 6))):
+        prev = draw(st.sampled_from(orders[-1:] + orders))
+        k = draw(st.integers(0, n))
+        orders.append(prev[:k] + draw(st.permutations(prev[k:])))
+    return n, [LinearExtension(order) for order in orders]
+
+
+@given(_order_families(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_realizer_json_round_trips_any_family(family, optimal):
+    # realizers or not: the format holds any family of permutations
+    n, exts = family
+    for realizer in (Realizer.of(exts),  # distinct orders, repeated members
+                     Realizer(tuple(exts), tuple(range(len(exts))))):
+        data = realizer_to_json_dict(n, realizer, optimal)
+        assert realizer_from_json_dict(data) == (n, realizer, optimal)
+        assert realizer_from_json(json.dumps(data)) == (n, realizer, optimal)
+        v2 = v2_realizer_dict(n, realizer, optimal)
+        assert realizer_from_json_dict(v2) == (n, realizer, optimal)
+        # each order shares exactly its longest common prefix
+        orders = v2["orders"]
+        for prev, order, k in zip([[]] + orders, orders, data["shared"]):
+            assert order[:k] == prev[:k]
+            assert k == n or order[k:k + 1] != prev[k:k + 1]
 
 
 # -- exact and brute-force solvers --------------------------------------------------

@@ -26,6 +26,15 @@ other orders than the first fit over the whole input did.  Sizes,
 flags and d stayed as they were, the new outputs passed
 perfbench/checks.py, and the growth CSVs, the other exact witnesses and
 every demo kept their hashes.
+
+Realizer and certificate JSON then moved to v3, which stores each
+distinct order as the length of the prefix it shares with the order
+before it and the tail after that prefix.  Each format-bearing output is
+now pinned three times: its v3 text, and the v2 and v1 texts of what
+that v3 text decodes to, which must still hash to the values pinned
+before v3 existed.  The dual peel, pinned only on its text, keeps its
+old hash on its v2 rendering.  No demo prints JSON, so the demo and
+growth-CSV hashes did not move.
 """
 
 import hashlib
@@ -53,7 +62,8 @@ from posetdim import (
 from posetdim.errors import BudgetExceeded
 from posetdim.skfree import certificate_from_json_dict, certificate_to_json_dict
 
-from conftest import v1_certificate_dict, v1_certificate_json, v1_realizer_json
+from conftest import (v1_certificate_dict, v1_certificate_json, v1_realizer_json,
+                      v2_certificate_dict, v2_certificate_json, v2_realizer_json)
 
 
 def sha(text: str) -> str:
@@ -89,28 +99,34 @@ def test_growth_csv_at_q4_is_pinned(seed):
 
 PEEL_320 = "b7adc7ee4946a7318995bb4a830f89bd86bd0e77c6bc7ef224b39b5b8a714a29"
 PEEL_320_V2 = "efbee0d35c0187a35ec3013529708cf70109abdc8f0786cbe04432bef4fac846"
+PEEL_320_V3 = "edf43588ed38f26551c753085fc9fb05fee69c9ad04ec80b0bc2e668df4ad937"
 
 
 def test_peel_certificate_n320_is_pinned():
     bp = random_skfree_bipartite(160, 160, 1.5 / 160, 3, 7)
     cert = peel_realizer(bp, 3, 3, 12, 7)
     text = certificate_to_json(cert)
-    assert sha(text) == PEEL_320_V2
-    assert sha(v1_certificate_json(certificate_from_json(text))) == PEEL_320
-    # 2,917 members but 373 distinct orders; the compact text took
-    # 4.4 MB in v1
-    assert len(json.loads(text)["realizer"]["orders"]) == 373
-    assert len(json.dumps(certificate_to_json_dict(cert))) < 1_000_000
+    assert sha(text) == PEEL_320_V3
+    back = certificate_from_json(text)
+    assert sha(v2_certificate_json(back)) == PEEL_320_V2
+    assert sha(v1_certificate_json(back)) == PEEL_320
+    # 2,917 members but 373 distinct orders, stored as the tails they do
+    # not share; the compact text took 4.4 MB in v1 and 0.59 MB in v2
+    assert len(json.loads(text)["realizer"]["tails"]) == 373
+    assert len(json.dumps(certificate_to_json_dict(cert))) < 200_000
 
 
 # |A| > |B|: the peel runs on the dual and reverses its orders once
 PEEL_DUAL = "b4c0d480f29ce13b86df9389267f890de4d9933032580ff2f7ac77c7a5787e21"
+PEEL_DUAL_V3 = "9bbd70c7e82d5e43f2c05a6a95be07efc675ef5461e9f9b67b7f7bc9df0b1d4a"
 
 
 def test_dual_peel_certificate_is_pinned():
     bp = random_skfree_bipartite(170, 150, 1.5 / 160, 3, derive_seed(7, 0))
     cert = peel_realizer(bp, 3, 3, 12, 7)
-    assert sha(certificate_to_json(cert)) == PEEL_DUAL
+    text = certificate_to_json(cert)
+    assert sha(text) == PEEL_DUAL_V3
+    assert sha(v2_certificate_json(certificate_from_json(text))) == PEEL_DUAL
     assert (len(cert.realizer), len(cert.realizer.orders)) == (2752, 352)
 
 
@@ -126,6 +142,12 @@ GENERAL_V2 = {
     37: "30394071bb6f90e7852abacc6bbf46b9554d5ede169cbb9bd406ac0a5f6d92d0",
     41: "c329a62aec31fac141100c584523442e8d054138c3b9d705aa665cd4b4865dce",
     46: "662595dcd49d47dbcf75345919d192e1d658a535d5e680126678904855895ce2",
+}
+GENERAL_V3 = {
+    12: "658f856c31d190244069792f93b029505aaba2490243e3f8bf0d612d211715b7",
+    37: "b3dd43024ee0aefaa6a5da7d895d5a1b36b52f062414a4e3ce73b95f787e0b05",
+    41: "cfb2b1ad7c4df1af1404a5c6b86d927fedfa2811390af3952fc41ee5f4dacfd3",
+    46: "6b756971f3a10447bac3539e40cfe85f72a97882e7813f2b57df91ba322fd057",
 }
 
 
@@ -144,10 +166,11 @@ def test_general_upper_bound_is_pinned(seed):
                                for e in res.realizer_for_p.extensions],
         }, sort_keys=True)
 
-    v2 = certificate_to_json_dict(res.certificate)
-    assert sha(text(v2)) == GENERAL_V2[seed]
-    v1 = v1_certificate_dict(certificate_from_json_dict(v2))
-    assert sha(text(v1)) == GENERAL[seed]
+    v3 = certificate_to_json_dict(res.certificate)
+    assert sha(text(v3)) == GENERAL_V3[seed]
+    back = certificate_from_json_dict(v3)
+    assert sha(text(v2_certificate_dict(back))) == GENERAL_V2[seed]
+    assert sha(text(v1_certificate_dict(back))) == GENERAL[seed]
 
 
 # seed 0 settles within the budget; seeds 1-4 exhaust it and pin .best
@@ -165,6 +188,13 @@ EXACT_V2 = {
     3: "1798feab3a293849603f4e6365f0f708cdad194c4dee0be7e7b72a00a9a8857f",
     4: "aecdfc781a9ca59c5c8981c527ff9ad0cd6cd5df02c945528ea2c1a006206c81",
 }
+EXACT_V3 = {
+    0: "14ce17d7c835ff073c7973cfc39e2ff3ad5316a2dcd156b579736e53d5b29b6e",
+    1: "546f7c578454c498e14a3468130c4322ac0492260c6ee1d260e70a58526bd64d",
+    2: "14564141d7dad154330253d1c44267427755ba876dd74269be48be9892dd067b",
+    3: "dfa8dbfee2940fa245ebb09a05eefa523a9904e598c1bb45906290a8df6e1eec",
+    4: "579ab3996197cb94eb7d1dc3a333826aa24946f312f836d1e43fb655f2ca4ef0",
+}
 
 
 @pytest.mark.parametrize("seed", sorted(EXACT))
@@ -177,9 +207,10 @@ def test_exact_dimension_witness_is_pinned(seed):
         res = exc.best
         kind = "budget"
     text = realizer_to_json(p.n, res.witness, res.optimal)
-    assert sha(kind + "\n" + text) == EXACT_V2[seed]
-    v1 = v1_realizer_json(*realizer_from_json(text))
-    assert sha(kind + "\n" + v1) == EXACT[seed]
+    assert sha(kind + "\n" + text) == EXACT_V3[seed]
+    back = realizer_from_json(text)
+    assert sha(kind + "\n" + v2_realizer_json(*back)) == EXACT_V2[seed]
+    assert sha(kind + "\n" + v1_realizer_json(*back)) == EXACT[seed]
 
 
 # stdout of each narrative demo, computed before critical pairs became

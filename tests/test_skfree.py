@@ -882,7 +882,7 @@ def test_certificate_json_round_trip():
     assert '"matrix"' in text  # matrices serialize as row strings
     realizer = json.loads(text)["realizer"]
     assert realizer["dimension"] == len(realizer["members"]) == cert.total_size
-    assert len(realizer["orders"]) == len({e.order for e in cert.realizer.extensions})
+    assert len(realizer["tails"]) == len({e.order for e in cert.realizer.extensions})
     data = json.loads(text)
     del data["steps"][0]["matrix_rows"]  # optional: the matrix has its rows
     assert certificate_from_json_dict(data).steps == cert.steps
@@ -895,9 +895,9 @@ def test_v1_certificate_reads_like_a_v2_round_trip():
     assert "extensions" in payload["certificate"]["realizer"]
     legacy = certificate_from_json(json.dumps(payload["certificate"]))
     assert any(step.cleanup_count for step in legacy.steps)
-    v2 = certificate_to_json(legacy)
-    assert "orders" in json.loads(v2)["realizer"]
-    back = certificate_from_json(v2)
+    fresh = certificate_to_json(legacy)
+    assert "tails" in json.loads(fresh)["realizer"]
+    back = certificate_from_json(fresh)
     assert legacy.realizer == back.realizer
     assert legacy.steps == back.steps
     assert legacy.total_size == back.total_size == len(legacy.realizer) == 144
