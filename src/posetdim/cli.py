@@ -26,6 +26,7 @@ from .core import (
     standard_example_bipartite,
 )
 from .dimension import (
+    DEFAULT_BUDGET,
     _fields,
     _parse_json,
     check_realizer,
@@ -41,8 +42,6 @@ from .experiments import (
 )
 from .skfree import (certificate_from_json_dict, certificate_to_json_dict,
                      check_certificate_parameters, peel_realizer)
-
-_DEFAULT_DIM_BUDGET = 1_000_000
 
 
 def _underlying(obj):
@@ -119,7 +118,7 @@ def _cmd_dim(args) -> int:
             if isinstance(params, dict) and {"k", "q"} <= params.keys():
                 check_certificate_parameters(
                     cert, *_fields(params, ("k", "q"), "certificate parameters"))
-            n, realizer = data["realizer"]["n"], cert.realizer
+            n, realizer = cert.n, cert.realizer
         else:
             n, realizer, _ = realizer_from_json_dict(data)
         if n != p.n:
@@ -244,9 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = d.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true",
                        help="search without a node budget")
-    group.add_argument("--budget", type=int, default=_DEFAULT_DIM_BUDGET,
-                       help=f"search node budget (default "
-                            f"{_DEFAULT_DIM_BUDGET})")
+    group.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help=f"search node budget (default {DEFAULT_BUDGET})")
     d.add_argument("--verify", metavar="REALIZER_JSON",
                    help="verify a realizer/certificate JSON instead")
     d.set_defaults(func=_cmd_dim)

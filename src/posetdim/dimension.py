@@ -355,6 +355,7 @@ def greedy_reversing_extensions(
 
 
 _CONFLICT_PAIR_CAP = 2000  # most critical pairs the search takes on
+DEFAULT_BUDGET = 1_000_000  # search nodes exact_dimension spends unless given a budget
 
 
 def _conflict_masks(p: Poset, cps: Sequence[CriticalPair]) -> list[int]:
@@ -382,7 +383,7 @@ def _conflict_masks(p: Poset, cps: Sequence[CriticalPair]) -> list[int]:
     return [y_above[x] & x_below[y] for x, y in cps]
 
 
-def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
+def exact_dimension(p: Poset, budget: int | None = DEFAULT_BUDGET) -> DimensionResult:
     """Exact order dimension with a realizer witness.
 
     Isolated elements I are split off first: with n >= 2, dim p is
@@ -392,8 +393,8 @@ def exact_dimension(p: Poset, budget: int | None = None) -> DimensionResult:
     second, which lists I descending underneath; a chain core's one
     member serves as both, and an all-isolated p is those two, optimal.
     BudgetExceeded carries the best known result, merged the same way,
-    in .best; a negative budget is a ValueError.  The witness, or .best,
-    passes check_realizer against p before it is returned or raised.
+    in .best; budget None is no cap, a negative one a ValueError.  The
+    witness, or .best, passes check_realizer against p before it leaves.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -436,7 +437,7 @@ def _exact_core(p: Poset, budget: int | None) -> DimensionResult:
     _CONFLICT_PAIR_CAP critical pairs skip the conflict graph (no search,
     lower bound 2; a chain's graph is empty, so its bound is 2 too).  The
     greedy first fit is built once and returned if it meets the bound.
-    budget (None or >= 0) caps the search's node expansions.  The
+    budget caps the search's node expansions, None not at all.  The
     greedy (valid, non-optimal) result is BudgetExceeded's .best, raised
     where its reason is known: at the pair cap, or in the search.
     """

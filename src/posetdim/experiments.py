@@ -12,10 +12,10 @@ from dataclasses import asdict, dataclass
 from .core import derive_seed, random_skfree_bipartite
 from .dimension import exact_dimension
 from .errors import BudgetExceeded, GenerationExhausted
-from .skfree import event_E_holds, event_probability_bound, fair_matrix, peel_realizer
+from .skfree import (_MATRIX_ROW_CAP, event_E_holds, event_probability_bound,
+                     fair_matrix, peel_realizer)
 
 _EXACT_GATE = 14  # largest ground size that still gets an exact cross-check
-_EXACT_BUDGET = 500_000
 _GROWTH_BASE_THRESHOLD = 12
 
 
@@ -25,12 +25,15 @@ def run_prob_lemma_trials(
     """Monte Carlo estimate of the isolating-row event on fair matrices.
 
     Returns (empirical frequency over `trials` fair-coin r x q matrices,
-    analytic union bound).  Sampling: one fair_matrix per trial.
+    analytic union bound).  Sampling: one fair_matrix per trial.  An r
+    above skfree._MATRIX_ROW_CAP is a ValueError before any row is drawn.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if not (1 <= t <= q) or r < 1:
         raise ValueError(f"bad parameters t={t}, q={q}, r={r}")
+    if r > _MATRIX_ROW_CAP:
+        raise ValueError(f"r={r} rows for q={q} pass the matrix row cap of {_MATRIX_ROW_CAP}")
     rng = random.Random(seed)
     hits = 0
     for _ in range(trials):
@@ -89,14 +92,12 @@ def run_growth_experiment(
         bounds: list[int] = []
         exacts: list[int] = []
         bound_only = n > _EXACT_GATE
-        failures = 0
         last_failure: GenerationExhausted | None = None
         for sample_index in range(samples):
             s = derive_seed(size_seed, sample_index)
             try:
                 bp = random_skfree_bipartite(na, nb, p, k, derive_seed(s, 0))
             except GenerationExhausted as exc:
-                failures += 1
                 last_failure = exc
                 continue
             cert = peel_realizer(
@@ -105,9 +106,7 @@ def run_growth_experiment(
             bounds.append(cert.total_size)
             if not bound_only:
                 try:
-                    exacts.append(
-                        exact_dimension(bp.poset, budget=_EXACT_BUDGET).d
-                    )
+                    exacts.append(exact_dimension(bp.poset).d)
                 except BudgetExceeded:
                     bound_only = True
         if not bounds:
@@ -125,7 +124,7 @@ def run_growth_experiment(
                     sum(exacts) / len(exacts) if exacts and not bound_only else None
                 ),
                 bound_over_n=mean_bound / n,
-                failures=failures,
+                failures=samples - len(bounds),
             )
         )
     return records

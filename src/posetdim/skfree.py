@@ -53,7 +53,7 @@ from .errors import (
 )
 
 _MATRIX_TRIES = 1000  # fair-coin matrices acquire_event_matrix rejects at most
-_BASE_BUDGET = 300_000  # search nodes for the exact solve of a peel's base
+_MATRIX_ROW_CAP = 1 << 20  # most rows a matrix is built with (k=16, q=2 takes 726,818)
 
 # -- binary matrices and the isolating-row event ------------------------------
 
@@ -127,11 +127,14 @@ def acquire_event_matrix(t: int, q: int, r: int, seed: int) -> BinaryMatrix:
     With r >= q the first q rows of the identity settle it outright;
     otherwise fair-coin matrices are sampled from the seed until one
     passes, raising AcquisitionFailed after _MATRIX_TRIES rejections.
+    An r above _MATRIX_ROW_CAP is a ValueError before any row is made.
     """
     if not (1 <= t <= q):
         raise ValueError(f"need 1 <= t <= q, got t={t}, q={q}")
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
+    if r > _MATRIX_ROW_CAP:
+        raise ValueError(f"r={r} rows for q={q} pass the matrix row cap of {_MATRIX_ROW_CAP}")
     if r >= q:
         return BinaryMatrix(q, tuple(1 << i if i < q else 0 for i in range(r)))
     rng = random.Random(seed)
@@ -446,6 +449,7 @@ class PeelCertificate:
     steps: tuple[PeelStep, ...]
     base_optimal: bool
     realizer: Realizer
+    n: int  # the input's size, every order's length
 
     @property
     def total_size(self) -> int:
@@ -457,9 +461,8 @@ class PeelCertificate:
 
     @property
     def base_size(self) -> int:
-        """The input's size, the orders' length, less every removed set."""
-        n = len(self.realizer.orders[0]) if self.realizer.orders else 0
-        return n - sum(s.q for s in self.steps)
+        """The input's size less every removed set."""
+        return self.n - sum(s.q for s in self.steps)
 
 
 def peel_realizer(
@@ -475,7 +478,7 @@ def peel_realizer(
     peeling when the host has at most base_threshold elements or no
     monochromatic set exists; the remainder, nearly an antichain at
     large n, goes restricted once to exact_dimension, which splits off
-    its isolated elements (overrunning _BASE_BUDGET downgrades
+    its isolated elements (overrunning DEFAULT_BUDGET downgrades
     base_optimal rather than failing, since any base realizer keeps the
     certificate sound), and its orders are mapped back over the floor.
     A dual peel's orders are reversed to the input's, and one check_realizer
@@ -501,7 +504,7 @@ def peel_realizer(
 
     kept = tuple(iter_bits(host.a_mask | host.b_mask))
     try:
-        base = exact_dimension(host.poset.restrict(kept), budget=_BASE_BUDGET)
+        base = exact_dimension(host.poset.restrict(kept))
     except BudgetExceeded as exc:
         base = exc.best  # not optimal
     collected.extend(LinearExtension(host.floor + tuple(kept[v] for v in ext.order))
@@ -511,7 +514,7 @@ def peel_realizer(
         orders = tuple(LinearExtension(ext.order[::-1]) for ext in realizer.orders)
         realizer = Realizer(orders, realizer.members)
     check_realizer(bp.poset, realizer.orders)
-    return PeelCertificate(tuple(records), base.optimal, realizer)
+    return PeelCertificate(tuple(records), base.optimal, realizer, bp.poset.n)
 
 
 # -- the general bound through the split --------------------------------------
@@ -594,7 +597,6 @@ def general_upper_bound(
 
 
 def certificate_to_json_dict(cert: PeelCertificate) -> dict:
-    n = len(cert.realizer.orders[0]) if cert.realizer.orders else 0
     return {
         "steps": [
             {
@@ -612,7 +614,7 @@ def certificate_to_json_dict(cert: PeelCertificate) -> dict:
         "base_dimension": cert.base_dimension,
         "base_optimal": cert.base_optimal,
         "total_size": cert.total_size,
-        "realizer": realizer_to_json_dict(n, cert.realizer, False),
+        "realizer": realizer_to_json_dict(cert.n, cert.realizer, False),
     }
 
 
@@ -686,7 +688,7 @@ def certificate_from_json_dict(data) -> PeelCertificate:
                 why = "again" if v in gone else f"outside 0..{n - 1}"
                 raise ValueError(f"certificate step {i} removes {v} {why}")
             gone.add(v)
-    cert = PeelCertificate(tuple(steps), base_optimal, realizer)
+    cert = PeelCertificate(tuple(steps), base_optimal, realizer, n)
     claimed = [rec["extensions_built"] for rec in data["steps"]]
     spent = base_dimension + sum(claimed)
     if not total_size == spent == cert.total_size:

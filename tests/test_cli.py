@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from posetdim import (DimensionResult, Realizer, __version__, dimension,
                       load_poset, peel_realizer, random_skfree_bipartite,
                       step_extension_cap)
-from posetdim.cli import main
+from posetdim.cli import build_parser, main
 from posetdim.core import MAX_TEXT_N, poset_to_text, standard_example_bipartite
 from posetdim.errors import BudgetExceeded
+from posetdim.experiments import run_growth_experiment
 from posetdim.skfree import certificate_from_json_dict, certificate_to_json_dict
 
 from conftest import swap_inside_shared_prefix, v2_certificate_dict
@@ -75,6 +76,29 @@ def test_dim_budget_zero_is_a_budget(tmp_path, capsys):
     code, out, err = run(capsys, "dim", f, "--budget", "-5")
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ArgumentError"
+
+
+def test_every_exact_solve_defaults_to_one_budget(tmp_path, monkeypatch, capsys):
+    # the peel's base solve, the growth study's exact column and dim all
+    # spend dimension.DEFAULT_BUDGET nodes; dim --exact alone has no cap
+    budgets = []
+    core = dimension._exact_core
+
+    def spy(p, budget):
+        budgets.append(budget)
+        return core(p, budget)
+
+    monkeypatch.setattr(dimension, "_exact_core", spy)
+    default = dimension.DEFAULT_BUDGET
+    assert default == build_parser().parse_args(["dim", "f"]).budget == 1_000_000
+    peel_realizer(random_skfree_bipartite(6, 6, 0.5, 3, 0), 3, 3, 12, seed=0)
+    assert budgets == [default]
+    run_growth_experiment(3, [12], 1, 3, None, seed=1)  # a peel and the column
+    assert budgets == [default] * 3
+    f = str(tmp_path / "s3.poset")
+    run(capsys, "gen", "--type", "standard:3", "--seed", "1", "-o", f)
+    assert run(capsys, "dim", f)[0] == run(capsys, "dim", f, "--exact")[0] == 0
+    assert budgets == [default] * 4 + [None]
 
 
 def test_dim_of_the_empty_poset_is_0(tmp_path, capsys):
@@ -188,6 +212,22 @@ def test_peel_at_a_k_past_the_float_range_exits_1(tmp_path, capsys):
     assert json.loads(err) == {
         "error": "ArgumentError",
         "message": "k=1030 is too large: k 2^k ln q passes the float range"}
+
+
+@pytest.mark.parametrize("argv, r", [
+    (("peel", "{f}", "--k", "40", "--q", "2", "--threshold", "6", "--seed", "1"),
+     30_484_935_391_433),  # ceil(k 2^k ln q)
+    (("prob-lemma", "--t", "1", "--q", "2", "--r", "30000000000000",
+      "--trials", "1", "--seed", "1"), 30_000_000_000_000),
+])
+def test_a_matrix_past_the_row_cap_is_refused_unbuilt(tmp_path, capsys, argv, r):
+    f = str(tmp_path / "free.poset")
+    run(capsys, "gen", "--type", "skfree:12,12,0.2,3", "--seed", "4", "-o", f)
+    code, out, err = run(capsys, *(a.format(f=f) for a in argv))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "ArgumentError",
+        "message": f"r={r} rows for q=2 pass the matrix row cap of {2 ** 20}"}
 
 
 def test_peel_requires_sides(tmp_path, capsys):
@@ -360,6 +400,25 @@ def test_verify_reports_malformed_realizers(tmp_path, capsys, realizer,
     assert payload["error"] == error and fragment in payload["message"]
     if error in ("VerificationFailed", "NotAnExtension"):
         assert payload["pair"] is None
+
+
+def test_verify_refuses_an_empty_certificate_as_empty(tmp_path, capsys):
+    # the certificate's n is its realizer's, so its base_size of 3 holds
+    # and the empty family itself is what dim --verify refuses
+    f = tmp_path / "chain.poset"
+    f.write_text("poset 3\nrel 0 1\nrel 1 2\n")
+    cert = {"steps": [], "base_size": 3, "base_dimension": 0,
+            "base_optimal": False, "total_size": 0,
+            "realizer": {"n": 3, "optimal": False, "shared": [], "tails": [],
+                         "members": []}}
+    assert certificate_from_json_dict(cert).base_size == 3
+    bad = tmp_path / "cert.json"
+    for body in (cert, {"parameters": {"k": 3, "q": 2}, "certificate": cert}):
+        bad.write_text(json.dumps(body))
+        code, out, err = run(capsys, "dim", str(f), "--verify", str(bad))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "VerificationFailed", "pair": None,
+                                   "message": "the realizer family is empty"}
 
 
 @pytest.mark.parametrize("depth", [1_000, 100_000])

@@ -140,6 +140,14 @@ def test_acquire_identity_fallback_and_sampling():
         acquire_event_matrix(1, 2, 0, seed=0)
 
 
+def test_acquire_refuses_rows_past_the_cap():
+    cap = skfree._MATRIX_ROW_CAP
+    assert acquire_event_matrix(1, 2, cap, seed=0).r == cap
+    with pytest.raises(ValueError) as exc:
+        acquire_event_matrix(1, 2, cap + 1, seed=0)
+    assert str(exc.value) == f"r={cap + 1} rows for q=2 pass the matrix row cap of {cap}"
+
+
 def test_acquire_failure_is_diagnosed():
     # one row cannot isolate both columns of any pair
     with pytest.raises(AcquisitionFailed) as exc:
@@ -833,14 +841,18 @@ def test_peeling_a_relabelled_copy_realizes_it(seed, na, q, data):
 
 
 def test_peel_realizer_tiny_base_budget_still_sound(monkeypatch):
-    monkeypatch.setattr(skfree, "_BASE_BUDGET", 1)
+    def base_budget(budget):
+        monkeypatch.setattr(skfree, "exact_dimension",
+                            lambda p: exact_dimension(p, budget=budget))
+
+    base_budget(1)
     bp = random_skfree_bipartite(10, 10, 0.3, 3, seed=71)
     cert = peel_realizer(bp, 3, 2, base_threshold=8, seed=2)
     ok, _ = is_realizer(bp.poset, cert.realizer.extensions)
     assert ok
     # no peel step here: the whole poset is the base, and the greedy
     # does not settle it, so a zero budget downgrades base_optimal
-    monkeypatch.setattr(skfree, "_BASE_BUDGET", 0)
+    base_budget(0)
     bp = random_skfree_bipartite(6, 6, 0.5, 3, 0)
     cert = peel_realizer(bp, 3, 3, base_threshold=12, seed=0)
     assert cert.steps == () and cert.base_optimal is False
