@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import (
+    _check_text_n,
     bipartition,
     find_standard_example,
     kimble_split,
@@ -65,31 +66,36 @@ def _write_json(args, names, **body) -> None:
 
 
 # each --type: its builder, the types of its comma-separated parameters,
-# and their names in the usage text
+# their names in the usage text, and the ground size they give
 _GEN_TYPES = {
-    "standard": (lambda k, seed: standard_example_bipartite(k), (int,), "<k>"),
-    "random": (random_poset, (int, float), "<n>,<p>"),
-    "bipartite": (random_bipartite, (int, int, float), "<nA>,<nB>,<p>"),
+    "standard": (lambda k, seed: standard_example_bipartite(k), (int,), "<k>",
+                 lambda k: 2 * k),
+    "random": (random_poset, (int, float), "<n>,<p>", lambda n, p: n),
+    "bipartite": (random_bipartite, (int, int, float), "<nA>,<nB>,<p>",
+                  lambda na, nb, p: na + nb),
     "skfree": (random_skfree_bipartite, (int, int, float, int),
-               "<nA>,<nB>,<p>,<k>"),
+               "<nA>,<nB>,<p>,<k>", lambda na, nb, p, k: na + nb),
 }
 _GEN_USAGE = " | ".join(f"{kind}:{spec[2]}" for kind, spec in _GEN_TYPES.items())
 
 
 def _parse_gen_type(text: str):
     kind, _, rest = text.partition(":")
-    build, types, _ = _GEN_TYPES.get(kind, (None, (), ""))
+    build, types, _, size = _GEN_TYPES.get(kind, (None, (), "", None))
     parts = rest.split(",")
     if build is not None and len(parts) == len(types):
         try:
-            return build, tuple(t(x) for t, x in zip(types, parts)), text
+            params = tuple(t(x) for t, x in zip(types, parts))
         except ValueError:
             pass
+        else:
+            return build, params, text, size(*params)
     raise argparse.ArgumentTypeError(f"bad type {text!r}; expected {_GEN_USAGE}")
 
 
 def _cmd_gen(args) -> int:
-    build, params, type_text = args.type
+    build, params, type_text, n = args.type
+    _check_text_n(n)  # before building: the writer would refuse the file
     obj = build(*params, seed=args.seed)
     header = (
         f"# posetdim v{__version__}\n"
@@ -109,12 +115,12 @@ def _cmd_dim(args) -> int:
     p = _underlying(obj)
     if args.verify:
         data = _parse_json(Path(args.verify).read_text())
-        # a CLI wrapper holds a certificate, and the k and q its steps keep;
-        # a certificate is read whole, so its steps and totals are checked
-        params = data.get("parameters") if isinstance(data, dict) else None
-        data = data.get("certificate", data) if isinstance(data, dict) else data
-        if isinstance(data, dict) and ("steps" in data or "realizer" in data):
-            cert = certificate_from_json_dict(data)
+        # a CLI wrapper holds a certificate under "certificate", and the k
+        # and q its steps keep; a certificate is read whole, wrapped or
+        # not, so its steps and totals are checked
+        if isinstance(data, dict) and {"certificate", "steps", "realizer"} & data.keys():
+            params = data.get("parameters")
+            cert = certificate_from_json_dict(data.get("certificate", data))
             if isinstance(params, dict) and {"k", "q"} <= params.keys():
                 check_certificate_parameters(
                     cert, *_fields(params, ("k", "q"), "certificate parameters"))

@@ -484,14 +484,25 @@ def random_skfree_bipartite(
 # The writer emits only covering pairs, sorted lexicographically.
 
 
+MAX_TEXT_N = 65_536  # largest header n: the reader allocates n rows up front
+
+
+def _check_text_n(n: int) -> None:
+    """ValueError naming n unless a POSET v1 file may hold n elements."""
+    if n > MAX_TEXT_N:
+        raise ValueError(f"n={n} exceeds the poset file cap of {MAX_TEXT_N}")
+
+
 def poset_to_text(obj: Poset | BipartitePoset) -> str:
-    """Serialize to POSET v1 text."""
+    """Serialize to POSET v1 text; an n above MAX_TEXT_N, which the reader
+    refuses, is a ValueError."""
     if isinstance(obj, BipartitePoset):
         p = obj.poset
         sides = (obj.a_order, obj.b_order)
     else:
         p = obj
         sides = None
+    _check_text_n(p.n)
     lines = [f"poset {p.n}"]
     for x, y in sorted(p.cover_pairs()):
         lines.append(f"rel {x} {y}")
@@ -499,9 +510,6 @@ def poset_to_text(obj: Poset | BipartitePoset) -> str:
         lines.append("A: " + " ".join(str(x) for x in sides[0]))
         lines.append("B: " + " ".join(str(x) for x in sides[1]))
     return "\n".join(lines) + "\n"
-
-
-MAX_TEXT_N = 65_536  # largest header n: the reader allocates n rows up front
 
 
 def poset_from_text(text: str) -> Poset | BipartitePoset:
@@ -556,5 +564,7 @@ def load_poset(path) -> Poset | BipartitePoset:
 
 
 def save_poset(path, obj: Poset | BipartitePoset) -> None:
+    """Write obj's POSET v1 text; a refused obj opens no file."""
+    text = poset_to_text(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(poset_to_text(obj))
+        fh.write(text)

@@ -387,41 +387,35 @@ def exact_dimension(p: Poset, budget: int | None = DEFAULT_BUDGET) -> DimensionR
     """Exact order dimension with a realizer witness.
 
     Isolated elements I are split off first: with n >= 2, dim p is
-    max(2, dim core) (Hiraguchi 1951), so _exact_core solves the core
-    alone, on the whole node budget, and its flag is the result's.  Each
-    member of the witness, on p's ids, lists I ascending on top but the
-    second, which lists I descending underneath; a chain core's one
-    member serves as both, and an all-isolated p is those two, optimal.
-    BudgetExceeded carries the best known result, merged the same way,
-    in .best; budget None is no cap, a negative one a ValueError.  The
-    witness, or .best, passes check_realizer against p before it leaves.
+    max(2, dim core) (Hiraguchi 1951), so _exact_core solves the core,
+    empty if p is all I, alone on the whole node budget; its flag is the
+    result's.  Its witness, or BudgetExceeded's .best, is merged once
+    onto p's ids: each member lists I ascending on top but the second,
+    which lists I descending underneath; a core of under two members is
+    one order listed twice (an all-isolated p: I up, I down, optimal).
+    That result passes check_realizer against p, then is returned or
+    raised again as .best; budget None is no cap, negative a ValueError.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     linked = [v for v in range(p.n) if p._up[v] | p._down[v]]
-    high = tuple(v for v in range(p.n) if not p._up[v] | p._down[v])
-    whole = len(linked) == p.n or p.n < 2
-
-    def merged(core: DimensionResult) -> DimensionResult:
-        if whole:
-            return core
-        cores = [tuple(linked[v] for v in e.order) for e in core.witness.extensions]
-        if len(cores) == 1:
-            cores *= 2
-        return DimensionResult(Realizer.of(
+    split = p.n >= 2 and len(linked) < p.n
+    overrun = None
+    try:
+        res = _exact_core(p.restrict(linked) if split else p, budget)
+    except BudgetExceeded as exc:
+        res, overrun = exc.best, exc
+    if split:
+        high = tuple(v for v in range(p.n) if not p._up[v] | p._down[v])
+        cores = [tuple(linked[v] for v in e.order) for e in res.witness.extensions]
+        if len(cores) < 2:
+            cores = (cores or [()]) * 2
+        res = DimensionResult(Realizer.of(
             LinearExtension(high[::-1] + order if i == 1 else order + high)
-            for i, order in enumerate(cores)), core.optimal)
-
-    if not (whole or linked):
-        res = DimensionResult(Realizer.of(map(LinearExtension, (high, high[::-1]))), True)
-    else:
-        try:
-            res = merged(_exact_core(p if whole else p.restrict(linked), budget))
-        except BudgetExceeded as exc:
-            best = merged(exc.best)
-            check_realizer(p, best.witness.orders)
-            raise BudgetExceeded(str(exc), best=best) from None
+            for i, order in enumerate(cores)), res.optimal)
     check_realizer(p, res.witness.orders)
+    if overrun is not None:
+        raise BudgetExceeded(str(overrun), best=res) from None
     return res
 
 

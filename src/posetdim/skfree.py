@@ -468,19 +468,22 @@ class PeelCertificate:
 def peel_realizer(
     bp: BipartitePoset, k: int, q: int, base_threshold: int, seed: int
 ) -> PeelCertificate:
-    """Iterated peeling down to a small base, then an exact base realizer.
+    """Iterated peeling of the smaller side, then an exact base realizer.
 
-    Peels the smaller side, as q elements cost 2r + 1 members on either,
-    so the host is the dual when |A| > |B|.  The host keeps that poset
+    q elements cost 2r + 1 members on either side, so the host, whose A
+    side is peeled, is the dual when |A| > |B|.  The host keeps that poset
     and its ids, and each removed set leaves its A side for its floor,
     which every later member lists at its very bottom; so each step's
-    members are whole orders of the host's poset as built.  Stops
-    peeling when the host has at most base_threshold elements or no
-    monochromatic set exists; the remainder, nearly an antichain at
-    large n, goes restricted once to exact_dimension, which splits off
-    its isolated elements (overrunning DEFAULT_BUDGET downgrades
-    base_optimal rather than failing, since any base realizer keeps the
-    certificate sound), and its orders are mapped back over the floor.
+    members are whole orders of the host's poset as built.  Only A
+    shrinks, so the host never has fewer elements than the input's
+    larger side, and base_threshold binds only when that side is smaller
+    than the threshold.  Stops peeling when the host has at most
+    base_threshold elements or no monochromatic set exists; the
+    remainder, nearly an antichain at large n, goes restricted once to
+    exact_dimension, which splits off its isolated elements (overrunning
+    DEFAULT_BUDGET downgrades base_optimal rather than failing, since any
+    base realizer keeps the certificate sound), and its orders are mapped
+    back over the floor.
     A dual peel's orders are reversed to the input's, and one check_realizer
     of the orders returned, against bp.poset, is the peel's only check: it
     covers every step's (Q, B) pairs too.

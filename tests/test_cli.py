@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from posetdim import (DimensionResult, Realizer, __version__, dimension,
+from posetdim import (DimensionResult, Realizer, __version__, cli, dimension,
                       load_poset, peel_realizer, random_skfree_bipartite,
                       step_extension_cap)
 from posetdim.cli import build_parser, main
@@ -386,6 +386,11 @@ def test_verify_rejects_wrong_realizer(tmp_path, capsys):
     # a rebuilt order goes through every check a whole one does
     ({"n": 3, "optimal": False, "shared": [0, 2], "tails": [[0, 1, 2], [1]],
       "members": [0, 1]}, "NotAnExtension", "not a permutation"),
+    # whatever a wrapper holds under "certificate" is read as a certificate
+    ({"parameters": {"k": 3, "q": 3}, "certificate": []},
+     "ArgumentError", "certificate JSON must be an object, got list"),
+    ({"parameters": {"k": 3, "q": 3}, "certificate": {"n": 2}},
+     "ArgumentError", "certificate JSON lacks the 'steps' key"),
 ])
 def test_verify_reports_malformed_realizers(tmp_path, capsys, realizer,
                                              error, fragment):
@@ -562,6 +567,19 @@ def test_a_fresh_peel_certificate_verifies(tmp_path, capsys):
     assert out.endswith(" extensions realize the poset\n")
 
 
+def test_a_dual_peel_round_trips(tmp_path, capsys):
+    # |A| > |B|: peel peels the dual, and its reversed orders verify
+    f, cert = str(tmp_path / "dual.poset"), str(tmp_path / "dual.json")
+    code, _, _ = run(capsys, "gen", "--type", "skfree:12,8,0.2,3", "--seed", "1",
+                     "-o", f)
+    assert code == 0
+    code, out, _ = run(capsys, "peel", f, "--k", "3", "--q", "3", "--threshold",
+                       "6", "--seed", "1", "--json", cert)
+    assert code == 0 and "steps 2\n" in out
+    code, out, err = run(capsys, "dim", f, "--verify", cert)
+    assert (code, out, err) == (0, "verified 112 extensions realize the poset\n", "")
+
+
 # -- prob-lemma / experiment -----------------------------------------------------------
 
 
@@ -706,6 +724,25 @@ def test_oversized_header_is_an_argument_error(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"] == "ArgumentError"
     assert f"line 1: header n={MAX_TEXT_N + 1} exceeds" in payload["message"]
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("bipartite", "70000,0,0.0"), ("random", "70000,0.5"),
+    ("standard", f"{MAX_TEXT_N // 2 + 1}"), ("skfree", "40000,30000,0.0,3")])
+def test_gen_refuses_a_size_the_reader_would_unbuilt(tmp_path, monkeypatch, capsys,
+                                                     kind, params):
+    # the ground size its --type gives is refused before any build
+    def refuse(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setitem(cli._GEN_TYPES, kind, (refuse, *cli._GEN_TYPES[kind][1:]))
+    f = tmp_path / "big.poset"
+    code, out, err = run(capsys, "gen", "--type", f"{kind}:{params}", "--seed", "1",
+                         "-o", str(f))
+    assert code == 1 and out == "" and not f.exists()
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "ArgumentError"
+    assert f"exceeds the poset file cap of {MAX_TEXT_N}" in line
 
 
 def test_usage_errors_exit_2(capsys):

@@ -19,6 +19,7 @@ from posetdim import (
     random_bipartite,
     random_poset,
     random_skfree_bipartite,
+    save_poset,
     standard_example,
     standard_example_bipartite,
 )
@@ -474,6 +475,17 @@ def test_text_header_above_the_cap_is_refused():
     # only cap + 1 is tried: the check must fire before any allocation
     with pytest.raises(ValueError, match=f"line 2: .*{MAX_TEXT_N + 1}"):
         poset_from_text(f"# big\nposet {MAX_TEXT_N + 1}\n")
+
+
+def test_the_writer_refuses_what_the_reader_would(tmp_path):
+    # the cap holds both ways, and a refused save opens no file
+    big = Poset(MAX_TEXT_N + 1, [0] * (MAX_TEXT_N + 1), [0] * (MAX_TEXT_N + 1))
+    out = tmp_path / "big.poset"
+    with pytest.raises(ValueError, match=f"n={MAX_TEXT_N + 1} exceeds .*{MAX_TEXT_N}"):
+        save_poset(out, big)
+    assert not out.exists()
+    edge = Poset(MAX_TEXT_N, [0] * MAX_TEXT_N, [0] * MAX_TEXT_N)
+    assert poset_from_text(poset_to_text(edge)).n == MAX_TEXT_N
 
 
 @pytest.mark.parametrize("text, lineno", [

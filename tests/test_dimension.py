@@ -719,15 +719,33 @@ def test_isolated_elements_give_dimension_max_2_and_the_posets(seed, n, edge_pro
 def test_an_antichain_is_settled_without_a_first_fit(monkeypatch):
     # 2,000 isolated elements have 3,998,000 critical pairs, which the
     # first fit packed one class at a time for seconds; split off, they
-    # are the ascending and the descending order
-    def refuse(*args):
-        raise AssertionError("first fit run")
+    # are the ascending and the descending order, and their empty core
+    # hands the first fit no run
+    real_first_fit = dimension._first_fit
 
-    monkeypatch.setattr(dimension, "_first_fit", refuse)
+    def refuse_runs(p, runs):
+        assert not runs, "first fit run"
+        return real_first_fit(p, runs)
+
+    monkeypatch.setattr(dimension, "_first_fit", refuse_runs)
     res = exact_dimension(Poset.from_relations(2000, []))
     assert res.d == 2 and res.optimal
     assert [e.order for e in res.witness.extensions] == [
         tuple(range(2000)), tuple(range(1999, -1, -1))]
+
+
+@pytest.mark.parametrize("budget", [0, 1, None])
+def test_an_all_isolated_input_is_optimal_at_any_budget(budget):
+    # the empty core has no pair to search, so even budget 0 returns its
+    # merge, I ascending and I descending, with no BudgetExceeded
+    res = exact_dimension(Poset.from_relations(5, []), budget=budget)
+    assert res.d == 2 and res.optimal
+    assert [e.order for e in res.witness.extensions] == [
+        (0, 1, 2, 3, 4), (4, 3, 2, 1, 0)]
+    for n in (0, 1):
+        res = exact_dimension(Poset.from_relations(n, []), budget=budget)
+        assert (res.d, res.optimal) == (n, True)
+        assert [e.order for e in res.witness.extensions] == [tuple(range(n))] * n
 
 
 def test_a_budget_overrun_merges_the_isolated_elements_into_best():

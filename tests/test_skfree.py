@@ -730,14 +730,33 @@ def test_a_host_in_input_ids_acts_like_the_reindexed_host(seed, data):
 
 
 def test_peel_realizer_restricts_only_its_base(monkeypatch):
-    # every host shares one poset: the peel builds only the base's
+    # every host shares one poset: outside exact_dimension (which splits
+    # the base again into its core), the peel builds only the base's
     # restriction, and the dual's when |A| > |B|, whatever its step count
-    calls, posets = [], []
+    calls, posets, inside = [], [], []
     real_restrict, real_init = Poset.restrict, Poset.__init__
-    monkeypatch.setattr(Poset, "restrict", lambda self, keep:
-                        calls.append(self.n) or real_restrict(self, keep))
-    monkeypatch.setattr(Poset, "__init__", lambda self, *args:
-                        posets.append(self) or real_init(self, *args))
+    real_exact = skfree.exact_dimension
+
+    def exact(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_exact(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def restrict(self, keep):
+        if not inside:
+            calls.append(self.n)
+        return real_restrict(self, keep)
+
+    def init(self, *args):
+        if not inside:
+            posets.append(self)
+        real_init(self, *args)
+
+    monkeypatch.setattr(skfree, "exact_dimension", exact)
+    monkeypatch.setattr(Poset, "restrict", restrict)
+    monkeypatch.setattr(Poset, "__init__", init)
     for na, nb, built in ((40, 40, 1), (50, 30, 2)):
         bp = random_skfree_bipartite(na, nb, 1.5 / 40, 3, seed=7)
         calls.clear()
