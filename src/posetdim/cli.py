@@ -171,6 +171,7 @@ def _cmd_peel(args) -> int:
 
 def _cmd_split(args) -> int:
     p = _underlying(load_poset(args.file))
+    _check_text_n(2 * p.n)  # before building: the writer would refuse the file
     bp = bipartition(kimble_split(p))
     save_poset(args.output, bp)
     print(f"wrote {args.output}: n={bp.poset.n}, "
@@ -304,7 +305,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except PosetDimError as exc:
-        report = {"error": exc.name, "message": str(exc), **exc.payload()}
+        report = {"error": type(exc).__name__, "message": str(exc), **exc.payload()}
     except (ValueError, IndexError) as exc:
         report = {"error": "ArgumentError", "message": str(exc)}
     except OSError as exc:

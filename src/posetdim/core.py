@@ -131,7 +131,8 @@ class Poset:
         return sum(m.bit_count() for m in self._up)
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        """Covering pairs (x, y): x < y with nothing strictly between."""
+        """Covering pairs (x, y): x < y with nothing strictly between, in
+        lexicographic order."""
         out = []
         for x in range(self.n):
             for y in iter_bits(self._up[x]):
@@ -504,7 +505,7 @@ def poset_to_text(obj: Poset | BipartitePoset) -> str:
         sides = None
     _check_text_n(p.n)
     lines = [f"poset {p.n}"]
-    for x, y in sorted(p.cover_pairs()):
+    for x, y in p.cover_pairs():
         lines.append(f"rel {x} {y}")
     if sides is not None:
         lines.append("A: " + " ".join(str(x) for x in sides[0]))

@@ -15,8 +15,7 @@ from operator import ne, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import Poset, _bits, iter_bits
-from .errors import (BudgetExceeded, ComparablePairError, NotAnExtension,
-                     VerificationFailed)
+from .errors import BudgetExceeded, NotAnExtension, VerificationFailed
 
 
 class CriticalPair(NamedTuple):
@@ -340,8 +339,8 @@ def greedy_reversing_extensions(
     one extension per first-fit class.  A class refuses y < x only when
     y lies above x, where its extension keeps it, so each class holds
     exactly the pairs its predecessors' extensions leave unreversed.
-    Raises ComparablePairError for a comparable or equal pair and
-    ValueError for an id outside 0..n-1, checking every pair first.
+    Raises ValueError for a comparable or equal pair or an id outside
+    0..n-1, checking every pair first.
     """
     pairs = list(pairs)
     for x, y in pairs:
@@ -349,7 +348,7 @@ def greedy_reversing_extensions(
             if not 0 <= v < p.n:
                 raise ValueError(f"element id {v} is outside 0..{p.n - 1}")
         if not p.incomparable(x, y):
-            raise ComparablePairError(f"pair ({x}, {y}) is comparable")
+            raise ValueError(f"pair ({x}, {y}) is comparable")
     runs = [[x, 1 << y] for x, y in pairs]
     return [LinearExtension(cl.extension()) for cl in _first_fit(p, runs)]
 
@@ -596,8 +595,8 @@ def _require_keys(data, keys: Sequence[str], what: str) -> None:
 
 def _fields(data: dict, keys: Sequence[str], what: str, kind: type = int) -> list:
     """data[key] for each key; ValueError naming the first whose type is
-    not exactly kind: int (so bools and floats are refused) or bool."""
-    noun = "a boolean" if kind is bool else "an integer"
+    not exactly kind: int (so bools and floats are refused), bool or list."""
+    noun = {bool: "a boolean", list: "a list"}.get(kind, "an integer")
     for key in keys:
         if type(data[key]) is not kind:
             raise ValueError(

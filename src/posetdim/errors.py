@@ -1,12 +1,13 @@
-"""Domain error types shared across the toolkit."""
+"""Domain error types shared across the toolkit.
+
+A bad argument raises ValueError, or IndexError where a Poset is handed
+an element id outside its ground set; a PosetDimError reports a fact
+about an input or a search.
+"""
 
 
 class PosetDimError(Exception):
     """Base class for all domain errors raised by this package."""
-
-    @property
-    def name(self) -> str:
-        return type(self).__name__
 
     def payload(self) -> dict:
         """Extra machine-readable fields for CLI error reports."""
@@ -49,10 +50,6 @@ class _EmbeddingError(PosetDimError):
 
 class NotAnExtension(_PairError):
     """A claimed linear extension is not one; .pair holds an offending relation."""
-
-
-class ComparablePairError(PosetDimError):
-    """A pair that must be incomparable is comparable."""
 
 
 class BudgetExceeded(PosetDimError):

@@ -80,7 +80,7 @@ class BinaryMatrix:
         q = len(rows[0]) if rows else 0
         if any(len(row) != q for row in rows):
             raise ValueError("ragged matrix")
-        if any(ch not in "01" for row in rows for ch in row):
+        if not set("".join(rows)) <= {"0", "1"}:
             raise ValueError("entries must be 0 or 1")
         return cls(q, tuple(int(row[::-1] or "0", 2) for row in rows))
 
@@ -642,13 +642,9 @@ def certificate_from_json_dict(data) -> PeelCertificate:
     extensions_built; base_size) that is not the one derived again from
     what it counts."""
     _require_keys(data, _CERTIFICATE_KEYS, "certificate JSON")
-    if not isinstance(data["steps"], list):
-        raise ValueError(
-            f"certificate 'steps' must be a list, "
-            f"got {type(data['steps']).__name__}"
-        )
+    (records,) = _fields(data, ("steps",), "certificate", list)
     steps = []
-    for i, rec in enumerate(data["steps"]):
+    for i, rec in enumerate(records):
         what = f"certificate step {i}"
         _require_keys(rec, _STEP_KEYS, what)
         _, color, _, cleanup = _fields(
@@ -692,14 +688,14 @@ def certificate_from_json_dict(data) -> PeelCertificate:
                 raise ValueError(f"certificate step {i} removes {v} {why}")
             gone.add(v)
     cert = PeelCertificate(tuple(steps), base_optimal, realizer, n)
-    claimed = [rec["extensions_built"] for rec in data["steps"]]
+    claimed = [rec["extensions_built"] for rec in records]
     spent = base_dimension + sum(claimed)
     if not total_size == spent == cert.total_size:
         raise VerificationFailed(
             f"total_size {total_size}, base dimension plus step "
             f"extensions {spent}, realizer members {cert.total_size}"
         )
-    for i, (rec, step) in enumerate(zip(data["steps"], steps)):
+    for i, (rec, step) in enumerate(zip(records, steps)):
         for key, want in (("q", step.q), ("matrix_rows", step.matrix.r),
                           ("extensions_built", step.extensions_built)):
             _check_count(f"certificate step {i}", rec, key, want)

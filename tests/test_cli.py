@@ -15,7 +15,7 @@ from posetdim import (DimensionResult, Realizer, __version__, cli, dimension,
                       step_extension_cap)
 from posetdim.cli import build_parser, main
 from posetdim.core import MAX_TEXT_N, poset_to_text, standard_example_bipartite
-from posetdim.errors import BudgetExceeded
+from posetdim.errors import BudgetExceeded, PosetDimError
 from posetdim.experiments import run_growth_experiment
 from posetdim.skfree import certificate_from_json_dict, certificate_to_json_dict
 
@@ -744,6 +744,46 @@ def test_gen_refuses_a_size_the_reader_would_unbuilt(tmp_path, monkeypatch, caps
     assert json.loads(line)["error"] == "ArgumentError"
     assert f"exceeds the poset file cap of {MAX_TEXT_N}" in line
 
+
+def test_split_refuses_a_doubled_size_past_the_cap_unbuilt(tmp_path, monkeypatch,
+                                                           capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(cli, "kimble_split", refuse)
+    f, out_file = tmp_path / "p.poset", tmp_path / "split.poset"
+    f.write_text("poset 32769\n")
+    code, out, err = run(capsys, "split", str(f), "-o", str(out_file))
+    assert code == 1 and out == "" and not out_file.exists()
+    (line,) = err.splitlines()
+    assert json.loads(line) == {
+        "error": "ArgumentError",
+        "message": f"n=65538 exceeds the poset file cap of {MAX_TEXT_N}",
+    }
+
+
+class _Unlisted(PosetDimError):
+    """An error class no command raises."""
+
+
+class _UnlistedWithPayload(PosetDimError):
+    def payload(self):
+        return {"where": [1, 2]}
+
+
+@pytest.mark.parametrize("exc, report", [
+    (_Unlisted("no fields"), {"error": "_Unlisted", "message": "no fields"}),
+    (_UnlistedWithPayload("two fields"),
+     {"error": "_UnlistedWithPayload", "message": "two fields", "where": [1, 2]}),
+])
+def test_any_domain_error_reports_its_class_name(monkeypatch, capsys, exc, report):
+    def fail(path):
+        raise exc
+
+    monkeypatch.setattr(cli, "load_poset", fail)
+    code, out, err = run(capsys, "dim", "any.poset")
+    assert code == 1 and out == ""
+    assert json.loads(err) == report
 
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:

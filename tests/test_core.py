@@ -106,6 +106,14 @@ def test_basic_relations_on_a_fence():
     assert p.cover_pairs() == [(0, 2), (1, 2), (1, 3)]
 
 
+def test_cover_pairs_come_in_lexicographic_order():
+    # poset_to_text writes them as they come, so the text stays canonical
+    for _, p in seeded_posets(20, 5, 40, seed=4001):
+        assert p.cover_pairs() == sorted(p.cover_pairs())
+    bp = random_bipartite(30, 25, 0.2, 7)
+    assert bp.poset.cover_pairs() == sorted(bp.poset.cover_pairs())
+
+
 def test_height_and_antichain():
     chain = Poset.from_relations(4, [(0, 1), (1, 2), (2, 3)])
     assert chain.height() == 4
