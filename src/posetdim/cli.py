@@ -129,7 +129,7 @@ def _cmd_dim(args) -> int:
             n, realizer, _ = realizer_from_json_dict(data)
         if n != p.n:
             raise VerificationFailed(f"realizer is for n={n}, poset has n={p.n}")
-        check_realizer(p, realizer.orders)
+        check_realizer(p, realizer.orders, realizer.shared)
         print(f"verified {len(realizer)} extensions realize the poset")
         return 0
     budget = None if args.exact else args.budget

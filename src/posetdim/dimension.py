@@ -8,7 +8,7 @@ critical pairs and reversibility of pair sets.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, count, islice
 from functools import reduce
 from operator import ne, or_
@@ -53,10 +53,12 @@ class LinearExtension:
 
 @dataclass(frozen=True)
 class Realizer:
-    """Distinct orders, each some member's, and per member its index."""
+    """Distinct orders, each some member's, and per member its index;
+    if known, per order a length of prefix it shares with the one before."""
 
     orders: tuple[LinearExtension, ...]
     members: tuple[int, ...]
+    shared: tuple[int, ...] | None = field(default=None, compare=False)
 
     @classmethod
     def of(cls, extensions: Iterable[LinearExtension]) -> Realizer:
@@ -208,18 +210,22 @@ def _common(a: Sequence, b: Sequence) -> int:
     return next(compress(count(), map(ne, a, b)), min(len(a), len(b)))
 
 
-def listed_below(orders: Iterable[Sequence[int]], n: int) -> list[int]:
+def listed_below(orders: Iterable[Sequence[int]], n: int,
+                 shared: Iterable[int] | None = None) -> list[int]:
     """Bit y of below[x] is set iff some order lists y below x, i.e. the
     family reverses (x, y).  Each order is a permutation of one ground
     set within 0..n-1.  A prefix an order shares with the one before it
     lists nothing new below its elements, so each order is walked from
     where it first differs from its predecessor: pass distinct orders,
-    those sharing long prefixes (a peel's) next to each other."""
+    those sharing long prefixes (a peel's) next to each other.  shared,
+    if given, supplies those restart points unchecked, 0 for the first
+    order; any length up to the true common prefix gives the same rows."""
     below = [0] * n
     prev: Sequence[int] = ()
     listed_at = [0]  # listed_at[i]: the mask of prev[:i]
+    hints = iter(shared) if shared is not None else None
     for order in orders:
-        i = _common(order, prev)
+        i = _common(order, prev) if hints is None else next(hints)
         del listed_at[i + 1:]
         listed = listed_at[i]
         for v in islice(order, i, None):
@@ -253,7 +259,7 @@ def check_extension(p: Poset, ext: LinearExtension) -> None:
 
 
 def is_realizer(
-    p: Poset, extensions: Sequence[LinearExtension]
+    p: Poset, extensions: Sequence[LinearExtension], shared: Sequence[int] | None = None
 ) -> tuple[bool, list[CriticalPair]]:
     """Does the family realize p, i.e. is p the intersection of its orders?
 
@@ -261,12 +267,17 @@ def is_realizer(
     and, for every x, its members together list below x every element
     that is not above x and nothing above it.  listed_below walks each
     member, checked only for length, from where it leaves the one
-    before it, so a Realizer is checked by passing its orders.
+    before it, so a Realizer is checked by passing its orders and shared,
+    lengths at most the true common prefixes (the reader's are, built so).
     Returns (ok, unreversed critical pairs in lexicographic order).
-    Raises NotAnExtension if a member is not a linear extension of p.
+    Raises NotAnExtension if a member is not a linear extension of p,
+    ValueError if shared is not one int in 0..n per order, 0 first.
     """
     n = p.n
     orders = [ext.order for ext in extensions]
+    if shared is not None and (len(shared) != len(orders) or any(shared[:1]) or not
+                               all(type(k) is int and 0 <= k <= n for k in shared)):
+        raise ValueError(f"shared must be one int in 0..{n} per order, 0 first")
     # orders sharing suffixes (a dual peel's) are walked reversed, on the dual
     two = orders[:2]
     flip = len(two) == 2 and _common(*(o[::-1] for o in two)) > _common(*two)
@@ -278,7 +289,8 @@ def is_realizer(
     # Every failure falls through to check_extension, which raises.
     if all(len(order) == n for order in orders):
         try:
-            below = listed_below(walked, n)
+            # shared's prefixes are in p's orientation, not the dual's
+            below = listed_below(walked, n, None if flip else shared)
         except (IndexError, TypeError, ValueError):
             pass
         else:
@@ -290,15 +302,16 @@ def is_realizer(
     for ext in extensions:
         check_extension(p, ext)
     # every member is an extension, so (x, y) is reversed in some member
-    # exactly when y is in below[x], walked in p's orientation
-    below = listed_below(orders, n) if flip else below
+    # exactly when y is in below[x], walked unhinted in p's orientation
+    below = listed_below(orders, n)
     return False, row_pairs(r & ~b for r, b in zip(critical_rows(p), below))
 
 
-def check_realizer(p: Poset, extensions: Sequence[LinearExtension]) -> None:
+def check_realizer(p: Poset, extensions: Sequence[LinearExtension],
+                   shared: Sequence[int] | None = None) -> None:
     """is_realizer, raising VerificationFailed unless the family realizes
     p: "empty" for no members, else the first unreversed pair in .pair."""
-    ok, unreversed = is_realizer(p, extensions)
+    ok, unreversed = is_realizer(p, extensions, shared)
     if not ok and not extensions:
         raise VerificationFailed("the realizer family is empty")
     if not ok:
@@ -614,10 +627,11 @@ def _check_count(what: str, data: dict, key: str, want: int) -> None:
 
 def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
     """Parse a realizer dict: v3 ("shared", "tails", "members"), each order
-    the one before's first "shared" elements plus its tail; v2, "orders" as
-    tails sharing nothing; or v1, one order per member in "extensions",
-    through Realizer.of.  ValueError if it is not shaped like one, if an
-    order is no member's, or if "dimension" (optional) is not the member count."""
+    the one before's first "shared" elements plus its tail, so the lengths
+    kept as Realizer.shared are true; v2, "orders" as tails sharing nothing
+    (shared zeros); or v1, one order per member in "extensions", through
+    Realizer.of (shared None).  ValueError if it is not shaped like one, if
+    an order is no member's, or if "dimension" (optional) is not the member count."""
     _require_keys(data, ("n", "optimal"), "realizer JSON")
     keys = [key for key in ("tails", "orders", "extensions") if key in data]
     if len(keys) != 1:
@@ -656,7 +670,7 @@ def realizer_from_json_dict(data) -> tuple[int, Realizer, bool]:
             raise ValueError(
                 f"realizer 'members' must be indices naming all {len(rows)} {key!r}"
             )
-        realizer = Realizer(tuple(exts), tuple(members))
+        realizer = Realizer(tuple(exts), tuple(members), tuple(shared))
     _check_count("realizer", data, "dimension", len(realizer))
     (optimal,) = _fields(data, ("optimal",), "realizer", bool)
     return n, realizer, optimal

@@ -276,6 +276,26 @@ def test_verify_refuses_a_swap_inside_a_shared_prefix(tmp_path, capsys):
         assert json.loads(err)["error"] == "NotAnExtension"
 
 
+def test_verify_walks_from_the_file_s_shared_lengths(tmp_path, capsys, monkeypatch):
+    # the final walk restarts each order where the file says it leaves
+    # the one before; a dual peel's (|A| > |B|) orders share suffixes, so
+    # the walk runs reversed, takes no lengths, and still verifies
+    real_walk, hints = dimension.listed_below, []
+    monkeypatch.setattr(dimension, "listed_below", lambda orders, n, shared=None:
+                        hints.append(shared) or real_walk(orders, n, shared))
+    f, path = tmp_path / "p.poset", tmp_path / "cert.json"
+    for na, nb in ((30, 50), (50, 30)):
+        bp = random_skfree_bipartite(na, nb, 1.5 / 40, 3, seed=7)
+        cert = certificate_to_json_dict(peel_realizer(bp, 3, 3, 12, seed=7))
+        assert cert["steps"] and any(cert["realizer"]["shared"])
+        f.write_text(poset_to_text(bp))
+        path.write_text(json.dumps({"certificate": cert}))
+        hints.clear()
+        code, out, err = run(capsys, "dim", str(f), "--verify", str(path))
+        assert (code, err) == (0, "") and out.startswith("verified ")
+        assert hints == [None if na > nb else tuple(cert["realizer"]["shared"])]
+
+
 def test_verify_rejects_wrong_realizer(tmp_path, capsys):
     f = str(tmp_path / "s3.poset")
     bad = str(tmp_path / "bad.json")

@@ -51,6 +51,7 @@ from conftest import (
     relations,
     reverses,
     seeded_posets,
+    v1_realizer_dict,
     v2_realizer_dict,
 )
 
@@ -586,6 +587,29 @@ def test_is_realizer_ignores_how_members_are_shared(seed, n, data):
     assert results[0] == results[1] == results[2]
 
 
+@pytest.mark.parametrize("shared", [(0,), (0, 0, 0), (0, 5), (1, 0), (0, -1),
+                                    (0, 1.0)])
+def test_is_realizer_refuses_bad_shared_lengths_before_walking(shared, monkeypatch):
+    # one int in 0..n per order, 0 for the first (it follows nothing): a
+    # short or long list would stop the walk early or leak StopIteration,
+    # a length past the prefix masks would fail the walk, not the family
+    p = standard_example(2)
+    family = [LinearExtension((0, 3, 1, 2)), LinearExtension((1, 2, 0, 3))]
+    monkeypatch.setattr(dimension, "listed_below", lambda *args: pytest.fail("walked"))
+    with pytest.raises(ValueError, match=r"^shared must be one int in 0\.\.4 per order"):
+        is_realizer(p, family, shared)
+
+
+def test_is_realizer_walks_from_given_shared_lengths():
+    # lengths up to n, each at most the true common prefix, give the
+    # answer the unhinted walk gives; a failing family's pairs too
+    p = standard_example(2)
+    e1, e2 = LinearExtension((0, 3, 1, 2)), LinearExtension((1, 2, 0, 3))
+    assert is_realizer(p, [e1, e1, e2], (0, 4, 0)) == (True, [])
+    assert is_realizer(p, [e1, e1], (0, 4)) == is_realizer(p, [e1]) == (
+        False, [CriticalPair(0, 2)])
+
+
 def test_realizer_json_round_trip():
     p = standard_example(3)
     res = exact_dimension(p)
@@ -660,6 +684,15 @@ def test_realizer_json_round_trips_any_family(family, optimal):
         assert realizer_from_json(json.dumps(data)) == (n, realizer, optimal)
         v2 = v2_realizer_dict(n, realizer, optimal)
         assert realizer_from_json_dict(v2) == (n, realizer, optimal)
+        # the reader keeps the lengths it built each order from, which
+        # equality ignores; v1 goes through Realizer.of, which has none
+        assert realizer.shared is None
+        assert realizer_from_json_dict(data)[1].shared == tuple(data["shared"])
+        assert realizer_from_json_dict(v2)[1].shared == (0,) * len(realizer.orders)
+        v1 = v1_realizer_dict(n, realizer, optimal)
+        assert realizer_from_json_dict(v1)[1].shared is None
+        hinted = Realizer(realizer.orders, realizer.members, tuple(data["shared"]))
+        assert hinted == realizer and hash(hinted) == hash(realizer)
         # each order shares exactly its longest common prefix
         orders = v2["orders"]
         for prev, order, k in zip([[]] + orders, orders, data["shared"]):

@@ -496,6 +496,16 @@ def test_listed_below_walks_shared_prefixes_soundly(n, data):
     shuffled = data.draw(st.permutations(family), label="shuffled")
     below = listed_below(family, n)
     assert listed_below(iter(shuffled), n) == below
+    # restart points given as the true shared lengths, or any at or
+    # below them (zeros included), re-list only bits already listed
+    for orders in (family, shuffled):
+        true = [next((i for i, (a, b) in enumerate(zip(order, prev)) if a != b),
+                     min(len(order), len(prev)))
+                for prev, order in zip([()] + orders, orders)]
+        lower = data.draw(st.tuples(*map(st.integers, [0] * len(true), true)),
+                          label="lower")
+        for shared in (true, lower, [0] * len(orders)):
+            assert listed_below(orders, n, iter(shared)) == below
     for x in range(n):
         for y in range(n):
             want = any(x in o and y in o and o.index(y) < o.index(x)
@@ -791,8 +801,8 @@ def test_peel_realizer_checks_in_its_host_orientation(monkeypatch):
     real_check, real_walk = skfree.check_realizer, dimension.listed_below
     monkeypatch.setattr(skfree, "check_realizer", lambda p, orders:
                         checked.append((p, orders)) or real_check(p, orders))
-    monkeypatch.setattr(dimension, "listed_below", lambda orders, n:
-                        walks.append((n, orders[0])) or real_walk(orders, n))
+    monkeypatch.setattr(dimension, "listed_below", lambda orders, n, shared=None:
+                        walks.append((n, orders[0])) or real_walk(orders, n, shared))
     for na, nb in ((50, 30), (30, 50)):
         bp = random_skfree_bipartite(na, nb, 1.5 / 40, 3, seed=7)
         cert = peel_realizer(bp, 3, 3, base_threshold=12, seed=7)
@@ -817,8 +827,8 @@ def test_is_realizer_gives_the_same_answer_in_either_orientation(
     # off every member's positions, while the walk runs where they share
     walks = []
     real_walk = dimension.listed_below
-    monkeypatch.setattr(dimension, "listed_below", lambda orders, n:
-                        walks.append(orders[0]) or real_walk(orders, n))
+    monkeypatch.setattr(dimension, "listed_below", lambda orders, n, shared=None:
+                        walks.append(orders[0]) or real_walk(orders, n, shared))
     bp = random_skfree_bipartite(na, nb, 1.5 / 40, 3, seed=7)
     p = bp.poset
     orders = list(peel_realizer(bp, 3, 3, base_threshold=12, seed=7).realizer.orders)
