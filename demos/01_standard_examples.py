@@ -27,7 +27,7 @@ res = exact_dimension(s3)
 print("\nA realizer for S_3 (bottom to top):")
 for ext in res.witness.extensions:
     print("  ", ext.order)
-ok, _ = is_realizer(s3, res.witness.extensions)
+ok, _ = is_realizer(s3, res.witness)
 print("verifies:", ok)
 
 # The pairs a realizer must reverse are the critical pairs.  For S_3

@@ -35,7 +35,7 @@ print(f"\ncertified upper bound for P: {res.bound}")
 print(f"peel steps on the split: {len(res.certificate.steps)}")
 print(f"realizer recovered for P: {len(res.realizer_for_p.extensions)} "
       f"extensions, one projected from each split member")
-ok, _ = is_realizer(p, res.realizer_for_p.extensions)
+ok, _ = is_realizer(p, res.realizer_for_p)
 print(f"realizer verifies on P: {ok}")
 
 # The bound is loose at desk scale — the constants come from an

@@ -39,10 +39,9 @@ from .experiments import (
     growth_records_to_csv,
     growth_records_to_json_dict,
     run_growth_experiment,
-    run_prob_lemma_trials,
 )
 from .skfree import (certificate_from_json_dict, certificate_to_json_dict,
-                     check_certificate_parameters, peel_realizer)
+                     check_certificate_parameters, peel_realizer, run_prob_lemma_trials)
 
 
 def _underlying(obj):
@@ -129,7 +128,7 @@ def _cmd_dim(args) -> int:
             n, realizer, _ = realizer_from_json_dict(data)
         if n != p.n:
             raise VerificationFailed(f"realizer is for n={n}, poset has n={p.n}")
-        check_realizer(p, realizer.orders, realizer.shared)
+        check_realizer(p, realizer)
         print(f"verified {len(realizer)} extensions realize the poset")
         return 0
     budget = None if args.exact else args.budget

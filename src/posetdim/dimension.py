@@ -259,22 +259,25 @@ def check_extension(p: Poset, ext: LinearExtension) -> None:
 
 
 def is_realizer(
-    p: Poset, extensions: Sequence[LinearExtension], shared: Sequence[int] | None = None
+    p: Poset, family: Realizer | Sequence[LinearExtension]
 ) -> tuple[bool, list[CriticalPair]]:
-    """Does the family realize p, i.e. is p the intersection of its orders?
+    """Does the family, a Realizer or its members, realize p, i.e. is p
+    the intersection of its orders?
 
     The family realizes p exactly when it is not empty (unless p is)
     and, for every x, its members together list below x every element
-    that is not above x and nothing above it.  listed_below walks each
-    member, checked only for length, from where it leaves the one
-    before it, so a Realizer is checked by passing its orders and shared,
-    lengths at most the true common prefixes (the reader's are, built so).
+    that is not above x and nothing above it.  Members are gathered by
+    Realizer.of, and listed_below walks each held order, checked only
+    for length, from where it leaves the one before it, or from the
+    Realizer's shared lengths when it holds them (the reader's are true
+    common prefixes, built so).
     Returns (ok, unreversed critical pairs in lexicographic order).
     Raises NotAnExtension if a member is not a linear extension of p,
-    ValueError if shared is not one int in 0..n per order, 0 first.
+    ValueError if the Realizer's shared is not one int in 0..n per order, 0 first.
     """
-    n = p.n
-    orders = [ext.order for ext in extensions]
+    realizer = family if isinstance(family, Realizer) else Realizer.of(family)
+    n, shared = p.n, realizer.shared
+    orders = [ext.order for ext in realizer.orders]
     if shared is not None and (len(shared) != len(orders) or any(shared[:1]) or not
                                all(type(k) is int and 0 <= k <= n for k in shared)):
         raise ValueError(f"shared must be one int in 0..{n} per order, 0 first")
@@ -299,7 +302,7 @@ def is_realizer(
                 below[x] == everyone & ~(up | 1 << x) for x, up in enumerate(rows)
             ):
                 return True, []
-    for ext in extensions:
+    for ext in realizer.orders:
         check_extension(p, ext)
     # every member is an extension, so (x, y) is reversed in some member
     # exactly when y is in below[x], walked unhinted in p's orientation
@@ -307,12 +310,11 @@ def is_realizer(
     return False, row_pairs(r & ~b for r, b in zip(critical_rows(p), below))
 
 
-def check_realizer(p: Poset, extensions: Sequence[LinearExtension],
-                   shared: Sequence[int] | None = None) -> None:
+def check_realizer(p: Poset, family: Realizer | Sequence[LinearExtension]) -> None:
     """is_realizer, raising VerificationFailed unless the family realizes
     p: "empty" for no members, else the first unreversed pair in .pair."""
-    ok, unreversed = is_realizer(p, extensions, shared)
-    if not ok and not extensions:
+    ok, unreversed = is_realizer(p, family)
+    if not ok and not family:
         raise VerificationFailed("the realizer family is empty")
     if not ok:
         pair = tuple(unreversed[0])
@@ -425,7 +427,7 @@ def exact_dimension(p: Poset, budget: int | None = DEFAULT_BUDGET) -> DimensionR
         res = DimensionResult(Realizer.of(
             LinearExtension(high[::-1] + order if i == 1 else order + high)
             for i, order in enumerate(cores)), res.optimal)
-    check_realizer(p, res.witness.orders)
+    check_realizer(p, res.witness)
     if overrun is not None:
         raise BudgetExceeded(str(overrun), best=res) from None
     return res

@@ -1,4 +1,4 @@
-"""Desk-scale empirical runs: Monte Carlo and the growth study.
+"""The growth study: peeled-realizer size against ground-set size.
 
 Every run is a pure function of (seed, parameters).  Per-sample seeds
 are derived by index nesting so records are regenerable one at a time.
@@ -6,40 +6,15 @@ are derived by index nesting so records are regenerable one at a time.
 
 from __future__ import annotations
 
-import random
 from dataclasses import asdict, dataclass
 
 from .core import derive_seed, random_skfree_bipartite
 from .dimension import exact_dimension
 from .errors import BudgetExceeded, GenerationExhausted
-from .skfree import (_MATRIX_ROW_CAP, event_E_holds, event_probability_bound,
-                     fair_matrix, peel_realizer)
+from .skfree import peel_realizer
 
 _EXACT_GATE = 14  # largest ground size that still gets an exact cross-check
 _GROWTH_BASE_THRESHOLD = 12
-
-
-def run_prob_lemma_trials(
-    t: int, q: int, r: int, trials: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the isolating-row event on fair matrices.
-
-    Returns (empirical frequency over `trials` fair-coin r x q matrices,
-    analytic union bound).  Sampling: one fair_matrix per trial.  An r
-    above skfree._MATRIX_ROW_CAP is a ValueError before any row is drawn.
-    """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    if not (1 <= t <= q) or r < 1:
-        raise ValueError(f"bad parameters t={t}, q={q}, r={r}")
-    if r > _MATRIX_ROW_CAP:
-        raise ValueError(f"r={r} rows for q={q} pass the matrix row cap of {_MATRIX_ROW_CAP}")
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(trials):
-        if event_E_holds(fair_matrix(r, q, rng), t):
-            hits += 1
-    return hits / trials, event_probability_bound(t, q, r)
 
 
 @dataclass(frozen=True)

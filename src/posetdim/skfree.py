@@ -14,8 +14,8 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, takewhile
-from typing import Iterable, Sequence
+from itertools import chain, combinations, islice, takewhile
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     BipartitePoset,
@@ -115,10 +115,24 @@ def event_probability_bound(t: int, q: int, r: int) -> float:
     return 1.0 - t * math.comb(q, t) * (1.0 - 2.0 ** (-t)) ** r
 
 
-def fair_matrix(r: int, q: int, rng: random.Random) -> BinaryMatrix:
-    """A fair-coin r x q matrix: rows drawn top to bottom, each from one
-    getrandbits(q) word with column j on bit j."""
-    return BinaryMatrix(q, tuple(rng.getrandbits(q) for _ in range(r)))
+def _check_event_parameters(t: int, q: int, r: int) -> None:
+    """ValueError unless 1 <= t <= q and 1 <= r <= _MATRIX_ROW_CAP."""
+    if not (1 <= t <= q):
+        raise ValueError(f"need 1 <= t <= q, got t={t}, q={q}")
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r={r}")
+    if r > _MATRIX_ROW_CAP:
+        raise ValueError(f"r={r} rows for q={q} pass the matrix row cap of {_MATRIX_ROW_CAP}")
+
+
+def _event_draws(t: int, q: int, r: int, seed: int) -> Iterator[tuple[BinaryMatrix, bool]]:
+    """Fair-coin r x q matrices from Random(seed), rows drawn top to
+    bottom, each from one getrandbits(q) word with column j on bit j,
+    each with whether it has the isolating-row event at t."""
+    rng = random.Random(seed)
+    while True:
+        mat = BinaryMatrix(q, tuple(rng.getrandbits(q) for _ in range(r)))
+        yield mat, event_E_holds(mat, t)
 
 
 def acquire_event_matrix(t: int, q: int, r: int, seed: int) -> BinaryMatrix:
@@ -129,18 +143,11 @@ def acquire_event_matrix(t: int, q: int, r: int, seed: int) -> BinaryMatrix:
     passes, raising AcquisitionFailed after _MATRIX_TRIES rejections.
     An r above _MATRIX_ROW_CAP is a ValueError before any row is made.
     """
-    if not (1 <= t <= q):
-        raise ValueError(f"need 1 <= t <= q, got t={t}, q={q}")
-    if r < 1:
-        raise ValueError(f"need r >= 1, got r={r}")
-    if r > _MATRIX_ROW_CAP:
-        raise ValueError(f"r={r} rows for q={q} pass the matrix row cap of {_MATRIX_ROW_CAP}")
+    _check_event_parameters(t, q, r)
     if r >= q:
         return BinaryMatrix(q, tuple(1 << i if i < q else 0 for i in range(r)))
-    rng = random.Random(seed)
-    for _ in range(_MATRIX_TRIES):
-        mat = fair_matrix(r, q, rng)
-        if event_E_holds(mat, t):
+    for mat, holds in islice(_event_draws(t, q, r, seed), _MATRIX_TRIES):
+        if holds:
             return mat
     bound = event_probability_bound(t, q, r)
     raise AcquisitionFailed(
@@ -148,6 +155,22 @@ def acquire_event_matrix(t: int, q: int, r: int, seed: int) -> BinaryMatrix:
         f"(t={t}, q={q}, r={r}; analytic success bound {bound:.4f})",
         analytic_bound=bound,
     )
+
+
+def run_prob_lemma_trials(
+    t: int, q: int, r: int, trials: int, seed: int
+) -> tuple[float, float]:
+    """Monte Carlo estimate of the isolating-row event on fair matrices.
+
+    Returns (empirical frequency over `trials` fair-coin r x q matrices,
+    drawn as acquire_event_matrix draws them, analytic union bound).  An
+    r above _MATRIX_ROW_CAP is a ValueError before any row is drawn.
+    """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    _check_event_parameters(t, q, r)
+    hits = sum(holds for _, holds in islice(_event_draws(t, q, r, seed), trials))
+    return hits / trials, event_probability_bound(t, q, r)
 
 
 # -- mates and the upset-based coloring ---------------------------------------
@@ -485,7 +508,7 @@ def peel_realizer(
     base realizer keeps the certificate sound), and its orders are mapped
     back over the floor.
     A dual peel's orders are reversed to the input's, and one check_realizer
-    of the orders returned, against bp.poset, is the peel's only check: it
+    of the realizer returned, against bp.poset, is the peel's only check: it
     covers every step's (Q, B) pairs too.
     """
     if k < 2 or q < 2:
@@ -516,7 +539,7 @@ def peel_realizer(
     if host.poset is not bp.poset:
         orders = tuple(LinearExtension(ext.order[::-1]) for ext in realizer.orders)
         realizer = Realizer(orders, realizer.members)
-    check_realizer(bp.poset, realizer.orders)
+    check_realizer(bp.poset, realizer)
     return PeelCertificate(tuple(records), base.optimal, realizer, bp.poset.n)
 
 
@@ -592,7 +615,7 @@ def general_upper_bound(
     distinct = Realizer.of(_project_split_orders(p, cert.realizer.orders))
     family = Realizer(distinct.orders, tuple(map(distinct.members.__getitem__,
                                                  cert.realizer.members)))
-    check_realizer(p, family.orders)
+    check_realizer(p, family)
     return GeneralBoundResult(cert, family)
 
 

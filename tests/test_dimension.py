@@ -597,7 +597,7 @@ def test_is_realizer_refuses_bad_shared_lengths_before_walking(shared, monkeypat
     family = [LinearExtension((0, 3, 1, 2)), LinearExtension((1, 2, 0, 3))]
     monkeypatch.setattr(dimension, "listed_below", lambda *args: pytest.fail("walked"))
     with pytest.raises(ValueError, match=r"^shared must be one int in 0\.\.4 per order"):
-        is_realizer(p, family, shared)
+        is_realizer(p, Realizer(tuple(family), (0, 1), shared))
 
 
 def test_is_realizer_walks_from_given_shared_lengths():
@@ -605,8 +605,8 @@ def test_is_realizer_walks_from_given_shared_lengths():
     # answer the unhinted walk gives; a failing family's pairs too
     p = standard_example(2)
     e1, e2 = LinearExtension((0, 3, 1, 2)), LinearExtension((1, 2, 0, 3))
-    assert is_realizer(p, [e1, e1, e2], (0, 4, 0)) == (True, [])
-    assert is_realizer(p, [e1, e1], (0, 4)) == is_realizer(p, [e1]) == (
+    assert is_realizer(p, Realizer((e1, e1, e2), (0, 1, 2), (0, 4, 0))) == (True, [])
+    assert is_realizer(p, Realizer((e1, e1), (0, 1), (0, 4))) == is_realizer(p, [e1]) == (
         False, [CriticalPair(0, 2)])
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from itertools import combinations
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from posetdim import (
     BipartitePoset,
     LinearExtension,
     Poset,
+    Realizer,
     acquire_event_matrix,
     build_reversing_extensions,
     certificate_from_json,
@@ -39,6 +41,7 @@ from posetdim import (
     random_poset,
     random_skfree_bipartite,
     realizer_from_json,
+    run_prob_lemma_trials,
     sigma_permutations,
     standard_example,
     standard_example_bipartite,
@@ -52,6 +55,7 @@ from posetdim.dimension import (
     check_realizer,
     listed_below,
     ranked_topological_order,
+    realizer_to_json,
 )
 from posetdim.skfree import (
     _project_split_orders,
@@ -138,6 +142,17 @@ def test_acquire_identity_fallback_and_sampling():
         acquire_event_matrix(0, 4, 3, seed=1)
     with pytest.raises(ValueError, match="need r >= 1"):
         acquire_event_matrix(1, 2, 0, seed=0)
+
+
+def test_sampled_matrix_streams_are_pinned():
+    # acquire_event_matrix (r < q) and the prob-lemma draw one stream:
+    # Random(seed), rows top to bottom, one getrandbits(q) word each
+    assert acquire_event_matrix(1, 4, 3, seed=8).rows == (3, 5, 15)
+    assert run_prob_lemma_trials(2, 4, 12, 2000, seed=5) == (0.723, 0.6198837757110596)
+    # seed 0 rejects 13 draws before this one
+    rng = random.Random(0)
+    assert acquire_event_matrix(2, 5, 4, seed=0).rows == (13, 10, 19, 20) != tuple(
+        rng.getrandbits(5) for _ in range(4))
 
 
 def test_acquire_refuses_rows_past_the_cap():
@@ -793,7 +808,7 @@ def test_peeling_the_dual_realizes_both_orders(na, nb):
 
 
 def test_peel_realizer_checks_in_its_host_orientation(monkeypatch):
-    # the one check is of the orders returned, against the input; a dual
+    # the one check is of the realizer returned, against the input; a dual
     # peel's (na > nb) share suffixes there, so is_realizer walks them
     # reversed, in the host's orientation, where they share prefixes (the
     # other walk is exact_dimension's check of the smaller base)
@@ -806,9 +821,9 @@ def test_peel_realizer_checks_in_its_host_orientation(monkeypatch):
     for na, nb in ((50, 30), (30, 50)):
         bp = random_skfree_bipartite(na, nb, 1.5 / 40, 3, seed=7)
         cert = peel_realizer(bp, 3, 3, base_threshold=12, seed=7)
-        ((got, orders),) = checked
+        ((got, realizer),) = checked
         assert cert.steps
-        assert got is bp.poset and orders is cert.realizer.orders
+        assert got is bp.poset and realizer is cert.realizer
         first = cert.realizer.orders[0].order
         assert [w for n, w in walks if n == bp.poset.n] == [
             first[::-1] if na > nb else first]
@@ -849,6 +864,48 @@ def test_is_realizer_gives_the_same_answer_in_either_orientation(
             got = sorted((y, x) for x, y in pairs) if transpose else pairs
             assert got == [tuple(c) for c in want]
     assert failing >= 3
+
+
+def _answer(check, p, family):
+    # the check's return, or the class and .pair of the error it raises
+    try:
+        return check(p, family)
+    except (NotAnExtension, VerificationFailed) as exc:
+        return type(exc), exc.pair
+
+
+@pytest.mark.parametrize("na, nb", [(40, 24), (24, 40)])
+def test_a_realizer_and_its_members_get_one_answer(na, nb):
+    # is_realizer and check_realizer take a Realizer or its members: a
+    # Realizer (with or without stored lengths), its members with
+    # repeats, and its distinct orders give one answer, or one error
+    # class with one .pair; na > nb peels the dual
+    rnd = random.Random(na)
+    bp = random_skfree_bipartite(na, nb, 1.5 / 30, 3, seed=11)
+    p = bp.poset
+    whole = peel_realizer(bp, 3, 3, base_threshold=12, seed=11).realizer
+    exts = list(whole.extensions)
+    bad = list(exts[0].order)
+    lo, hi = map(bad.index, relations(p)[0])
+    bad[lo], bad[hi] = bad[hi], bad[lo]  # no longer an extension
+    with pytest.raises(NotAnExtension) as refused:
+        check_extension(p, LinearExtension(bad))
+    families = [whole, Realizer.of([]), Realizer.of(exts[:1]),
+                Realizer.of(rnd.choices(exts, k=12)),
+                Realizer.of(exts[:-1] + exts[-1:] * 3),
+                Realizer.of(exts[1:] + [LinearExtension(bad)])]
+    families += [realizer_from_json(realizer_to_json(p.n, fam, False))[1]
+                 for fam in families]
+    assert families[-6].shared is not None and any(families[-6].shared)
+    answers = set()
+    for fam in families:
+        for check in (is_realizer, check_realizer):
+            got = _answer(check, p, fam)
+            assert _answer(check, p, fam.extensions) == got
+            assert _answer(check, p, list(fam.orders)) == got
+            answers.add(repr(got))
+    assert {"(True, [])", "None", repr((NotAnExtension, refused.value.pair)),
+            repr((VerificationFailed, None))} < answers
 
 
 @settings(max_examples=30, deadline=None)
